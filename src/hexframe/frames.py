@@ -257,9 +257,11 @@ def _octa_tables():
 
 
 def octa_compose(i, j):
-    """Index of the product OCTA_GROUP[i] @ OCTA_GROUP[j]."""
+    """Index of the product OCTA_GROUP[i] @ OCTA_GROUP[j]; elementwise on
+    index arrays."""
     mul, _ = _octa_tables()
-    return int(mul[i, j])
+    g = mul[i, j]
+    return int(g) if np.ndim(g) == 0 else g
 
 
 def octa_inverse(i):
@@ -455,13 +457,15 @@ def closest_direction(v, frame):
 def octa_matching(Fa, Fb):
     """Group element index ``g`` minimizing the angle between Ra*g and Rb.
 
-    Deterministic tie-break by element order.
+    Also takes stacks of rotations of shape (..., 3, 3) and then returns an
+    index array.  Deterministic tie-break by element order.
     """
     Ra = Fa.R if isinstance(Fa, Frame) else np.asarray(Fa)
     Rb = Fb.R if isinstance(Fb, Frame) else np.asarray(Fb)
-    M = Ra.T @ Rb
-    traces = np.einsum("kij,ij->k", OCTA_GROUP, M)
-    return int(np.argmax(traces > traces.max() - 1e-10))
+    M = np.swapaxes(Ra, -1, -2) @ Rb
+    traces = np.einsum("kij,...ij->...k", OCTA_GROUP, M)
+    g = np.argmax(traces > traces.max(axis=-1, keepdims=True) - 1e-10, axis=-1)
+    return int(g) if g.ndim == 0 else g
 
 
 def tangency_basis(n):

@@ -83,12 +83,26 @@ class SingularityGraph:
         )
 
 
-def _face_holonomy(frames, a, b, c):
-    """Octahedral element composing the matchings around oriented (a, b, c)."""
-    g1 = fr.octa_matching(frames[a], frames[b])
-    g2 = fr.octa_matching(frames[b], frames[c])
-    g3 = fr.octa_matching(frames[c], frames[a])
+# faces per batch of holonomy matchings, bounding the transient arrays
+_FACE_CHUNK = 4096
+
+
+def _holonomy(frames, tris):
+    """Octahedral element composing the matchings around each oriented
+    row (a, b, c) of ``tris``."""
+    Fa, Fb, Fc = frames[tris[:, 0]], frames[tris[:, 1]], frames[tris[:, 2]]
+    g1 = fr.octa_matching(Fa, Fb)
+    g2 = fr.octa_matching(Fb, Fc)
+    g3 = fr.octa_matching(Fc, Fa)
     return fr.octa_compose(fr.octa_compose(g1, g2), g3)
+
+
+def _check_projectable(coeffs, tris):
+    """Raise on the first near-zero coefficient vertex of ``tris``, in row order."""
+    bad = np.linalg.norm(coeffs[tris], axis=2) < 1e-9
+    if bad.any():
+        v = tris.ravel()[np.argmax(bad.ravel())]
+        raise UnprojectableVertex("vertex %d has near-zero coefficients" % v)
 
 
 def _rotation_angle_axis(W):
@@ -101,17 +115,9 @@ def _rotation_angle_axis(W):
     return angle, axis / n
 
 
-def face_singularity(field, triangle, frames=None, quality=None, face_id=None):
-    """Classify one oriented interior triangle; None when non-singular."""
-    if frames is None:
-        frames, quality = field.vertex_frames()
+def _singular_face(field, frames, triangle, h, face_id=None):
+    """SingularFace of oriented ``triangle`` with non-identity holonomy ``h``."""
     a, b, c = triangle
-    for v in (a, b, c):
-        if np.linalg.norm(field.coeffs[v]) < 1e-9:
-            raise UnprojectableVertex("vertex %d has near-zero coefficients" % v)
-    h = _face_holonomy(frames, a, b, c)
-    if h == 0:
-        return None
     # the matching holonomy is the inverse of the field's rotation around
     # the loop; report the field rotation in world coordinates
     G = fr.OCTA_GROUP[fr.octa_inverse(h)]
@@ -132,6 +138,18 @@ def face_singularity(field, triangle, frames=None, quality=None, face_id=None):
     return SingularFace(fid, (a, b, c), tets, h, index, W)
 
 
+def face_singularity(field, triangle, frames=None, quality=None, face_id=None):
+    """Classify one oriented interior triangle; None when non-singular."""
+    if frames is None:
+        frames, quality = field.vertex_frames()
+    tri = np.array([triangle])
+    _check_projectable(field.coeffs, tri)
+    h = int(_holonomy(frames, tri)[0])
+    if h == 0:
+        return None
+    return _singular_face(field, frames, tuple(triangle), h, face_id)
+
+
 def _valence_from_index(index):
     if index == "other":
         return "other"
@@ -143,17 +161,19 @@ def extract_graph(field):
     mesh = field.mesh
     adj = mesh.adjacency
     frames, quality = field.vertex_frames()
-    hot = set(np.nonzero(quality < QUALITY_CUTOFF)[0])
+    fids = np.nonzero(adj.interior_mask)[0]
+    tris = adj.faces[fids]
+    hot = (quality < QUALITY_CUTOFF)[tris].any(axis=1)
+    defects = [("hot_face", int(fid)) for fid in fids[hot]]
+    fids, tris = fids[~hot], tris[~hot]
     singular = {}
-    defects = []
-    for fid in np.nonzero(adj.interior_mask)[0]:
-        a, b, c = adj.faces[fid]
-        if a in hot or b in hot or c in hot:
-            defects.append(("hot_face", int(fid)))
-            continue
-        sf = face_singularity(field, (a, b, c), frames, quality, face_id=fid)
-        if sf is not None:
-            singular[fid] = sf
+    for s in range(0, len(fids), _FACE_CHUNK):
+        chunk = tris[s:s + _FACE_CHUNK]
+        _check_projectable(field.coeffs, chunk)
+        h = _holonomy(frames, chunk)
+        for k in np.nonzero(h)[0] + s:
+            singular[fids[k]] = _singular_face(
+                field, frames, tuple(tris[k]), int(h[k - s]), face_id=fids[k])
     tet_sing = {}
     for fid, sf in singular.items():
         for t in adj.face_tets[fid]:
@@ -284,16 +304,22 @@ def detect_35(graph):
     return [ch for ch in graph.chains if ch.is_35]
 
 
-def _cross_angle_in_plane(R, u, v):
-    """Angle (mod pi/2) of the frame's dominant tangent axis in plane (u, v)."""
-    axes = R.T
-    best = None
-    for a in axes:
-        ip = np.hypot(a @ u, a @ v)
-        if best is None or ip > best[0]:
-            best = (ip, a)
-    a = best[1]
-    return np.arctan2(a @ v, a @ u) % (np.pi / 2)
+def _cross_angles(R, u, v):
+    """Angle (mod pi/2) of each frame's dominant tangent axis in plane (u, v).
+
+    ``R`` holds one rotation per row of ``u`` and ``v``; the dominant axis
+    is the first column of largest in-plane length.
+    """
+    au = np.einsum("nij,ni->nj", R, u)
+    av = np.einsum("nij,ni->nj", R, v)
+    k = np.argmax(np.hypot(au, av), axis=1)[:, None]
+    au = np.take_along_axis(au, k, axis=1)[:, 0]
+    av = np.take_along_axis(av, k, axis=1)[:, 0]
+    return np.arctan2(av, au) % (np.pi / 2)
+
+
+def _unit(x):
+    return x / np.linalg.norm(x, axis=1)[:, None]
 
 
 def _wrap_quarter(x):
@@ -314,74 +340,54 @@ def surface_cross_indices(field, mesh=None):
     tris = mesh.boundary_tris
 
     # per-triangle index from in-plane matchings around the triangle
-    per_triangle = []
-    for ti, (a, b, c) in enumerate(tris):
-        n = np.cross(p[b] - p[a], p[c] - p[a])
-        n /= np.linalg.norm(n)
-        u = p[b] - p[a]
-        u = u - (u @ n) * n
-        u /= np.linalg.norm(u)
-        v = np.cross(n, u)
-        th = [_cross_angle_in_plane(frames[x], u, v) for x in (a, b, c)]
-        s = (
-            _wrap_quarter(th[1] - th[0])
-            + _wrap_quarter(th[2] - th[1])
-            + _wrap_quarter(th[0] - th[2])
-        )
-        k = int(round(s / (np.pi / 2)))
-        per_triangle.append((ti, Fraction(k, 4)))
+    pa, pb, pc = p[tris[:, 0]], p[tris[:, 1]], p[tris[:, 2]]
+    n = _unit(np.cross(pb - pa, pc - pa))
+    u = pb - pa
+    u = _unit(u - np.einsum("ni,ni->n", u, n)[:, None] * n)
+    v = np.cross(n, u)
+    th = [_cross_angles(frames[tris[:, k]], u, v) for k in range(3)]
+    s = (
+        _wrap_quarter(th[1] - th[0])
+        + _wrap_quarter(th[2] - th[1])
+        + _wrap_quarter(th[0] - th[2])
+    )
+    ks = np.rint(s / (np.pi / 2)).astype(int)
+    per_triangle = [(ti, Fraction(int(k), 4)) for ti, k in enumerate(ks)]
 
-    # per-vertex quarter charges from unfolding holonomy (exact integers)
-    incident = {}
-    for ti, tri in enumerate(tris):
-        for k in range(3):
-            incident.setdefault(int(tri[k]), []).append((ti, k))
-    per_vertex = {}
-    for vtx, occ in incident.items():
-        # cyclic order around the vertex by following shared edges
-        nxt = {}
-        for ti, k in occ:
-            a = int(tris[ti][(k + 1) % 3])
-            b = int(tris[ti][(k + 2) % 3])
-            nxt[a] = (ti, a, b)
-        start = occ[0]
-        a0 = int(tris[start[0]][(start[1] + 1) % 3])
-        order = []
-        cur = a0
-        for _ in range(len(occ)):
-            ti, a, b = nxt[cur]
-            order.append((ti, a, b))
-            cur = b
-        if cur != a0:
-            continue  # open fan (should not happen on a watertight surface)
-        theta_sum = 0.0
-        delta_sum = 0.0
-        prev_theta = None
-        first_theta = None
-        prev_alpha = None
-        for ti, a, b in order:
-            e1 = p[a] - p[vtx]
-            e2 = p[b] - p[vtx]
-            n = np.cross(e1, e2)
-            n /= np.linalg.norm(n)
-            u = e1 / np.linalg.norm(e1)
-            w = np.cross(n, u)
-            alpha = np.arctan2(e2 @ w, e2 @ u) % (2 * np.pi)
-            # one representative cross per triangle, so that edge mismatch
-            # terms cancel pairwise across the closed surface
-            Rm = frames[int(tris[ti][0])]
-            th = _cross_angle_in_plane(Rm, u, w)
-            theta_sum += alpha
-            if prev_theta is not None:
-                delta_sum += _wrap_quarter(th - (prev_theta - prev_alpha))
-            else:
-                first_theta = th
-            prev_theta = th
-            prev_alpha = alpha
-        delta_sum += _wrap_quarter(first_theta - (prev_theta - prev_alpha))
-        q = int(round((2 * np.pi - theta_sum + delta_sum) / (np.pi / 2)))
-        if q:
-            per_vertex[vtx] = q
+    # per-vertex quarter charges from unfolding holonomy (exact integers).
+    # A triangle's corner at vtx spans the edges to a and b; its successor
+    # in the fan around vtx is the corner at vtx whose a is this one's b.
+    # Each fan term links a corner to its successor only, so the cyclic
+    # sums need no walk order.
+    vtx = tris.ravel()
+    a = tris[:, [1, 2, 0]].ravel()
+    b = tris[:, [2, 0, 1]].ravel()
+    e1 = p[a] - p[vtx]
+    e2 = p[b] - p[vtx]
+    n = _unit(np.cross(e1, e2))
+    u = _unit(e1)
+    w = np.cross(n, u)
+    alpha = np.arctan2(np.einsum("ni,ni->n", e2, w),
+                       np.einsum("ni,ni->n", e2, u)) % (2 * np.pi)
+    # one representative cross per triangle, so that edge mismatch terms
+    # cancel pairwise across the closed surface
+    th = _cross_angles(frames[np.repeat(tris[:, 0], 3)], u, w)
+    nv = len(p)
+    key = vtx * nv + a
+    order = np.argsort(key, kind="stable")
+    pos = np.minimum(np.searchsorted(key, vtx * nv + b, sorter=order), len(key) - 1)
+    succ = order[pos]
+    closed = key[succ] == vtx * nv + b
+    delta = _wrap_quarter(th[succ] - (th - alpha))
+    # vertices in order of first appearance, compact ids per incidence
+    verts, first, inv = np.unique(vtx, return_index=True, return_inverse=True)
+    theta_sum = np.bincount(inv, alpha)
+    delta_sum = np.bincount(inv, delta)
+    # an open fan (not on a watertight surface) has no charge
+    is_open = np.bincount(inv, ~closed) > 0
+    q = np.rint((2 * np.pi - theta_sum + delta_sum) / (np.pi / 2)).astype(int)
+    per_vertex = {int(verts[j]): int(q[j]) for j in np.argsort(first)
+                  if q[j] and not is_open[j]}
     total = Fraction(sum(per_vertex.values()), 4)
     return per_triangle, per_vertex, total
 

@@ -338,7 +338,6 @@ def smooth_nonlinear(field, config=None, K=None):
     indptr, indices, data = K.indptr, K.indices, K.data
     sweeps_done = 0
     max_delta = np.inf
-    energies = []
     for sweep in range(config.smoothing_sweeps):
         max_delta = 0.0
         for v in range(n):

@@ -41,8 +41,18 @@ def _barycentric(mesh, tet, p):
     return np.concatenate([[1.0 - lam.sum()], lam])
 
 
-def locate(mesh, point, hint=None, tol=1e-10):
-    """Tet containing ``point`` by adjacency walk, scanning as fallback."""
+def tet_boxes(mesh, tol=1e-10):
+    """Per-tet bounding boxes ``(lo, hi)`` padded by ``tol``, for ``locate``."""
+    verts = mesh.vertices[mesh.tets]
+    return verts.min(axis=1) - tol, verts.max(axis=1) + tol
+
+
+def locate(mesh, point, hint=None, tol=1e-10, boxes=None):
+    """Tet containing ``point`` by adjacency walk, scanning as fallback.
+
+    ``boxes`` are the ``tet_boxes(mesh, tol)`` of the scan, for callers that
+    locate many points.
+    """
     point = np.asarray(point, dtype=float)
     adj = mesh.adjacency
     if hint is not None:
@@ -59,9 +69,7 @@ def locate(mesh, point, hint=None, tol=1e-10):
                 break
             tet = nxt
     # exhaustive fallback
-    verts = mesh.vertices[mesh.tets]
-    lo = verts.min(axis=1) - tol
-    hi = verts.max(axis=1) + tol
+    lo, hi = boxes if boxes is not None else tet_boxes(mesh, tol)
     cand = np.nonzero(((point >= lo) & (point <= hi)).all(axis=1))[0]
     for tet in cand:
         lam = _barycentric(mesh, int(tet), point)
@@ -70,14 +78,15 @@ def locate(mesh, point, hint=None, tol=1e-10):
     return None
 
 
-def interpolate_frame(field, point, tet_hint=None):
+def interpolate_frame(field, point, tet_hint=None, boxes=None):
     """Projected frame at an interior point.
 
     Linearly interpolates the nine coefficients over the containing tet and
-    projects the result.  Returns ``(rotation, quality, tet)``.
+    projects the result.  Returns ``(rotation, quality, tet)``; ``boxes``
+    is passed on to ``locate``.
     """
     mesh = field.mesh
-    tet = locate(mesh, point, hint=tet_hint)
+    tet = locate(mesh, point, hint=tet_hint, boxes=boxes)
     if tet is None:
         raise OutsideMesh("point %s is outside the mesh" % np.asarray(point))
     lam = np.clip(_barycentric(mesh, tet, np.asarray(point, dtype=float)), 0.0, 1.0)
@@ -93,10 +102,12 @@ def interpolate_frame(field, point, tet_hint=None):
 class _MeshSampler:
     def __init__(self, field):
         self.field = field
+        self.boxes = tet_boxes(field.mesh)
 
     def sample(self, point, hint):
         try:
-            R, q, tet = interpolate_frame(self.field, point, tet_hint=hint)
+            R, q, tet = interpolate_frame(self.field, point, tet_hint=hint,
+                                          boxes=self.boxes)
         except OutsideMesh:
             return None
         return R, q, tet

@@ -1,0 +1,129 @@
+"""Reference loops for singularity classification.
+
+One face or one surface corner at a time, as ``hexframe.singularities``
+computed them before it classified whole arrays: the per-face holonomy from
+three scalar octahedral matchings, the hot-face scan, and the surface cross
+indices with the per-vertex fan walk.  The tests require the array code to
+reproduce these results exactly.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+import hexframe.frames as fr
+from hexframe.singularities import QUALITY_CUTOFF
+
+
+def matching(Ra, Rb):
+    """Group element minimizing the angle between Ra*g and Rb, first on ties."""
+    M = Ra.T @ Rb
+    traces = np.einsum("kij,ij->k", fr.OCTA_GROUP, M)
+    return int(np.argmax(traces > traces.max() - 1e-10))
+
+
+def face_holonomy(frames, a, b, c):
+    g1 = matching(frames[a], frames[b])
+    g2 = matching(frames[b], frames[c])
+    g3 = matching(frames[c], frames[a])
+    return fr.octa_compose(fr.octa_compose(g1, g2), g3)
+
+
+def holonomy_rows(frames, tris):
+    """``face_holonomy`` of every row of ``tris``."""
+    return np.array([face_holonomy(frames, a, b, c) for a, b, c in tris], dtype=int)
+
+
+def classify_faces(field):
+    """``({face_id: group element}, hot-face defects)`` of the interior faces."""
+    adj = field.mesh.adjacency
+    frames, quality = field.vertex_frames()
+    hot = set(np.nonzero(quality < QUALITY_CUTOFF)[0])
+    singular, defects = {}, []
+    for fid in np.nonzero(adj.interior_mask)[0]:
+        a, b, c = adj.faces[fid]
+        if a in hot or b in hot or c in hot:
+            defects.append(("hot_face", int(fid)))
+            continue
+        h = face_holonomy(frames, a, b, c)
+        if h:
+            singular[int(fid)] = h
+    return singular, defects
+
+
+def _cross_angle_in_plane(R, u, v):
+    best = None
+    for a in R.T:
+        ip = np.hypot(a @ u, a @ v)
+        if best is None or ip > best[0]:
+            best = (ip, a)
+    a = best[1]
+    return np.arctan2(a @ v, a @ u) % (np.pi / 2)
+
+
+def _wrap_quarter(x):
+    return x - np.pi / 2 * np.ceil((x - np.pi / 4) / (np.pi / 2) - 1e-12)
+
+
+def surface_cross_indices(field):
+    """``(per_triangle, per_vertex, total)`` as ``surface_cross_indices``."""
+    mesh = field.mesh
+    frames, _ = field.vertex_frames()
+    p = mesh.vertices
+    tris = mesh.boundary_tris
+
+    per_triangle = []
+    for ti, (a, b, c) in enumerate(tris):
+        n = np.cross(p[b] - p[a], p[c] - p[a])
+        n /= np.linalg.norm(n)
+        u = p[b] - p[a]
+        u = u - (u @ n) * n
+        u /= np.linalg.norm(u)
+        v = np.cross(n, u)
+        th = [_cross_angle_in_plane(frames[x], u, v) for x in (a, b, c)]
+        s = (_wrap_quarter(th[1] - th[0]) + _wrap_quarter(th[2] - th[1])
+             + _wrap_quarter(th[0] - th[2]))
+        per_triangle.append((ti, Fraction(int(round(s / (np.pi / 2))), 4)))
+
+    incident = {}
+    for ti, tri in enumerate(tris):
+        for k in range(3):
+            incident.setdefault(int(tri[k]), []).append((ti, k))
+    per_vertex = {}
+    for vtx, occ in incident.items():
+        # walk the fan around vtx by following shared edges
+        nxt = {}
+        for ti, k in occ:
+            a = int(tris[ti][(k + 1) % 3])
+            nxt[a] = (ti, a, int(tris[ti][(k + 2) % 3]))
+        a0 = int(tris[occ[0][0]][(occ[0][1] + 1) % 3])
+        order = []
+        cur = a0
+        for _ in range(len(occ)):
+            ti, a, b = nxt[cur]
+            order.append((ti, a, b))
+            cur = b
+        if cur != a0:
+            continue
+        theta_sum = delta_sum = 0.0
+        prev_theta = first_theta = prev_alpha = None
+        for ti, a, b in order:
+            e1 = p[a] - p[vtx]
+            e2 = p[b] - p[vtx]
+            n = np.cross(e1, e2)
+            n /= np.linalg.norm(n)
+            u = e1 / np.linalg.norm(e1)
+            w = np.cross(n, u)
+            alpha = np.arctan2(e2 @ w, e2 @ u) % (2 * np.pi)
+            th = _cross_angle_in_plane(frames[int(tris[ti][0])], u, w)
+            theta_sum += alpha
+            if prev_theta is not None:
+                delta_sum += _wrap_quarter(th - (prev_theta - prev_alpha))
+            else:
+                first_theta = th
+            prev_theta, prev_alpha = th, alpha
+        delta_sum += _wrap_quarter(first_theta - (prev_theta - prev_alpha))
+        q = int(round((2 * np.pi - theta_sum + delta_sum) / (np.pi / 2)))
+        if q:
+            per_vertex[vtx] = q
+    return per_triangle, per_vertex, Fraction(sum(per_vertex.values()), 4)

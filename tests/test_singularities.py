@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import hexframe.frames as fr
+import hexframe.singularities as sing
+import singularity_oracle as oracle
 from hexframe.boxgen import generate_box
+from hexframe.errors import UnprojectableVertex
+from hexframe.mesh import TetMesh
 from hexframe.singularities import (
     detect_35,
     extract_graph,
@@ -12,7 +16,7 @@ from hexframe.singularities import (
     stable_direction,
     surface_cross_indices,
 )
-from hexframe.solver import BoundaryConditionSet, FrameField
+from hexframe.solver import BoundaryConditionSet, FrameField, SolverConfig, compute_field
 
 
 def rot_z(a):
@@ -164,3 +168,75 @@ class TestSurfaceCrossIndices:
     def test_total_mirror_field(self, valence5_field):
         _, _, total = surface_cross_indices(valence5_field)
         assert total == Fraction(2)
+
+
+@pytest.fixture(scope="module")
+def rotated_box_field():
+    """Short solve on a bulged box in general position, with 3-5 chains."""
+    box = generate_box(6, 6, 6, bulge=0.3)
+    R = fr.axis_angle_rotation(np.array([0.3, -0.7, 1.1]))
+    mesh = TetMesh(box.vertices @ R.T, box.tets,
+                   feature_edges=box.tagged_feature_edges,
+                   corners=box.tagged_corners)
+    mesh.detect_features(30.0)
+    return compute_field(mesh, SolverConfig(smoothing_sweeps=5))
+
+
+@pytest.fixture(scope="module")
+def rotated_box_hot_field(rotated_box_field):
+    """The same field with interior vertices zeroed: their faces are hot."""
+    mesh = rotated_box_field.mesh
+    coeffs = rotated_box_field.coeffs.copy()
+    interior = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_vertices)
+    coeffs[interior[::40]] = 0.0
+    return FrameField(mesh, coeffs, rotated_box_field.bcs)
+
+
+def _graph_summary(graph):
+    faces = sorted((int(fid), f.group_elem, f.index)
+                   for fid, f in graph.singular_faces.items())
+    chains = [(ch.tets, [int(f.face_id) for f in ch.faces], ch.valence_start,
+               ch.valence_end, ch.endpoint_start[0], ch.endpoint_end[0])
+              for ch in graph.chains]
+    return faces, chains, graph.junction_tets, graph.defects
+
+
+@pytest.mark.parametrize("name", ["valence3_field", "valence5_field",
+                                  "rotated_box_field", "rotated_box_hot_field"])
+class TestPerFaceParity:
+    """The whole-array classification equals the per-face reference loops."""
+
+    def test_graph(self, name, request, monkeypatch):
+        field = request.getfixturevalue(name)
+        graph = extract_graph(field)
+        singular, hot = oracle.classify_faces(field)
+        assert {int(fid): f.group_elem for fid, f in graph.singular_faces.items()} == singular
+        assert [d for d in graph.defects if d[0] == "hot_face"] == hot
+        # the same chain assembly fed by the per-face holonomy
+        monkeypatch.setattr(sing, "_holonomy", oracle.holonomy_rows)
+        assert _graph_summary(graph) == _graph_summary(extract_graph(field))
+
+    def test_surface_cross_indices(self, name, request):
+        field = request.getfixturevalue(name)
+        per_tri, per_vertex, total = surface_cross_indices(field)
+        ref_tri, ref_vertex, ref_total = oracle.surface_cross_indices(field)
+        assert per_tri == ref_tri
+        assert list(per_vertex.items()) == list(ref_vertex.items())
+        assert total == ref_total
+
+
+def test_parity_fields_exercise_classification(rotated_box_field, rotated_box_hot_field):
+    graph = extract_graph(rotated_box_field)
+    assert detect_35(graph)
+    assert any(d[0] == "hot_face" for d in extract_graph(rotated_box_hot_field).defects)
+
+
+def test_near_zero_coefficient_on_non_hot_face_raises(box):
+    coeffs = np.tile(fr.REFERENCE_COEFFS, (len(box.vertices), 1))
+    field = FrameField(box, coeffs, BoundaryConditionSet())
+    field.vertex_frames()
+    # frames projected before the coefficient vanished keep the face cool
+    v = np.setdiff1d(np.arange(len(box.vertices)), box.boundary_vertices)[0]
+    field.coeffs[v] = 0.0
+    with pytest.raises(UnprojectableVertex, match="vertex %d " % v):
+        extract_graph(field)

@@ -5,7 +5,7 @@ import hexframe.frames as fr
 from hexframe.boxgen import generate_box
 from hexframe.errors import SeedOutside
 from hexframe.solver import BoundaryConditionSet, FrameField
-from hexframe.tracing import TracerConfig, interpolate_frame, locate, trace
+from hexframe.tracing import TracerConfig, interpolate_frame, locate, tet_boxes, trace
 
 
 def rot_z(a):
@@ -39,10 +39,12 @@ class TestLocate:
 
     def test_walk_matches_scan(self, box):
         rng = np.random.default_rng(3)
+        boxes = tet_boxes(box)
         for _ in range(25):
             p = rng.uniform(0.05, 0.95, size=3)
             t_walk = locate(box, p, hint=0)
             t_scan = locate(box, p)
+            assert locate(box, p, boxes=boxes) == t_scan
             lam = np.linalg.norm(
                 box.vertices[box.tets[t_walk]].mean(axis=0)
                 - box.vertices[box.tets[t_scan]].mean(axis=0)

@@ -25,19 +25,13 @@ from .correction import (
 from .errors import CGDiverged, HexFrameError, NonApplicable
 from .meshio import read_field, read_medit, write_field, write_vtk_graph
 from .singularities import detect_35, extract_graph
-from .solver import FrameField, SolverConfig, build_boundary_conditions, compute_field
+from .solver import SolverConfig, compute_field
 from .tracing import TracerConfig, trace
 
 EXIT_OK = 0
 EXIT_NOT_APPLICABLE = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_USAGE = 64
-
-STRATEGIES = {
-    "extrude-curve": "extrude-curve",
-    "extrude-node": "extrude-node",
-    "snap": "snap",
-}
 
 
 def _build_parser():
@@ -58,8 +52,6 @@ def _build_parser():
                        help="maximum nonlinear smoothing sweeps")
         p.add_argument("--field", default=None,
                        help="reuse a previously written field.txt")
-        p.add_argument("--seed-rng", type=int, default=0,
-                       help="reserved; the pipeline is deterministic")
         p.add_argument("--verbose", action="store_true")
         return p
 
@@ -68,7 +60,8 @@ def _build_parser():
     common(sub.add_parser("detect35", help="flag 3-5 singular chains"))
 
     p = common(sub.add_parser("correct", help="apply a correction strategy"))
-    p.add_argument("--strategy", required=True, choices=sorted(STRATEGIES))
+    p.add_argument("--strategy", required=True,
+                   choices=["extrude-curve", "extrude-node", "snap"])
     p.add_argument("--snap-radius", type=float, default=0.0,
                    help="tangency release radius (0: 3 mean edge lengths)")
     p.add_argument("--step", type=float, default=0.0,
@@ -81,7 +74,9 @@ def _build_parser():
     p.add_argument("--step", type=float, default=0.0,
                    help="streamline step size (0: half mean edge length)")
 
-    common(sub.add_parser("report", help="print the report of a previous run"))
+    p = sub.add_parser("report", help="print the report of a previous run")
+    p.add_argument("--out", default=".", help="artifact directory")
+    p.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -144,8 +139,6 @@ def _load_or_solve(args, log):
                           projection_relaxation=args.relaxation)
     if args.field:
         field = read_field(args.field, mesh)
-        field.bcs = build_boundary_conditions(mesh)
-        field.config = config
         log("field: read from %s" % args.field)
     else:
         t0 = time.time()
@@ -168,10 +161,6 @@ def _cmd_solve(args, log):
     _emit(args, mesh, field, graph)
     print("chains: %d  3-5: %d" % (len(graph.chains), len(detect_35(graph))))
     return EXIT_OK
-
-
-def _cmd_graph(args, log):
-    return _cmd_solve(args, log)
 
 
 def _cmd_detect35(args, log):
@@ -258,7 +247,7 @@ def _cmd_report(args, log):
 
 _COMMANDS = {
     "solve": _cmd_solve,
-    "graph": _cmd_graph,
+    "graph": _cmd_solve,
     "detect35": _cmd_detect35,
     "correct": _cmd_correct,
     "trace": _cmd_trace,

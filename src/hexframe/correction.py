@@ -16,6 +16,7 @@ import numpy as np
 from . import frames as fr
 from .errors import NoBoundaryPath, NonApplicable, SeedOutside, WedgeMismatch
 from .solver import (
+    TANGENCY,
     SolverConfig,
     apply_internal_constraints,
     build_boundary_conditions,
@@ -221,16 +222,16 @@ def extrude_feature_curves(mesh, field, curves=None, tracer_config=None):
                     if w in boundary:
                         # pin the sheet where it meets the surface, else the
                         # singular legs reconnect through the last free layer
-                        n = field.bcs.tangency.get(w)
-                        if n is None:
+                        if field.bcs.kind[w] != TANGENCY:
                             continue
+                        n = field.bcs.normals[w]
                         u2 = u - (u @ n) * n
                         nn = np.linalg.norm(u2)
                         if nn < 0.5:
                             continue
                         _merge_constraint(plan, table, w, "tangency_dir",
                                           u2 / nn)
-                        sheet_boundary[w] = np.asarray(n, float)
+                        sheet_boundary[w] = n
                     else:
                         _merge_constraint(plan, table, w, "tangency_dir", u)
     constraints = []
@@ -298,8 +299,9 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
     for v in np.nonzero(near < r_out)[0]:
         v = int(v)
         if v in boundary:
-            n = field.bcs.tangency.get(v)
-            if n is None:
+            if field.bcs.kind[v] == TANGENCY:
+                n = field.bcs.normals[v]
+            else:
                 # feature vertices puncture the tube unless re-imposed;
                 # judge alignment by the averaged surface normal instead
                 try:
@@ -384,22 +386,6 @@ def _winding_coeffs(mesh, columns, t, Rt, v, offset=0.0):
         return fr.axisymmetric_coeffs(t)
     return fr.coeffs_from_rotation(
         fr.axis_angle_rotation(t * (theta + offset)) @ Rt)
-
-
-def _seed_singular_columns(field, columns, offset=0.0):
-    """Initialize free coefficients near forced columns with the winding.
-
-    The smoother is a local descent; started from the combed state it
-    stays there, so the initial guess must already wind around the tube.
-    """
-    mesh = field.mesh
-    t, Rt, near = _column_geometry(mesh, columns)
-    r = 4.0 * mesh.mean_edge_length()
-    for v in np.nonzero(near < r)[0]:
-        v = int(v)
-        if field.bcs.kind(v) != "free":
-            continue
-        field.coeffs[v] = _winding_coeffs(mesh, columns, t, Rt, v, offset)
 
 
 # -- snapping ----------------------------------------------------------------
@@ -655,7 +641,7 @@ def build_snapped_bcs(mesh, plan, radius=None):
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
     for v in dist:
-        if v not in path_set and bcs.kind(v) == "tangency":
+        if v not in path_set and bcs.kind[v] == TANGENCY:
             bcs.set_free(v)
     return bcs
 
@@ -673,15 +659,8 @@ def apply_plan(mesh, field, plan, solver_config=None, snap_radius=None):
     if plan.strategy == "snap":
         bcs = build_snapped_bcs(mesh, plan, radius=snap_radius)
     else:
-        bcs = field.bcs.copy()
-    base = apply_internal_constraints(
-        type(field)(mesh, field.coeffs.copy(), bcs, config),
-        plan.internal_constraints)
-    out = solve_initial(mesh, base.bcs, config)
-    columns = plan.diagnostics.get("columns")
-    if columns:
-        _seed_singular_columns(out, columns,
-                               plan.diagnostics.get("winding_offset", 0.0))
-    out = smooth_nonlinear(out, config)
+        bcs = field.bcs
+    bcs = apply_internal_constraints(bcs, plan.internal_constraints)
+    out = smooth_nonlinear(solve_initial(mesh, bcs, config), config)
     plan.diagnostics["graph"] = extract_graph(out)
     return out

@@ -78,4 +78,4 @@ class CountMismatch(HexFrameError):
 
 
 class IoError(HexFrameError):
-    """Failed to write an output artifact."""
+    """Failed to read an input file or write an output artifact."""

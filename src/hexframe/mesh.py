@@ -12,6 +12,9 @@ from .errors import DegenerateDihedral, NonManifold, OpenBoundary
 
 FEATURE_ANGLE_DEFAULT = 30.0
 
+# local vertices of tet face i, the face opposite vertex i
+FACE_VERTICES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+
 
 def classify_feature_valence(dihedral_angle):
     """Hexahedral valence bin of an interior dihedral angle in degrees.
@@ -76,10 +79,8 @@ class AdjacencyTables:
     def __init__(self, mesh):
         tets = mesh.tets
         nt = len(tets)
-        # face i of a tet is opposite its vertex i
-        face_local = [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)]
         raw = np.empty((4 * nt, 3), dtype=np.int64)
-        for li, (a, b, c) in enumerate(face_local):
+        for li, (a, b, c) in enumerate(FACE_VERTICES):
             raw[li::4] = tets[:, [a, b, c]]
         keys = np.sort(raw, axis=1)
         uniq, inverse, counts = np.unique(
@@ -204,8 +205,7 @@ class TetMesh:
             t = adj.face_tets[fid, 0]
             li = adj.face_local[fid, 0]
             tet = self.tets[t]
-            face_local = [(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)]
-            a, b, c = (tet[i] for i in face_local[li])
+            a, b, c = (tet[i] for i in FACE_VERTICES[li])
             # orient outward: opposite vertex must be on the negative side
             p = self.vertices
             d = np.dot(np.cross(p[b] - p[a], p[c] - p[a]), p[tet[li]] - p[a])

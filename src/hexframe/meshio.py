@@ -1,9 +1,21 @@
 """File formats: MEDIT ASCII meshes, legacy VTK polylines, field text files."""
 
+import math
+
 import numpy as np
 
+from . import frames as fr
 from .errors import CountMismatch, IndexOutOfRange, IoError, ParseError
 from .mesh import FEATURE_ANGLE_DEFAULT, TetMesh
+from .solver import FrameField, build_boundary_conditions
+
+
+def _read_lines(path):
+    try:
+        with open(path) as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
@@ -12,14 +24,12 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
     ``Edges``/``Corners`` sections become pre-tagged feature curves and
     corners; feature detection runs afterwards (tags take precedence).
     """
-    with open(path) as fh:
-        tokens = []
-        lines = []
-        for ln, line in enumerate(fh, 1):
-            line = line.split("#")[0]
-            for tok in line.split():
-                tokens.append(tok)
-                lines.append(ln)
+    tokens = []
+    lines = []
+    for ln, line in enumerate(_read_lines(path), 1):
+        for tok in line.split("#")[0].split():
+            tokens.append(tok)
+            lines.append(ln)
 
     pos = 0
 
@@ -41,12 +51,22 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
         except ValueError:
             raise ParseError("line %d: expected integer in %s, got %r" % (ln, what, tok))
 
+    def take_count(what):
+        n = take_int(what)
+        if n < 0:
+            raise ParseError("line %d: negative %s %d" % (lines[pos - 1], what, n))
+        return n
+
     def take_float(what):
         tok, ln = take(what)
         try:
-            return float(tok)
+            x = float(tok)
         except ValueError:
             raise ParseError("line %d: expected number in %s, got %r" % (ln, what, tok))
+        if not math.isfinite(x):
+            raise ParseError("line %d: non-finite number in %s, got %r"
+                             % (ln, what, tok))
+        return x
 
     vertices = None
     tets = None
@@ -63,31 +83,31 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
             if dim != 3:
                 raise ParseError("line %d: expected Dimension 3, got %d" % (ln, dim))
         elif key == "vertices":
-            n = take_int("Vertices count")
+            n = take_count("Vertices count")
             vertices = np.empty((n, 3))
             for i in range(n):
                 vertices[i] = [take_float("Vertices") for _ in range(3)]
                 take("vertex ref")
         elif key == "tetrahedra":
-            n = take_int("Tetrahedra count")
+            n = take_count("Tetrahedra count")
             tets = np.empty((n, 4), dtype=np.int64)
             for i in range(n):
                 tets[i] = [take_int("Tetrahedra") for _ in range(4)]
                 take_int("tet ref")
         elif key == "triangles":
-            n = take_int("Triangles count")
+            n = take_count("Triangles count")
             for _ in range(n):
                 a, b, c = (take_int("Triangles") for _ in range(3))
                 ref = take_int("triangle ref")
                 tris.append(((a - 1, b - 1, c - 1), ref))
         elif key == "edges":
-            n = take_int("Edges count")
+            n = take_count("Edges count")
             for _ in range(n):
                 a, b = take_int("Edges"), take_int("Edges")
                 ref = take_int("edge ref")
                 edges.append((a - 1, b - 1, ref))
         elif key == "corners":
-            n = take_int("Corners count")
+            n = take_count("Corners count")
             for _ in range(n):
                 corners.append(take_int("Corners") - 1)
         elif key == "end":
@@ -96,6 +116,8 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
             raise ParseError("line %d: unknown section %r" % (ln, kw))
     if vertices is None or tets is None:
         raise ParseError("missing Vertices or Tetrahedra section")
+    if len(tets) == 0:
+        raise ParseError("Tetrahedra section is empty")
     if tets.min() < 1 or tets.max() > len(vertices):
         raise IndexOutOfRange("tetrahedron vertex index out of range")
     for (a, b, c), _ in tris:
@@ -104,6 +126,9 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
     for a, b, _ in edges:
         if min(a, b) < 0 or max(a, b) >= len(vertices):
             raise IndexOutOfRange("edge vertex index out of range")
+    for c in corners:
+        if not 0 <= c < len(vertices):
+            raise IndexOutOfRange("corner vertex index %d out of range" % (c + 1))
     mesh = TetMesh(
         vertices,
         tets - 1,
@@ -255,29 +280,33 @@ def write_field(field, path):
 
 
 def read_field(path, mesh):
-    """Read a field file back onto ``mesh``; coefficients round-trip exactly."""
-    from .solver import BoundaryConditionSet, FrameField
-
-    with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "HexFrameField":
-            raise ParseError("not a hexframe field file")
-        n = int(fh.readline())
-        if n != len(mesh.vertices):
-            raise CountMismatch(
-                "field has %d vertices, mesh has %d" % (n, len(mesh.vertices))
-            )
-        coeffs = np.empty((n, 9))
-        frames = np.empty((n, 3, 3))
-        for i in range(n):
-            vals = [float(x) for x in fh.readline().split()]
-            if len(vals) != 18:
-                raise ParseError("field line %d malformed" % (i + 3))
-            coeffs[i] = vals[:9]
-            frames[i] = np.array(vals[9:]).reshape(3, 3)
-    field = FrameField(mesh, coeffs, BoundaryConditionSet())
-    from . import frames as fr
-
+    """Read a field file back onto ``mesh`` with the mesh's standard
+    boundary conditions; coefficients round-trip exactly."""
+    rows = _read_lines(path)
+    if not rows or rows[0].split()[:1] != ["HexFrameField"]:
+        raise ParseError("line 1: not a hexframe field file")
+    try:
+        n = int(rows[1])
+    except (IndexError, ValueError):
+        raise ParseError("line 2: expected the vertex count")
+    if n != len(mesh.vertices):
+        raise CountMismatch(
+            "field has %d vertices, mesh has %d" % (n, len(mesh.vertices))
+        )
+    if len(rows) < n + 2:
+        raise ParseError("line %d: unexpected end of file" % (len(rows) + 1))
+    values = np.empty((n, 18))
+    for i in range(n):
+        try:
+            vals = [float(x) for x in rows[i + 2].split()]
+        except ValueError:
+            raise ParseError("line %d: non-numeric value" % (i + 3))
+        if len(vals) != 18 or not all(map(math.isfinite, vals)):
+            raise ParseError("line %d: expected 18 finite numbers" % (i + 3))
+        values[i] = vals
+    coeffs = values[:, :9].copy()
+    frames = values[:, 9:].reshape(n, 3, 3).copy()
+    field = FrameField(mesh, coeffs, build_boundary_conditions(mesh))
     norms = np.maximum(np.linalg.norm(coeffs, axis=1), 1e-300)
     quality = np.array(
         [c @ fr.frame_coeffs(R) for c, R in zip(coeffs / norms[:, None], frames)]

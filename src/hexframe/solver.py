@@ -32,45 +32,41 @@ class SolverConfig:
     convergence_delta: float = 1e-6
 
 
-class BoundaryConditionSet:
-    """Disjoint vertex constraint sets: Dirichlet, tangency, free boundary."""
+FREE, DIRICHLET, TANGENCY = 0, 1, 2
 
-    def __init__(self):
-        self.dirichlet = {}      # vertex -> 9-vector
-        self.tangency = {}       # vertex -> unit normal
-        self.free_boundary = set()
+
+class BoundaryConditionSet:
+    """Per-vertex constraint kind (FREE, DIRICHLET or TANGENCY) with the
+    Dirichlet coefficients and tangency unit normals; rows of the other
+    kinds are zero."""
+
+    def __init__(self, n):
+        self.kind = np.zeros(n, dtype=np.int8)
+        self.coeffs = np.zeros((n, 9))
+        self.normals = np.zeros((n, 3))
 
     def copy(self):
-        out = BoundaryConditionSet()
-        out.dirichlet = {v: np.array(c) for v, c in self.dirichlet.items()}
-        out.tangency = {v: np.array(n) for v, n in self.tangency.items()}
-        out.free_boundary = set(self.free_boundary)
+        out = BoundaryConditionSet(0)
+        out.kind = self.kind.copy()
+        out.coeffs = self.coeffs.copy()
+        out.normals = self.normals.copy()
         return out
 
     def set_dirichlet(self, vertex, coeffs):
-        self.tangency.pop(vertex, None)
-        self.free_boundary.discard(vertex)
-        self.dirichlet[vertex] = np.asarray(coeffs, dtype=float)
+        self.set_free(vertex)
+        self.kind[vertex] = DIRICHLET
+        self.coeffs[vertex] = coeffs
 
     def set_tangency(self, vertex, normal):
-        self.dirichlet.pop(vertex, None)
-        self.free_boundary.discard(vertex)
+        self.set_free(vertex)
         n = np.asarray(normal, dtype=float)
-        self.tangency[vertex] = n / np.linalg.norm(n)
+        self.kind[vertex] = TANGENCY
+        self.normals[vertex] = n / np.linalg.norm(n)
 
     def set_free(self, vertex):
-        self.dirichlet.pop(vertex, None)
-        self.tangency.pop(vertex, None)
-        self.free_boundary.add(vertex)
-
-    def kind(self, vertex):
-        if vertex in self.dirichlet:
-            return "dirichlet"
-        if vertex in self.tangency:
-            return "tangency"
-        if vertex in self.free_boundary:
-            return "free"
-        return None
+        self.kind[vertex] = FREE
+        self.coeffs[vertex] = 0.0
+        self.normals[vertex] = 0.0
 
 
 def dirichlet_bc_on_curve(curve, mesh):
@@ -110,16 +106,16 @@ def dirichlet_bc_on_curve(curve, mesh):
 def build_boundary_conditions(mesh):
     """Standard BC set: Dirichlet on feature curves and corners, tangency
     on smooth-patch vertices."""
-    bcs = BoundaryConditionSet()
+    bcs = BoundaryConditionSet(len(mesh.vertices))
     corner_acc = {}
     for curve in mesh.feature_curves:
         values = dirichlet_bc_on_curve(curve, mesh)
         for v, c in values.items():
             if v in mesh.corners:
                 corner_acc.setdefault(v, []).append(c)
-            elif v in bcs.dirichlet:
+            elif bcs.kind[v] == DIRICHLET:
                 # junction of two curves that is not a flagged corner
-                corner_acc.setdefault(v, [bcs.dirichlet[v]]).append(c)
+                corner_acc.setdefault(v, [bcs.coeffs[v].copy()]).append(c)
             else:
                 bcs.set_dirichlet(v, c)
     for v, vals in corner_acc.items():
@@ -129,7 +125,7 @@ def build_boundary_conditions(mesh):
     feature_verts = mesh.feature_vertex_set() | set(mesh.corners)
     for patch in mesh.patches:
         for v, n in patch.vertex_normals.items():
-            if v in feature_verts or v in bcs.dirichlet:
+            if v in feature_verts or bcs.kind[v] == DIRICHLET:
                 continue
             bcs.set_tangency(v, n)
     return bcs
@@ -216,40 +212,31 @@ class FrameField:
         return float(sum(self.coeffs[:, k] @ (K @ self.coeffs[:, k]) for k in range(9)))
 
 
-def _build_reduced_system(mesh, bcs, K):
-    """Affine map x = A u + b from reduced unknowns to the full 9N vector."""
-    n = len(mesh.vertices)
-    rows, cols, vals = [], [], []
-    b = np.zeros(9 * n)
-    offsets = {}
-    nu = 0
-    tang_basis = {}
-    for v in range(n):
-        kind = bcs.kind(v)
-        if kind == "dirichlet":
-            b[9 * v: 9 * v + 9] = bcs.dirichlet[v]
-        elif kind == "tangency":
-            h0, h1, h2 = fr.tangency_basis(bcs.tangency[v])
-            tang_basis[v] = (h0, h1, h2)
-            b[9 * v: 9 * v + 9] = h0
-            for k in range(9):
-                rows.append(9 * v + k)
-                cols.append(nu)
-                vals.append(h1[k])
-                rows.append(9 * v + k)
-                cols.append(nu + 1)
-                vals.append(h2[k])
-            offsets[v] = (nu, 2)
-            nu += 2
-        else:
-            for k in range(9):
-                rows.append(9 * v + k)
-                cols.append(nu + k)
-                vals.append(1.0)
-            offsets[v] = (nu, 9)
-            nu += 9
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(9 * n, nu)).tocsr()
-    return A, b, offsets, tang_basis
+def _build_reduced_system(bcs):
+    """Affine map x = A u + b from reduced unknowns to the full 9N vector.
+
+    Free vertices own 9 columns, tangency vertices 2 (their h1 and h2) and
+    Dirichlet vertices none, in vertex order.  Also returns the tangency
+    vertices, their first columns and their (h0, h1, h2) bases.
+    """
+    n = len(bcs.kind)
+    widths = np.array([9, 0, 2])[bcs.kind]
+    offsets = np.cumsum(widths) - widths
+    free = np.flatnonzero(bcs.kind == FREE)
+    tang = np.flatnonzero(bcs.kind == TANGENCY)
+    H = np.reshape([fr.tangency_basis(nrm) for nrm in bcs.normals[tang]],
+                   (-1, 3, 9))
+    b = np.where((bcs.kind == DIRICHLET)[:, None], bcs.coeffs, 0.0)
+    b[tang] = H[:, 0]
+    k = np.arange(9)
+    rows = np.concatenate([(9 * free[:, None] + k).ravel(),
+                           np.repeat(9 * tang[:, None] + k, 2)])
+    cols = np.concatenate([(offsets[free][:, None] + k).ravel(),
+                           np.tile(offsets[tang][:, None] + [0, 1], 9).ravel()])
+    vals = np.concatenate([np.ones(9 * len(free)),
+                           H[:, 1:].transpose(0, 2, 1).ravel()])
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(9 * n, widths.sum())).tocsr()
+    return A, b.ravel(), tang, offsets[tang], H
 
 
 def solve_initial(mesh, bcs, config=None, K=None, warm_coeffs=None):
@@ -264,7 +251,7 @@ def solve_initial(mesh, bcs, config=None, K=None, warm_coeffs=None):
         K = assemble_stiffness(mesh)
     n = len(mesh.vertices)
     K9 = sp.kron(K, sp.identity(9, format="csr"), format="csr")
-    A, b, offsets, tang_basis = _build_reduced_system(mesh, bcs, K)
+    A, b, tang, offsets, H = _build_reduced_system(bcs)
     nu = A.shape[1]
     if nu == 0:
         coeffs = b.reshape(n, 9)
@@ -277,15 +264,8 @@ def solve_initial(mesh, bcs, config=None, K=None, warm_coeffs=None):
     maxiter = config.max_cg_iters or 10 * nu
     x0 = None
     if warm_coeffs is not None:
-        x0 = np.zeros(nu)
-        for v, (off, width) in offsets.items():
-            if width == 9:
-                x0[off: off + 9] = warm_coeffs[v]
-            else:
-                h0, h1, h2 = tang_basis[v]
-                d = warm_coeffs[v] - h0
-                x0[off] = d @ h1
-                x0[off + 1] = d @ h2
+        # the columns of A are orthonormal, so A^T inverts x = A u + b
+        x0 = A.T @ (np.ravel(warm_coeffs) - b)
     u, info = spla.cg(M, rhs, x0=x0, rtol=config.cg_tolerance, atol=0.0,
                       maxiter=maxiter, M=precond)
     if info > 0:
@@ -295,17 +275,12 @@ def solve_initial(mesh, bcs, config=None, K=None, warm_coeffs=None):
     x = A @ u + b
     coeffs = x.reshape(n, 9)
     # restore the circle radius at tangency vertices
-    for v, (off, width) in offsets.items():
-        if width != 2:
-            continue
-        h0, h1, h2 = tang_basis[v]
-        c, s = u[off], u[off + 1]
-        r = np.hypot(c, s)
-        if r > 1e-12:
-            c, s = TANGENCY_RADIUS * c / r, TANGENCY_RADIUS * s / r
-        else:
-            c, s = TANGENCY_RADIUS, 0.0
-        coeffs[v] = h0 + c * h1 + s * h2
+    cs = u[offsets[:, None] + [0, 1]]
+    r = np.hypot(cs[:, :1], cs[:, 1:])
+    ok = r > 1e-12
+    cs = np.where(ok, TANGENCY_RADIUS * cs / np.where(ok, r, 1.0),
+                  [TANGENCY_RADIUS, 0.0])
+    coeffs[tang] = H[:, 0] + cs[:, :1] * H[:, 1] + cs[:, 1:] * H[:, 2]
     field = FrameField(mesh, coeffs, bcs, config)
     field.report["cg_info"] = int(info)
     return field
@@ -327,13 +302,9 @@ def smooth_nonlinear(field, config=None, K=None):
     n = len(coeffs)
     lam = config.projection_relaxation
     bcs = field.bcs
-    kinds = np.zeros(n, dtype=np.int8)  # 0 free, 1 dirichlet, 2 tangency
-    for v in bcs.dirichlet:
-        kinds[v] = 1
-    tang = {}
-    for v, nrm in bcs.tangency.items():
-        kinds[v] = 2
-        tang[v] = fr.tangency_basis(nrm)
+    kinds = bcs.kind
+    tang = {v: fr.tangency_basis(bcs.normals[v])
+            for v in np.flatnonzero(kinds == TANGENCY)}
     warm = [None] * n
     indptr, indices, data = K.indptr, K.indices, K.data
     sweeps_done = 0
@@ -341,7 +312,7 @@ def smooth_nonlinear(field, config=None, K=None):
     for sweep in range(config.smoothing_sweeps):
         max_delta = 0.0
         for v in range(n):
-            if kinds[v] == 1:
+            if kinds[v] == DIRICHLET:
                 continue
             acc = np.zeros(9)
             wsum = 0.0
@@ -355,7 +326,7 @@ def smooth_nonlinear(field, config=None, K=None):
             if wsum <= 0:
                 continue
             avg = acc / wsum
-            if kinds[v] == 2:
+            if kinds[v] == TANGENCY:
                 h0, h1, h2 = tang[v]
                 c, s = (avg - h0) @ h1, (avg - h0) @ h2
                 r = np.hypot(c, s)
@@ -386,14 +357,14 @@ def smooth_nonlinear(field, config=None, K=None):
     return out
 
 
-def apply_internal_constraints(field, constraints):
-    """Attach internal constraints (interior vertices) to the BC set.
+def apply_internal_constraints(bcs, constraints):
+    """A copy of ``bcs`` with internal constraints (interior vertices) added.
 
     ``constraints`` is a list of (vertex, kind, payload) where kind is
     ``tangency_dir`` (payload: direction) or ``dirichlet_coeffs`` (payload:
-    9-vector).  Returns a field sharing coefficients with updated BCs.
+    9-vector).
     """
-    bcs = field.bcs.copy()
+    bcs = bcs.copy()
     seen = {}
     for v, kind, payload in constraints:
         payload = np.asarray(payload, dtype=float)
@@ -409,15 +380,13 @@ def apply_internal_constraints(field, constraints):
             bcs.set_dirichlet(v, payload)
         else:
             raise ValueError("unknown constraint kind %r" % kind)
-    return FrameField(field.mesh, field.coeffs.copy(), bcs, field.config)
+    return bcs
 
 
-def compute_field(mesh, config=None, bcs=None, K=None, warm_coeffs=None):
+def compute_field(mesh, config=None):
     """Full solve: boundary conditions, linear init, projected smoothing."""
     config = config or SolverConfig()
-    if bcs is None:
-        bcs = build_boundary_conditions(mesh)
-    if K is None:
-        K = assemble_stiffness(mesh)
-    field = solve_initial(mesh, bcs, config, K=K, warm_coeffs=warm_coeffs)
+    bcs = build_boundary_conditions(mesh)
+    K = assemble_stiffness(mesh)
+    field = solve_initial(mesh, bcs, config, K=K)
     return smooth_nonlinear(field, config, K=K)

@@ -31,7 +31,7 @@ from hexframe.singularities import (
     extract_graph,
     surface_cross_indices,
 )
-from hexframe.solver import compute_field
+from hexframe.solver import TANGENCY, compute_field
 from hexframe.tracing import TracerConfig, trace
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -150,7 +150,8 @@ class TestNotchSnap:
         path_pts = np.concatenate(
             [mesh.vertices[a.path] for a in plan.snapped])
         frames, _ = corrected.vertex_frames()
-        for v, n in field.bcs.tangency.items():
+        for v in np.flatnonzero(field.bcs.kind == TANGENCY):
+            n = field.bcs.normals[v]
             axis = fr.closest_direction(n, fr.Frame(frames[v]))
             violation = np.arccos(min(1.0, abs(float(axis @ n))))
             if violation > 1e-3:

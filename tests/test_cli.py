@@ -106,10 +106,9 @@ class TestReport:
         out = str(tmp_path / "rep")
         run(["solve", "--mesh", cube_path, "--out", out, "--sweeps", "5"])
         capsys.readouterr()
-        assert run(["report", "--mesh", cube_path, "--out", out]) == 0
+        assert run(["report", "--out", out]) == 0
         text = capsys.readouterr().out
         assert "chains: 0" in text
 
-    def test_report_without_run_exits_64(self, cube_path, tmp_path):
-        assert run(["report", "--mesh", cube_path,
-                    "--out", str(tmp_path / "nope")]) == 64
+    def test_report_without_run_exits_64(self, tmp_path):
+        assert run(["report", "--out", str(tmp_path / "nope")]) == 64

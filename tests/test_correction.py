@@ -19,7 +19,13 @@ from hexframe.correction import (
 from hexframe.errors import NonApplicable
 from hexframe.meshio import read_medit
 from hexframe.singularities import SingularChain, SingularityGraph, extract_graph
-from hexframe.solver import BoundaryConditionSet, FrameField, build_boundary_conditions
+from hexframe.solver import (
+    FREE,
+    TANGENCY,
+    BoundaryConditionSet,
+    FrameField,
+    build_boundary_conditions,
+)
 from hexframe.tracing import TracerConfig
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -27,7 +33,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def constant_field(mesh, bcs=None):
     coeffs = np.tile(fr.REFERENCE_COEFFS, (len(mesh.vertices), 1))
-    return FrameField(mesh, coeffs, bcs or BoundaryConditionSet())
+    return FrameField(mesh, coeffs, bcs or BoundaryConditionSet(len(mesh.vertices)))
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +154,7 @@ class TestSnappedBoundaryConditions:
         plan = CorrectionPlan("snap")
         bcs = build_snapped_bcs(notch, plan)
         ref = build_boundary_conditions(notch)
-        assert bcs.tangency.keys() == ref.tangency.keys()
-        assert bcs.dirichlet.keys() == ref.dirichlet.keys()
+        assert np.array_equal(bcs.kind, ref.kind)
 
     def test_straight_path_gets_45_degree_frames(self):
         mesh = generate_box(6, 6, 3)
@@ -169,7 +174,7 @@ class TestSnappedBoundaryConditions:
         Rx45 = np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
         want = fr.coeffs_from_rotation(Rx45)
         for v in row[1:-1]:
-            got = bcs.dirichlet[v]
+            got = bcs.coeffs[v]
             assert np.allclose(got, want, atol=1e-9)
 
     def test_release_radius_confines_freeing(self):
@@ -187,11 +192,12 @@ class TestSnappedBoundaryConditions:
         bcs = build_snapped_bcs(mesh, plan, radius=r)
         ref = build_boundary_conditions(mesh)
         path_pts = mesh.vertices[row]
-        for v in ref.tangency:
+        ref_tangency = np.flatnonzero(ref.kind == TANGENCY)
+        for v in ref_tangency:
             d = np.linalg.norm(path_pts - mesh.vertices[v], axis=1).min()
             if d > 3 * r:
-                assert bcs.kind(v) == "tangency"
-        freed = [v for v in ref.tangency if bcs.kind(v) == "free"]
+                assert bcs.kind[v] == TANGENCY
+        freed = [v for v in ref_tangency if bcs.kind[v] == FREE]
         assert freed
         for v in freed:
             d = np.linalg.norm(path_pts - mesh.vertices[v], axis=1).min()

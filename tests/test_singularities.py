@@ -32,7 +32,7 @@ def analytic_quarter_field(mesh, sign=1.0, center=(0.5, 0.5)):
     coeffs = np.stack(
         [fr.coeffs_from_rotation(rot_z(sign * t / 4.0)) for t in theta]
     )
-    return FrameField(mesh, coeffs, BoundaryConditionSet())
+    return FrameField(mesh, coeffs, BoundaryConditionSet(len(mesh.vertices)))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def valence5_field(box):
 class TestFaceClassification:
     def test_constant_field_no_singular_faces(self, box):
         coeffs = np.tile(fr.REFERENCE_COEFFS, (len(box.vertices), 1))
-        field = FrameField(box, coeffs, BoundaryConditionSet())
+        field = FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))
         adj = box.adjacency
         frames, quality = field.vertex_frames()
         for fid in np.nonzero(adj.interior_mask)[0][:50]:
@@ -85,7 +85,7 @@ class TestFaceClassification:
 class TestGraphExtraction:
     def test_constant_field_empty(self, box):
         coeffs = np.tile(fr.REFERENCE_COEFFS, (len(box.vertices), 1))
-        field = FrameField(box, coeffs, BoundaryConditionSet())
+        field = FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))
         graph = extract_graph(field)
         assert graph.chains == []
         assert graph.junction_tets == []
@@ -149,7 +149,7 @@ class TestSurfaceCrossIndices:
         mesh = generate_box(3, 3, 3)
         mesh.detect_features(30.0)
         coeffs = np.tile(fr.REFERENCE_COEFFS, (len(mesh.vertices), 1))
-        field = FrameField(mesh, coeffs, BoundaryConditionSet())
+        field = FrameField(mesh, coeffs, BoundaryConditionSet(len(mesh.vertices)))
         per_tri, per_vertex, total = surface_cross_indices(field)
         assert all(idx == 0 for _, idx in per_tri)
         assert total == Fraction(2)
@@ -233,7 +233,7 @@ def test_parity_fields_exercise_classification(rotated_box_field, rotated_box_ho
 
 def test_near_zero_coefficient_on_non_hot_face_raises(box):
     coeffs = np.tile(fr.REFERENCE_COEFFS, (len(box.vertices), 1))
-    field = FrameField(box, coeffs, BoundaryConditionSet())
+    field = FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))
     field.vertex_frames()
     # frames projected before the coefficient vanished keep the face cool
     v = np.setdiff1d(np.arange(len(box.vertices)), box.boundary_vertices)[0]

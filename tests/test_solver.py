@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hexframe.frames as fr
 from hexframe.boxgen import generate_box
 from hexframe.errors import ConflictingConstraint
 from hexframe.mesh import TetMesh
 from hexframe.solver import (
+    DIRICHLET,
+    FREE,
+    TANGENCY,
     BoundaryConditionSet,
     SolverConfig,
+    _build_reduced_system,
     apply_internal_constraints,
     assemble_stiffness,
     build_boundary_conditions,
@@ -79,10 +84,10 @@ class TestInitialSolve:
     def test_constraints_satisfied_exactly(self, cube):
         bcs = build_boundary_conditions(cube)
         field = solve_initial(cube, bcs)
-        for v, c in bcs.dirichlet.items():
-            assert np.array_equal(field.coeffs[v], c)
-        for v, n in bcs.tangency.items():
-            h0, h1, h2 = fr.tangency_basis(n)
+        for v in np.flatnonzero(bcs.kind == DIRICHLET):
+            assert np.array_equal(field.coeffs[v], bcs.coeffs[v])
+        for v in np.flatnonzero(bcs.kind == TANGENCY):
+            h0, h1, h2 = fr.tangency_basis(bcs.normals[v])
             d = field.coeffs[v] - h0
             res = d - (d @ h1) * h1 - (d @ h2) * h2
             assert np.linalg.norm(res) < 1e-9
@@ -93,17 +98,77 @@ class TestInitialSolve:
         field = solve_initial(cube, bcs, K=K)
         base = field.energy(K)
         rng = np.random.default_rng(4)
-        free = [
-            v
-            for v in range(len(cube.vertices))
-            if bcs.kind(v) is None or bcs.kind(v) == "free"
-        ]
+        free = np.flatnonzero(bcs.kind == FREE)
         for _ in range(100):
             pert = field.coeffs.copy()
             for v in rng.choice(free, size=min(5, len(free)), replace=False):
                 pert[v] += 0.1 * rng.normal(size=9)
             energy = sum(pert[:, k] @ (K @ pert[:, k]) for k in range(9))
             assert energy >= base - 1e-9
+
+
+    def test_warm_start_reproduces_cold_solve(self):
+        mesh = generate_box(4, 4, 4, bulge=0.3)
+        mesh.detect_features(30.0)
+        bcs = build_boundary_conditions(mesh)
+        cold = solve_initial(mesh, bcs)
+        warm = solve_initial(mesh, bcs, warm_coeffs=cold.coeffs)
+        assert np.abs(warm.coeffs - cold.coeffs).max() < 1e-6
+
+    def test_reduced_system_matches_vertex_loop(self):
+        mesh = generate_box(4, 4, 4, bulge=0.3)
+        mesh.detect_features(30.0)
+        bcs = build_boundary_conditions(mesh)
+        for v in np.flatnonzero(bcs.kind == TANGENCY)[::5]:
+            bcs.set_free(v)
+        A, b, _, _, _ = _build_reduced_system(bcs)
+        # reference: one vertex at a time, columns in vertex order
+        rows, cols, vals, want_b, nu = [], [], [], np.zeros(A.shape[0]), 0
+        for v, kind in enumerate(bcs.kind):
+            span = slice(9 * v, 9 * v + 9)
+            if kind == DIRICHLET:
+                want_b[span] = bcs.coeffs[v]
+            elif kind == TANGENCY:
+                h0, h1, h2 = fr.tangency_basis(bcs.normals[v])
+                want_b[span] = h0
+                for k in range(9):
+                    rows += [9 * v + k, 9 * v + k]
+                    cols += [nu, nu + 1]
+                    vals += [h1[k], h2[k]]
+                nu += 2
+            else:
+                rows += list(range(9 * v, 9 * v + 9))
+                cols += list(range(nu, nu + 9))
+                vals += [1.0] * 9
+                nu += 9
+        want = sp.coo_matrix((vals, (rows, cols)), shape=(A.shape[0], nu)).tocsr()
+        assert A.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, name), getattr(want, name))
+        assert np.array_equal(b, want_b)
+
+    def test_reduced_columns_orthonormal(self, cube):
+        A, b, _, _, _ = _build_reduced_system(build_boundary_conditions(cube))
+        AtA = (A.T @ A).toarray()
+        assert np.abs(AtA - np.eye(A.shape[1])).max() < 1e-12
+
+
+class TestBoundaryConditionSet:
+    def test_setters_keep_one_kind_per_vertex(self):
+        bcs = BoundaryConditionSet(3)
+        bcs.set_dirichlet(1, fr.REFERENCE_COEFFS)
+        bcs.set_tangency(1, [0.0, 3.0, 0.0])
+        assert list(bcs.kind) == [FREE, TANGENCY, FREE]
+        assert not bcs.coeffs.any()
+        assert np.array_equal(bcs.normals[1], [0.0, 1.0, 0.0])
+        bcs.set_free(1)
+        assert not bcs.kind.any() and not bcs.normals.any()
+
+    def test_copy_is_independent(self, cube):
+        bcs = build_boundary_conditions(cube)
+        out = bcs.copy()
+        out.set_free(int(np.flatnonzero(bcs.kind == DIRICHLET)[0]))
+        assert (out.kind == DIRICHLET).sum() == (bcs.kind == DIRICHLET).sum() - 1
 
 
 class TestSmoothing:
@@ -120,8 +185,8 @@ class TestSmoothing:
         rng = np.random.default_rng(5)
         field.coeffs += 0.05 * rng.normal(size=field.coeffs.shape)
         # re-pin constrained vertices
-        for v, c in bcs.dirichlet.items():
-            field.coeffs[v] = c
+        dirichlet = bcs.kind == DIRICHLET
+        field.coeffs[dirichlet] = bcs.coeffs[dirichlet]
         cfg = SolverConfig(projection_relaxation=0.0, smoothing_sweeps=1,
                           convergence_delta=0.0)
         energies = [field.energy(K)]
@@ -142,32 +207,45 @@ class TestSmoothing:
 class TestInternalConstraints:
     def test_empty_noop(self, cube):
         bcs = build_boundary_conditions(cube)
-        field = solve_initial(cube, bcs)
-        out = apply_internal_constraints(field, [])
-        assert np.array_equal(out.coeffs, field.coeffs)
+        out = apply_internal_constraints(bcs, [])
+        assert np.array_equal(out.kind, bcs.kind)
+        assert np.array_equal(out.coeffs, bcs.coeffs)
+        assert np.array_equal(out.normals, bcs.normals)
+
+    def test_input_set_unchanged(self, cube):
+        bcs = build_boundary_conditions(cube)
+        before = bcs.copy()
+        interior = np.flatnonzero(bcs.kind == FREE)
+        out = apply_internal_constraints(bcs, [
+            (interior[0], "dirichlet_coeffs", fr.REFERENCE_COEFFS),
+            (interior[1], "tangency_dir", [0.0, 0.0, 2.0]),
+        ])
+        assert out.kind[interior[0]] == DIRICHLET
+        assert out.kind[interior[1]] == TANGENCY
+        assert np.array_equal(out.normals[interior[1]], [0.0, 0.0, 1.0])
+        for name in ("kind", "coeffs", "normals"):
+            assert np.array_equal(getattr(bcs, name), getattr(before, name))
 
     def test_consistent_constraint_keeps_constant(self, cube):
         bcs = build_boundary_conditions(cube)
-        field = solve_initial(cube, bcs)
         interior = [
             v for v in range(len(cube.vertices))
             if v not in set(cube.boundary_vertices)
         ]
         v = interior[0]
         out = apply_internal_constraints(
-            field, [(v, "dirichlet_coeffs", fr.REFERENCE_COEFFS)]
+            bcs, [(v, "dirichlet_coeffs", fr.REFERENCE_COEFFS)]
         )
-        resolved = solve_initial(cube, out.bcs)
+        resolved = solve_initial(cube, out)
         assert np.abs(resolved.coeffs - fr.REFERENCE_COEFFS).max() < 1e-7
 
     def test_conflicting(self, cube):
         bcs = build_boundary_conditions(cube)
-        field = solve_initial(cube, bcs)
         c1 = fr.REFERENCE_COEFFS
         c2 = fr.axisymmetric_coeffs([0, 0, 1])
         with pytest.raises(ConflictingConstraint):
             apply_internal_constraints(
-                field,
+                bcs,
                 [(10, "dirichlet_coeffs", c1), (10, "dirichlet_coeffs", c2)],
             )
 
@@ -175,7 +253,6 @@ class TestInternalConstraints:
         mesh = generate_box(4, 4, 4)
         mesh.detect_features(30.0)
         bcs = build_boundary_conditions(mesh)
-        field = solve_initial(mesh, bcs)
         boundary = set(mesh.boundary_vertices)
         line = [
             v
@@ -187,9 +264,9 @@ class TestInternalConstraints:
         assert line
         sing = fr.axisymmetric_coeffs([0, 0, 1])
         constrained = apply_internal_constraints(
-            field, [(v, "dirichlet_coeffs", sing) for v in line]
+            bcs, [(v, "dirichlet_coeffs", sing) for v in line]
         )
-        resolved = smooth_nonlinear(solve_initial(mesh, constrained.bcs))
+        resolved = smooth_nonlinear(solve_initial(mesh, constrained))
         q = resolved.quality()
         center = np.array([0.5, 0.5, 0.5])
         dist = np.linalg.norm(

@@ -23,7 +23,7 @@ def box():
 @pytest.fixture(scope="module")
 def constant_field(box):
     coeffs = np.tile(fr.REFERENCE_COEFFS, (len(box.vertices), 1))
-    return FrameField(box, coeffs, BoundaryConditionSet())
+    return FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))
 
 
 class TestLocate:
@@ -96,7 +96,7 @@ class TestReversal:
         # mildly rotating field, interpolated on the mesh
         theta = 0.3 * np.sin(np.pi * box.vertices[:, 0])
         coeffs = np.stack([fr.coeffs_from_rotation(rot_z(t)) for t in theta])
-        field = FrameField(box, coeffs, BoundaryConditionSet())
+        field = FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))
         h = 0.05
         cfg = TracerConfig(step_size=h, max_length=0.5)
         start = np.array([0.2, 0.35, 0.5])
@@ -146,7 +146,7 @@ class TestSingularTermination:
             np.linalg.norm(box.vertices - np.array([0.75, 0.5, 0.5]), axis=1) < 0.3
         )[0]
         coeffs[blob] = -fr.REFERENCE_COEFFS
-        field = FrameField(box, coeffs, BoundaryConditionSet())
+        field = FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))
         cfg = TracerConfig(step_size=0.04)
         sl = trace(field, [0.1, 0.5, 0.5], [1, 0, 0], cfg)
         assert sl.termination == "HitSingularRegion"

@@ -39,11 +39,11 @@ print("max deviation over the 24 symmetries: %.2e" % spread)
 # projection: recover the frame from a perturbed vector
 rng = np.random.default_rng(0)
 noisy = c + 0.2 * rng.standard_normal(9)
-proj = fr.project_to_octahedral(noisy)
+R_proj, c_proj = fr.project_to_octahedral(noisy)
 print("\nprojection of a noisy vector:")
-print("recovered alignment |c_proj . c| = %.9f" % abs(proj.coeffs @ c))
+print("recovered alignment |c_proj . c| = %.9f" % abs(c_proj @ c))
 
 # the closest frame axis to an arbitrary direction
 d = np.array([0.9, 0.1, 0.2])
-a = fr.closest_direction(d, proj.frame)
+a = fr.closest_direction(d, R_proj)
 print("closest frame axis to %s: %s" % (d, np.round(a, 4)))

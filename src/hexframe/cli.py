@@ -22,7 +22,7 @@ from .correction import (
     extrude_singular_nodes,
     snap_until_clean,
 )
-from .errors import CGDiverged, HexFrameError, NonApplicable
+from .errors import CGDiverged, HexFrameError, IoError, NonApplicable
 from .meshio import read_field, read_medit, write_field, write_vtk_graph
 from .singularities import detect_35, extract_graph
 from .solver import SolverConfig, compute_field
@@ -147,8 +147,15 @@ def _load_or_solve(args, log):
     return mesh, field, config
 
 
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError("cannot create --out %s: %s" % (path, exc)) from exc
+
+
 def _emit(args, mesh, field, graph, extra=()):
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     write_field(field, os.path.join(args.out, "field.txt"))
     write_vtk_graph(graph, os.path.join(args.out, "graph.vtk"))
     _write_report(os.path.join(args.out, "report.txt"),
@@ -194,7 +201,7 @@ def _cmd_correct(args, log):
             plan, corrected = snap_until_clean(mesh, field, graph, config,
                                                snap_radius=radius)
     except NonApplicable as exc:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         pairs = _report_pairs(mesh, field, graph, [
             ("strategy", args.strategy),
             ("applicable", False),
@@ -224,7 +231,7 @@ def _cmd_trace(args, log):
     seed = _parse_triple(args.seed, "--seed")
     direction = _parse_triple(args.direction, "--dir")
     streamline = trace(field, seed, direction, TracerConfig(step_size=args.step))
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     write_vtk_graph([streamline], os.path.join(args.out, "trace.vtk"))
     _write_report(os.path.join(args.out, "report.txt"), [
         ("termination", streamline.termination),

@@ -264,7 +264,7 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
                 tangent = (pts[-1] - pts[-2]) if end == "end" else (pts[0] - pts[1])
                 frames, _ = field.vertex_frames()
                 w = _nearest_vertex(mesh, pts[-1] if end == "end" else pts[0])
-                v0 = fr.closest_direction(tangent, fr.Frame(frames[w]))
+                v0 = fr.closest_direction(tangent, frames[w])
                 seed = (pts[-1] if end == "end" else pts[0])
             try:
                 sl = trace(field, seed, v0, tracer_config)
@@ -486,8 +486,6 @@ def snap_35_curves(mesh, field, graph, exclude=()):
             done[chain.chain_id] = SnapAssignment(chain.chain_id, targets, path)
             changed = True
     plan.snapped = [done[k] for k in sorted(done)]
-    if not plan.snapped:
-        plan.applicable = True
     return plan
 
 
@@ -619,8 +617,7 @@ def build_snapped_bcs(mesh, plan, radius=None):
                 if v in path_set:
                     continue
                 c = (1.0 - s) * ca + s * cb
-                proj = fr.project_to_octahedral(c)
-                bcs.set_dirichlet(v, proj.coeffs)
+                bcs.set_dirichlet(v, fr.project_to_octahedral(c)[1])
 
     for v, c in path_coeffs.items():
         bcs.set_dirichlet(v, c)

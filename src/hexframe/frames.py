@@ -5,7 +5,8 @@ A frame (an unordered triple of mutually orthogonal axes) is encoded by a
 rotation matrix acting on the degree-4 band of real rotation-equivariant
 functions and ``h`` is the reference vector with components sqrt(7/12) at
 m=0 and sqrt(5/12) at m=+4.  Components are ordered m = -4..+4 (sine terms
-for negative m, cosine terms for positive m).
+for negative m, cosine terms for positive m).  A frame's representative
+rotation ``R`` is a plain (3, 3) array whose columns are the frame's axes.
 
 ``D(R)`` is built from the closed-form diagonal z-rotation blocks
 (cos k*alpha / sin k*alpha for k = 1..4) and the constant +-90 degree
@@ -19,7 +20,6 @@ import numpy as np
 __all__ = [
     "REFERENCE_COEFFS",
     "NotARotation",
-    "Frame",
     "OCTA_GROUP",
     "wigner_z",
     "wigner4",
@@ -66,10 +66,6 @@ X90T = X90.T  # -90 degrees about x
 
 class NotARotation(ValueError):
     """Input matrix is not orthogonal with determinant +1."""
-
-
-class ProjectionStall(RuntimeWarning):
-    """Gradient ascent failed to converge within the step budget."""
 
 
 def _check_rotation(R, tol=1e-8):
@@ -270,26 +266,6 @@ def octa_inverse(i):
     return int(inv[i])
 
 
-class Frame:
-    """Representative rotation of a frame equivalence class."""
-
-    __slots__ = ("R",)
-
-    def __init__(self, R):
-        self.R = np.asarray(R, dtype=float)
-
-    @property
-    def axes(self):
-        """The three column directions of the representative rotation."""
-        return self.R.T.copy()
-
-    def coeffs(self):
-        return wigner4(self.R) @ REFERENCE_COEFFS
-
-    def __repr__(self):
-        return "Frame(%s)" % np.array2string(self.R, precision=4)
-
-
 # --- infinitesimal generators ----------------------------------------------
 
 def _build_generators():
@@ -328,21 +304,6 @@ _SEED_ROTATIONS = _build_seed_rotations()
 _SEED_COEFFS = np.array([frame_coeffs(R) for R in _SEED_ROTATIONS])
 
 
-class Projection:
-    """Result of projecting a 9-vector onto the frame manifold."""
-
-    __slots__ = ("frame", "coeffs", "stalled")
-
-    def __init__(self, frame, coeffs, stalled):
-        self.frame = frame
-        self.coeffs = coeffs
-        self.stalled = stalled
-
-    def __iter__(self):
-        yield self.frame
-        yield self.coeffs
-
-
 def _solve3(H, b):
     """Cramer solve of a symmetric 3x3 system; None when singular."""
     (a, d, e), (_, bb, ff), (_, _, cc) = H
@@ -364,12 +325,16 @@ def _solve3(H, b):
     ])
 
 
-def _ascend(q, R, max_steps, grad_tol=1e-10):
+# Newton/line-search step budget of one ascent
+_MAX_STEPS = 200
+
+
+def _ascend(q, R, grad_tol=1e-10):
     step = 0.1
     c = frame_coeffs(R)
     f = float(q @ c)
     Lq = _GENERATORS @ q
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         Lc = _GENERATORS @ c
         g = Lc @ q
         gn = math.sqrt(g @ g)
@@ -402,14 +367,14 @@ def _ascend(q, R, max_steps, grad_tol=1e-10):
     return R, c, f, False
 
 
-def project_to_octahedral(q, warm_start=None, max_steps=200):
+def project_to_octahedral(q, warm_start=None):
     """Closest frame to the 9-vector ``q``.
 
     Maximizes the inner product with exact-frame vectors by Newton-accelerated
     ascent in the Lie algebra, started from the best of a fixed seed cover of
-    the rotation group (or from ``warm_start`` when it scores at least as
-    well).  Returns a :class:`Projection` whose ``stalled`` flag marks
-    non-convergence within ``max_steps``.
+    the rotation group (or from the rotation ``warm_start`` when it scores at
+    least as well).  Returns ``(R, coeffs)``: the frame's rotation, whose
+    columns are its axes, and its coefficient vector.
     """
     q = np.asarray(q, dtype=float)
     qn = np.linalg.norm(q)
@@ -426,24 +391,24 @@ def project_to_octahedral(q, warm_start=None, max_steps=200):
             starts = starts[:1]
     best = None
     for R0 in starts:
-        R, c, f, ok = _ascend(q, R0, max_steps)
+        R, c, f, ok = _ascend(q, R0)
         if best is None or f > best[2]:
-            best = (R, c, f, ok)
+            best = (R, c, f)
         # the inner product is bounded by |q|; a tight first ascent cannot
         # be beaten from another basin, so skip the remaining starts
         if ok and best[2] >= qn * (1.0 - 1e-9):
             break
-    R, c, _, ok = best
-    return Projection(Frame(R), c, not ok)
+    return best[:2]
 
 
-def closest_direction(v, frame):
-    """Signed frame axis with maximal dot product against unit vector ``v``.
+def closest_direction(v, R):
+    """Signed column of the rotation ``R`` with maximal dot product against
+    unit vector ``v``.
 
     Ties break toward the lowest axis index, then the positive sign.
     """
     v = np.asarray(v, dtype=float)
-    axes = frame.axes if isinstance(frame, Frame) else np.asarray(frame)
+    axes = np.asarray(R, dtype=float).T
     dots = axes @ v
     best_i, best_s, best_d = 0, 1.0, -np.inf
     for i in range(3):
@@ -454,15 +419,13 @@ def closest_direction(v, frame):
     return best_s * axes[best_i]
 
 
-def octa_matching(Fa, Fb):
+def octa_matching(Ra, Rb):
     """Group element index ``g`` minimizing the angle between Ra*g and Rb.
 
     Also takes stacks of rotations of shape (..., 3, 3) and then returns an
     index array.  Deterministic tie-break by element order.
     """
-    Ra = Fa.R if isinstance(Fa, Frame) else np.asarray(Fa)
-    Rb = Fb.R if isinstance(Fb, Frame) else np.asarray(Fb)
-    M = np.swapaxes(Ra, -1, -2) @ Rb
+    M = np.swapaxes(np.asarray(Ra), -1, -2) @ np.asarray(Rb)
     traces = np.einsum("kij,...ij->...k", OCTA_GROUP, M)
     g = np.argmax(traces > traces.max(axis=-1, keepdims=True) - 1e-10, axis=-1)
     return int(g) if g.ndim == 0 else g

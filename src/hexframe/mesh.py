@@ -8,7 +8,7 @@ dihedral angle deviates from 180 degrees.
 
 import numpy as np
 
-from .errors import DegenerateDihedral, NonManifold, OpenBoundary
+from .errors import DegenerateDihedral, DegenerateTet, NonManifold, OpenBoundary
 
 FEATURE_ANGLE_DEFAULT = 30.0
 
@@ -152,6 +152,7 @@ class TetMesh:
     # -- geometry -----------------------------------------------------------
 
     def _fix_orientation(self):
+        """Orient every tet positively; reject (near-)zero-volume tets."""
         v = self.vertices
         t = self.tets
         d = np.einsum(
@@ -159,6 +160,9 @@ class TetMesh:
             np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]),
             v[t[:, 3]] - v[t[:, 0]],
         )
+        vol = np.abs(d)
+        if (vol < 1e-14 * vol.mean()).any():
+            raise DegenerateTet("tet volume below 1e-14 of the mean")
         neg = d < 0
         if neg.any():
             self.tets[neg] = self.tets[neg][:, [0, 2, 1, 3]]

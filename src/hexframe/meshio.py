@@ -225,7 +225,6 @@ def read_vtk_polylines(path):
     """Parse back our own VTK output: (polylines, {name: values})."""
     with open(path) as fh:
         tokens = fh.read().split("\n")
-    it = iter(tokens)
     points = None
     lines = []
     scalars = {}

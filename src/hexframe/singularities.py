@@ -404,7 +404,7 @@ def stable_direction(field, chain, endpoint):
         raise AmbiguousAxis("holonomy is not a single-axis quarter turn")
     frames, quality = field.vertex_frames()
     best = max(face.tri, key=lambda v: quality[v])
-    d = fr.closest_direction(axis, fr.Frame(frames[best]))
+    d = fr.closest_direction(axis, frames[best])
     desc = chain.endpoint_start if endpoint == "start" else chain.endpoint_end
     if desc[0] == "boundary":
         inward = _inward_normal_at(field.mesh, desc[1])

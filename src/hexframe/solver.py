@@ -17,7 +17,6 @@ from .errors import (
     CGDiverged,
     ConflictingConstraint,
     DegenerateTangent,
-    DegenerateTet,
 )
 
 TANGENCY_RADIUS = np.sqrt(5.0 / 12.0)
@@ -120,8 +119,7 @@ def build_boundary_conditions(mesh):
                 bcs.set_dirichlet(v, c)
     for v, vals in corner_acc.items():
         avg = np.mean(vals, axis=0)
-        proj = fr.project_to_octahedral(avg)
-        bcs.set_dirichlet(v, proj.coeffs)
+        bcs.set_dirichlet(v, fr.project_to_octahedral(avg)[1])
     feature_verts = mesh.feature_vertex_set() | set(mesh.corners)
     for patch in mesh.patches:
         for v, n in patch.vertex_normals.items():
@@ -136,8 +134,6 @@ def assemble_stiffness(mesh):
     v = mesh.vertices
     t = mesh.tets
     vols = mesh.tet_volumes()
-    if (vols < 1e-14 * vols.mean()).any():
-        raise DegenerateTet("tet volume below 1e-14 of the mean")
     e1 = v[t[:, 1]] - v[t[:, 0]]
     e2 = v[t[:, 2]] - v[t[:, 0]]
     e3 = v[t[:, 3]] - v[t[:, 0]]
@@ -169,18 +165,6 @@ class FrameField:
         self._quality = None
         self.report = {}
 
-    def copy(self):
-        out = FrameField(self.mesh, self.coeffs.copy(), self.bcs.copy(), self.config)
-        if self._frames is not None:
-            out._frames = self._frames.copy()
-        if self._quality is not None:
-            out._quality = self._quality.copy()
-        return out
-
-    def invalidate(self):
-        self._frames = None
-        self._quality = None
-
     def vertex_frames(self):
         """Projected frame and alignment quality at every vertex."""
         if self._frames is None:
@@ -195,16 +179,12 @@ class FrameField:
                     R[i] = np.eye(3)
                     q[i] = 0.0
                     continue
-                proj = fr.project_to_octahedral(c, warm_start=warm)
-                R[i] = proj.frame.R
-                q[i] = float((c / nc) @ proj.coeffs)
-                warm = proj.frame.R
+                warm, pc = fr.project_to_octahedral(c, warm_start=warm)
+                R[i] = warm
+                q[i] = float((c / nc) @ pc)
             self._frames = R
             self._quality = q
         return self._frames, self._quality
-
-    def quality(self):
-        return self.vertex_frames()[1]
 
     def energy(self, K=None):
         if K is None:
@@ -338,9 +318,8 @@ def smooth_nonlinear(field, config=None, K=None):
             elif lam == 0.0:
                 new = avg
             else:
-                proj = fr.project_to_octahedral(avg, warm_start=warm[v])
-                warm[v] = proj.frame.R
-                new = (1.0 - lam) * avg + lam * proj.coeffs
+                warm[v], pc = fr.project_to_octahedral(avg, warm_start=warm[v])
+                new = (1.0 - lam) * avg + lam * pc
             delta = np.max(np.abs(new - coeffs[v]))
             if delta > max_delta:
                 max_delta = delta

@@ -78,6 +78,17 @@ def locate(mesh, point, hint=None, tol=1e-10, boxes=None):
     return None
 
 
+def _frame_in_tet(field, tet, point):
+    lam = np.clip(_barycentric(field.mesh, tet, np.asarray(point, dtype=float)),
+                  0.0, 1.0)
+    vids = field.mesh.tets[tet]
+    c = lam @ field.coeffs[vids]
+    frames, _ = field.vertex_frames()
+    warm = frames[vids[int(np.argmax(lam))]]
+    R, pc = fr.project_to_octahedral(c, warm_start=warm)
+    return R, float((c / np.linalg.norm(c)) @ pc), tet
+
+
 def interpolate_frame(field, point, tet_hint=None, boxes=None):
     """Projected frame at an interior point.
 
@@ -85,32 +96,25 @@ def interpolate_frame(field, point, tet_hint=None, boxes=None):
     projects the result.  Returns ``(rotation, quality, tet)``; ``boxes``
     is passed on to ``locate``.
     """
-    mesh = field.mesh
-    tet = locate(mesh, point, hint=tet_hint, boxes=boxes)
+    tet = locate(field.mesh, point, hint=tet_hint, boxes=boxes)
     if tet is None:
         raise OutsideMesh("point %s is outside the mesh" % np.asarray(point))
-    lam = np.clip(_barycentric(mesh, tet, np.asarray(point, dtype=float)), 0.0, 1.0)
-    vids = mesh.tets[tet]
-    c = lam @ field.coeffs[vids]
-    frames, _ = field.vertex_frames()
-    warm = frames[vids[int(np.argmax(lam))]]
-    proj = fr.project_to_octahedral(c, warm_start=warm)
-    q = float((c / np.linalg.norm(c)) @ proj.coeffs)
-    return proj.frame.R, q, tet
+    return _frame_in_tet(field, tet, point)
 
 
 class _MeshSampler:
+    """Frame sampler of a mesh field: ``sample`` is None outside the mesh."""
+
     def __init__(self, field):
         self.field = field
         self.boxes = tet_boxes(field.mesh)
 
+    def locate(self, point, hint=None):
+        return locate(self.field.mesh, point, hint=hint, boxes=self.boxes)
+
     def sample(self, point, hint):
-        try:
-            R, q, tet = interpolate_frame(self.field, point, tet_hint=hint,
-                                          boxes=self.boxes)
-        except OutsideMesh:
-            return None
-        return R, q, tet
+        tet = self.locate(point, hint)
+        return None if tet is None else _frame_in_tet(self.field, tet, point)
 
 
 def _clip_to_boundary(sampler, p, d, h):
@@ -118,11 +122,33 @@ def _clip_to_boundary(sampler, p, d, h):
     lo, hi = 0.0, h
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if sampler.sample(p + mid * d, None) is None:
+        if sampler.locate(p + mid * d) is None:
             hi = mid
         else:
             lo = mid
     return p + lo * d
+
+
+def _axis_at(sampler, point, hint, ref, check, config):
+    """Frame axis at ``point`` closest to ``ref``, checked against ``check``.
+
+    Returns ``(termination, axis, hint)``; ``termination`` is None when the
+    axis is usable, "ExitedBoundary" outside the mesh, and
+    "HitSingularRegion" at low projection quality or when the axis turns
+    away from ``check``.
+    """
+    got = sampler.sample(point, hint)
+    if got is None:
+        return "ExitedBoundary", None, hint
+    R, q, tet = got
+    if tet is not None:
+        hint = tet
+    if q < config.singular_quality_cutoff:
+        return "HitSingularRegion", None, hint
+    v = fr.closest_direction(ref, R)
+    if v @ check < config.direction_dot_min:
+        return "HitSingularRegion", None, hint
+    return None, v, hint
 
 
 def trace(field, seed, direction, config=None):
@@ -152,71 +178,39 @@ def trace(field, seed, direction, config=None):
     R0, q0, hint = got
     if q0 < config.singular_quality_cutoff:
         return Streamline([p], np.zeros((0, 3)), "HitSingularRegion", 0.0)
-    d = fr.closest_direction(np.asarray(direction, dtype=float), fr.Frame(R0))
+    d = fr.closest_direction(np.asarray(direction, dtype=float), R0)
 
     points = [p.copy()]
     directions = [d.copy()]
     length = 0.0
     termination = "MaxLength"
     while length < max_len:
-        exited = False
-        bad = False
-        prev = d
+        # RK4 stages take the axis closest to the previous stage's; the end
+        # point takes the axis closest to the last stage, checked against d
+        step = None
         vs = []
-        for frac, ref in ((0.0, None), (0.5, None), (0.5, None), (1.0, None)):
-            base = prev if not vs else vs[-1]
-            q_pt = p + frac * h * base
-            got = sampler.sample(q_pt, hint)
-            if got is None:
-                exited = True
-                break
-            Rk, qk, hint2 = got
-            if hint2 is not None:
-                hint = hint2
-            if qk < config.singular_quality_cutoff:
-                bad = True
-                break
-            v = fr.closest_direction(base, fr.Frame(Rk))
-            if v @ base < config.direction_dot_min:
-                bad = True
+        for frac in (0.0, 0.5, 0.5, 1.0):
+            base = vs[-1] if vs else d
+            stop, v, hint = _axis_at(sampler, p + frac * h * base, hint,
+                                     base, base, config)
+            if stop:
                 break
             vs.append(v)
-        if exited:
-            p_end = _clip_to_boundary(sampler, p, prev, h)
+        else:
+            step = (h / 6.0) * (vs[0] + 2.0 * vs[1] + 2.0 * vs[2] + vs[3])
+            stop, v, hint = _axis_at(sampler, p + step, hint, vs[3], d, config)
+        if stop == "ExitedBoundary":
+            p_end = _clip_to_boundary(sampler, p, d if step is None else step / h, h)
             if np.linalg.norm(p_end - p) > 1e-14:
                 length += np.linalg.norm(p_end - p)
                 points.append(p_end)
-                directions.append(prev.copy())
-            termination = "ExitedBoundary"
-            break
-        if bad:
-            termination = "HitSingularRegion"
-            break
-        v1, v2, v3, v4 = vs
-        step = (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        p_new = p + step
-        got = sampler.sample(p_new, hint)
-        if got is None:
-            p_end = _clip_to_boundary(sampler, p, step / h, h)
-            if np.linalg.norm(p_end - p) > 1e-14:
-                length += np.linalg.norm(p_end - p)
-                points.append(p_end)
-                directions.append(prev.copy())
-            termination = "ExitedBoundary"
-            break
-        Rn, qn, hint2 = got
-        if hint2 is not None:
-            hint = hint2
-        if qn < config.singular_quality_cutoff:
-            termination = "HitSingularRegion"
-            break
-        d_new = fr.closest_direction(v4, fr.Frame(Rn))
-        if d_new @ prev < config.direction_dot_min:
-            termination = "HitSingularRegion"
+                directions.append(d.copy())
+        if stop:
+            termination = stop
             break
         length += np.linalg.norm(step)
-        p = p_new
-        d = d_new
+        p = p + step
+        d = v
         points.append(p.copy())
         directions.append(d.copy())
     return Streamline(points, directions, termination, length)

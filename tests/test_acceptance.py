@@ -80,8 +80,8 @@ class TestFrameAlgebra:
             g = g_elems[i % 24]
             worst_octa = max(worst_octa, np.max(np.abs(
                 fr.coeffs_from_rotation(R @ g) - c)))
-            proj = fr.project_to_octahedral(c)
-            worst_idem = max(worst_idem, np.max(np.abs(proj.coeffs - c)))
+            _, pc = fr.project_to_octahedral(c)
+            worst_idem = max(worst_idem, np.max(np.abs(pc - c)))
         elapsed = time.time() - t0
         assert worst_norm < 1e-10
         assert worst_equiv < 1e-9
@@ -152,7 +152,7 @@ class TestNotchSnap:
         frames, _ = corrected.vertex_frames()
         for v in np.flatnonzero(field.bcs.kind == TANGENCY):
             n = field.bcs.normals[v]
-            axis = fr.closest_direction(n, fr.Frame(frames[v]))
+            axis = fr.closest_direction(n, frames[v])
             violation = np.arccos(min(1.0, abs(float(axis @ n))))
             if violation > 1e-3:
                 d = np.linalg.norm(path_pts - mesh.vertices[v], axis=1).min()

@@ -61,6 +61,19 @@ class TestSolve:
         )
         assert int(report["chains"]) == len(polylines)
 
+    @pytest.mark.parametrize("command", ["solve", "correct", "trace"])
+    def test_out_is_a_file_exits_3(self, cube_path, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        args = [command, "--mesh", cube_path, "--out", str(out), "--sweeps", "3"]
+        if command == "correct":
+            args += ["--strategy", "snap"]
+        if command == "trace":
+            args += ["--seed", "0.2,0.5,0.5", "--dir", "1,0,0"]
+        assert run(args) == 3
+        assert "cannot create --out" in capsys.readouterr().err
+        assert out.read_text() == ""
+
     def test_reuse_field_artifact(self, cube_path, tmp_path):
         out1 = str(tmp_path / "a")
         out2 = str(tmp_path / "b")

@@ -94,23 +94,23 @@ class TestOctaGroup:
 
 class TestProjection:
     def test_reference_projects_to_identity(self):
-        proj = fr.project_to_octahedral(fr.REFERENCE_COEFFS)
-        assert np.allclose(proj.coeffs, fr.REFERENCE_COEFFS, atol=1e-8)
+        _, c = fr.project_to_octahedral(fr.REFERENCE_COEFFS)
+        assert np.allclose(c, fr.REFERENCE_COEFFS, atol=1e-8)
 
     def test_scaled_frame_recovers_class(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             R = random_rotation(rng)
             q = 1.5 * fr.coeffs_from_rotation(R)
-            proj = fr.project_to_octahedral(q)
-            assert np.allclose(proj.coeffs, q / 1.5, atol=1e-7)
+            _, c = fr.project_to_octahedral(q)
+            assert np.allclose(c, q / 1.5, atol=1e-7)
 
     def test_monte_carlo_optimality(self):
         rng = np.random.default_rng(13)
         q = rng.normal(size=9)
         q /= np.linalg.norm(q)
-        proj = fr.project_to_octahedral(q)
-        best = float(q @ proj.coeffs)
+        _, c = fr.project_to_octahedral(q)
+        best = float(q @ c)
         for _ in range(10000):
             R = random_rotation(rng)
             assert best >= float(q @ fr.coeffs_from_rotation(R)) - 1e-6
@@ -119,9 +119,9 @@ class TestProjection:
         rng = np.random.default_rng(17)
         for _ in range(50):
             q = rng.normal(size=9)
-            proj1 = fr.project_to_octahedral(q)
-            proj2 = fr.project_to_octahedral(proj1.coeffs)
-            assert np.allclose(proj1.coeffs, proj2.coeffs, atol=1e-6)
+            _, c1 = fr.project_to_octahedral(q)
+            _, c2 = fr.project_to_octahedral(c1)
+            assert np.allclose(c1, c2, atol=1e-6)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -130,37 +130,54 @@ class TestProjection:
 
 class TestClosestDirection:
     def test_axis_aligned(self):
-        f = fr.Frame(np.eye(3))
-        assert np.allclose(fr.closest_direction([1, 0, 0], f), [1, 0, 0])
+        assert np.allclose(fr.closest_direction([1, 0, 0], np.eye(3)), [1, 0, 0])
 
     def test_dominant_axis(self):
         v = np.array([0.9, 0.1, 0.05])
         v /= np.linalg.norm(v)
-        assert np.allclose(fr.closest_direction(v, fr.Frame(np.eye(3))), [1, 0, 0])
+        assert np.allclose(fr.closest_direction(v, np.eye(3)), [1, 0, 0])
 
     def test_tie_break(self):
         v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        assert np.allclose(fr.closest_direction(v, fr.Frame(np.eye(3))), [1, 0, 0])
+        assert np.allclose(fr.closest_direction(v, np.eye(3)), [1, 0, 0])
+
+    def test_returns_signed_column(self):
+        # a 30 degree turn about z; its rows are other directions than its
+        # columns, so reading rows would return (0.5, 0.866, 0) here
+        R = rot_z(np.radians(30))
+        v = np.array([0.85, 0.5, 0.1])
+        v /= np.linalg.norm(v)
+        assert np.allclose(fr.closest_direction(v, R), R[:, 0])
+        assert np.allclose(fr.closest_direction(-v, R), -R[:, 0])
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            R = random_rotation(rng)
+            v = rng.normal(size=3)
+            v /= np.linalg.norm(v)
+            dots = R.T @ v
+            i = int(np.argmax(np.abs(dots)))
+            expect = np.sign(dots[i]) * R[:, i]
+            assert np.allclose(fr.closest_direction(v, R), expect)
 
 
 class TestMatching:
     def test_same_frame_identity(self):
         R = random_rotation(np.random.default_rng(5))
-        assert fr.octa_matching(fr.Frame(R), fr.Frame(R)) == 0
+        assert fr.octa_matching(R, R) == 0
 
     def test_small_rotation_identity(self):
         R = random_rotation(np.random.default_rng(6))
-        assert fr.octa_matching(fr.Frame(R), fr.Frame(R @ rot_z(np.radians(10)))) == 0
+        assert fr.octa_matching(R, R @ rot_z(np.radians(10))) == 0
 
     def test_eighty_degrees_picks_quarter_turn(self):
         # brute force over the 24 elements confirms the quarter z-turn wins
         rng = np.random.default_rng(8)
         R = random_rotation(rng)
-        Fb = fr.Frame(R @ rot_z(np.radians(80)))
-        g = fr.octa_matching(fr.Frame(R), Fb)
+        Rb = R @ rot_z(np.radians(80))
+        g = fr.octa_matching(R, Rb)
         best = min(
             range(24),
-            key=lambda k: -np.trace((R @ fr.OCTA_GROUP[k]).T @ Fb.R),
+            key=lambda k: -np.trace((R @ fr.OCTA_GROUP[k]).T @ Rb),
         )
         assert g == best
         Gz = np.rint(rot_z(np.pi / 2)).astype(int)
@@ -169,10 +186,10 @@ class TestMatching:
     def test_matching_inverse_property(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            Fa = fr.Frame(random_rotation(rng))
-            Fb = fr.Frame(random_rotation(rng))
-            g = fr.octa_matching(Fa, Fb)
-            h = fr.octa_matching(Fb, Fa)
+            Ra = random_rotation(rng)
+            Rb = random_rotation(rng)
+            g = fr.octa_matching(Ra, Rb)
+            h = fr.octa_matching(Rb, Ra)
             assert fr.octa_compose(g, h) == 0
 
 

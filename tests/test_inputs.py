@@ -1,6 +1,7 @@
 """Malformed input files end in typed errors, never in tracebacks."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 
 from hexframe.boxgen import generate_box
 from hexframe.cli import main
-from hexframe.errors import HexFrameError, IndexOutOfRange, IoError, ParseError
+from hexframe.errors import (
+    DegenerateTet,
+    HexFrameError,
+    IndexOutOfRange,
+    IoError,
+    ParseError,
+)
 from hexframe.meshio import read_field, read_medit, write_field, write_medit
 from hexframe.solver import SolverConfig, build_boundary_conditions, compute_field
 
@@ -74,6 +81,25 @@ class TestMeditErrors:
         with pytest.raises(ParseError, match="line 6"):
             read_medit(path)
         assert main(["graph", "--mesh", path, "--out", str(tmp_path)]) == 3
+
+    def test_zero_volume_tet(self, box_files, tmp_path, capsys):
+        mesh_path, _, mesh = box_files
+        centre = int(np.argmin(np.linalg.norm(mesh.vertices - 0.5, axis=1)))
+        tet = mesh.tets[mesh.adjacency.vertex_tets[centre][0]]
+        neighbour = int(next(v for v in tet if v != centre))
+        lines = open(mesh_path).read().splitlines(True)
+        first = lines.index("Vertices\n") + 2
+        lines[first + centre] = lines[first + neighbour]
+        path = _write(tmp_path / "m.mesh", "".join(lines))
+        with pytest.raises(DegenerateTet):
+            read_medit(path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["graph", "--mesh", path, "--out", str(tmp_path),
+                         "--sweeps", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "tet volume below" in err and "Warning" not in err
 
     def test_corner_index_out_of_range(self, tmp_path):
         text = SINGLE_TET_TEMPLATE.format(extra="Corners\n1\n99\n")

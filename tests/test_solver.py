@@ -267,7 +267,7 @@ class TestInternalConstraints:
             bcs, [(v, "dirichlet_coeffs", sing) for v in line]
         )
         resolved = smooth_nonlinear(solve_initial(mesh, constrained))
-        q = resolved.quality()
+        _, q = resolved.vertex_frames()
         center = np.array([0.5, 0.5, 0.5])
         dist = np.linalg.norm(
             mesh.vertices[:, :2] - center[:2], axis=1

@@ -33,25 +33,18 @@ def generate_box(nx, ny, nz, size=(1.0, 1.0, 1.0), bulge=0.0):
     def vid(i, j, k):
         return (k * (ny + 1) + j) * (nx + 1) + i
 
-    verts = np.empty(((nx + 1) * (ny + 1) * (nz + 1), 3))
-    for k in range(nz + 1):
-        for j in range(ny + 1):
-            for i in range(nx + 1):
-                verts[vid(i, j, k)] = (xs[i], ys[j], zs[k])
+    z, y, x = np.meshgrid(zs, ys, xs, indexing="ij")
+    verts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
     if bulge:
         x, y, z = verts.T
         verts[:, 2] = z * (1.0 + bulge * np.sin(np.pi * x / lx) * np.sin(np.pi * y / ly))
 
-    tets = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                corner = [
-                    vid(i + (c & 1), j + ((c >> 1) & 1), k + ((c >> 2) & 1))
-                    for c in range(8)
-                ]
-                for t in _CUBE_TETS:
-                    tets.append([corner[c] for c in t])
+    # cube (i, j, k) in k-major order; corner c sits at its bits (i, j, k)
+    k, j, i = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
+    bits = np.arange(8)
+    corner = vid(i.reshape(-1, 1) + (bits & 1), j.reshape(-1, 1) + ((bits >> 1) & 1),
+                 k.reshape(-1, 1) + ((bits >> 2) & 1))
+    tets = corner[:, _CUBE_TETS].reshape(-1, 4)
 
     feature_edges = []
     cid = 0

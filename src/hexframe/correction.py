@@ -12,9 +12,12 @@ and leaves the field untouched.
 import heapq
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from . import frames as fr
 from .errors import NoBoundaryPath, NonApplicable, SeedOutside, WedgeMismatch
+from .mesh import row_dots
 from .solver import (
     TANGENCY,
     SolverConfig,
@@ -181,6 +184,7 @@ def extrude_feature_curves(mesh, field, curves=None, tracer_config=None):
     table = {}
     sheet_boundary = {}      # boundary vertex -> its surface normal
     boundary = set(mesh.boundary_vertices)
+    edge = mesh.mean_edge_length()
     for curve in curves:
         if curve.target_valence < 2:
             continue
@@ -198,7 +202,7 @@ def extrude_feature_curves(mesh, field, curves=None, tracer_config=None):
                 plan.fail("wedge_mismatch", detail=str(exc), vertex=int(v))
                 continue
             for d in dirs:
-                seed = p + 1e-3 * mesh.mean_edge_length() * d
+                seed = p + 1e-3 * edge * d
                 try:
                     sl = trace(field, seed, d, tracer_config)
                 except SeedOutside:
@@ -252,13 +256,14 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
     tracer_config = tracer_config or TracerConfig()
     columns = []
     plan.diagnostics["columns"] = columns
+    edge = mesh.mean_edge_length()
     for chain in detect_35(graph):
         for end in ("start", "end"):
             desc = chain.endpoint_start if end == "start" else chain.endpoint_end
             valence = chain.valence_start if end == "start" else chain.valence_end
             if desc[0] == "boundary":
                 v0 = stable_direction(field, chain, end)
-                seed = desc[1] + 1e-3 * mesh.mean_edge_length() * v0
+                seed = desc[1] + 1e-3 * edge * v0
             else:
                 pts = chain.points
                 tangent = (pts[-1] - pts[-2]) if end == "end" else (pts[0] - pts[1])
@@ -293,8 +298,8 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
     table = {}
     boundary = set(mesh.boundary_vertices)
     t, Rt, near = _column_geometry(mesh, columns)
-    r_out = 2.0 * mesh.mean_edge_length()
-    offset = _ambient_phase_offset(mesh, field, columns, t, Rt, near, r_out)
+    r_out = 2.0 * edge
+    offset = _ambient_phase_offset(mesh, field, columns, t, Rt, near, r_out, edge)
     plan.diagnostics["winding_offset"] = offset
     for v in np.nonzero(near < r_out)[0]:
         v = int(v)
@@ -316,7 +321,7 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
     return plan
 
 
-def _ambient_phase_offset(mesh, field, columns, t, Rt, near, r_out):
+def _ambient_phase_offset(mesh, field, columns, t, Rt, near, r_out, edge):
     """Azimuth offset aligning the imposed winding with the solved field.
 
     Sampled on a one-edge shell just outside the clamped tube; without it
@@ -325,7 +330,7 @@ def _ambient_phase_offset(mesh, field, columns, t, Rt, near, r_out):
     """
     frames_v, _ = field.vertex_frames()
     shell = np.nonzero((near >= r_out)
-                       & (near < r_out + mesh.mean_edge_length()))[0]
+                       & (near < r_out + edge))[0]
     acc = 0.0 + 0.0j
     for v in shell:
         theta = _winding_phase(mesh, columns, t, Rt, int(v))
@@ -390,19 +395,20 @@ def _winding_coeffs(mesh, columns, t, Rt, v, offset=0.0):
 
 # -- snapping ----------------------------------------------------------------
 
-def _boundary_edge_graph(mesh):
-    adj = {}
-    p = mesh.vertices
-    for tri in mesh.boundary_tris:
-        for i in range(3):
-            a, b = int(tri[i]), int(tri[(i + 1) % 3])
-            wgt = float(np.linalg.norm(p[a] - p[b]))
-            adj.setdefault(a, {})[b] = wgt
-            adj.setdefault(b, {})[a] = wgt
-    return adj
+def _boundary_graph(mesh):
+    """Symmetric CSR graph of the boundary edges, weighted by length."""
+    u, v = mesh.boundary_edges.T
+    d = mesh.vertices[u] - mesh.vertices[v]
+    w = np.sqrt(row_dots(d, d))
+    n = len(mesh.vertices)
+    return csr_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(n, n))
 
 
-def _dijkstra_path(adjacency, source, target):
+def _dijkstra_path(graph, source, target):
+    """Shortest boundary path; ties go to the lower neighbour id."""
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    weights = graph.data.tolist()
     dist = {source: 0.0}
     prev = {}
     heap = [(0.0, source)]
@@ -414,8 +420,9 @@ def _dijkstra_path(adjacency, source, target):
         if u == target:
             break
         seen.add(u)
-        for w, wgt in sorted(adjacency.get(u, {}).items()):
-            nd = d + wgt
+        for k in range(indptr[u], indptr[u + 1]):
+            w = indices[k]
+            nd = d + weights[k]
             if nd < dist.get(w, np.inf) - 1e-15:
                 dist[w] = nd
                 prev[w] = u
@@ -441,10 +448,10 @@ def snap_35_curves(mesh, field, graph, exclude=()):
     plan = CorrectionPlan("snap")
     feature_verts = sorted(mesh.feature_vertex_set() | set(mesh.corners))
     if not feature_verts:
-        feature_verts = sorted(set(int(v) for v in mesh.boundary_vertices))
+        feature_verts = mesh.boundary_vertices.tolist()
     fv = np.array(feature_verts)
-    bv = np.array(sorted(set(int(v) for v in mesh.boundary_vertices)))
-    adjacency = _boundary_edge_graph(mesh)
+    bv = mesh.boundary_vertices
+    boundary_graph = _boundary_graph(mesh)
     exclude = set(int(v) for v in exclude)
 
     def endpoint_target(desc, point, taken=()):
@@ -481,7 +488,7 @@ def snap_35_curves(mesh, field, graph, exclude=()):
                 targets[end] = endpoint_target(desc, point, taken)
                 if desc[0] == "junction":
                     snapped_junctions.add(desc[1])
-            path = _dijkstra_path(adjacency, targets["start"][1],
+            path = _dijkstra_path(boundary_graph, targets["start"][1],
                                   targets["end"][1])
             done[chain.chain_id] = SnapAssignment(chain.chain_id, targets, path)
             changed = True
@@ -624,22 +631,11 @@ def build_snapped_bcs(mesh, plan, radius=None):
 
     # release boundary alignment near the snapped paths
     r = 3.0 * mesh.mean_edge_length() if radius is None else float(radius)
-    adjacency = _boundary_edge_graph(mesh)
-    dist = {v: 0.0 for v in path_set}
-    heap = [(0.0, v) for v in sorted(path_set)]
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, np.inf) + 1e-15 or d > r:
-            continue
-        for w, wgt in adjacency.get(u, {}).items():
-            nd = d + wgt
-            if nd <= r and nd < dist.get(w, np.inf) - 1e-15:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    for v in dist:
-        if v not in path_set and bcs.kind[v] == TANGENCY:
-            bcs.set_free(v)
+    dist = dijkstra(_boundary_graph(mesh), indices=sorted(path_set),
+                    min_only=True, limit=r)
+    # the paths themselves are Dirichlet by now
+    for v in np.nonzero(np.isfinite(dist) & (bcs.kind == TANGENCY))[0]:
+        bcs.set_free(v)
     return bcs
 
 

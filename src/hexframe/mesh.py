@@ -7,8 +7,16 @@ dihedral angle deviates from 180 degrees.
 """
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .errors import DegenerateDihedral, DegenerateTet, NonManifold, OpenBoundary
+from .errors import (
+    DegenerateDihedral,
+    DegenerateTet,
+    IndexOutOfRange,
+    NonManifold,
+    OpenBoundary,
+)
 
 FEATURE_ANGLE_DEFAULT = 30.0
 
@@ -73,70 +81,70 @@ class SurfacePatch:
         return "SurfacePatch(id=%d, tris=%d)" % (self.patch_id, len(self.tri_indices))
 
 
-class AdjacencyTables:
-    """Face/tet/vertex incidence with O(1) lookups."""
+def row_dots(a, b):
+    """Row-wise dot products of two (n, 3) arrays.
 
-    def __init__(self, mesh):
-        tets = mesh.tets
+    A stacked matmul rounds each row as ``np.dot`` rounds one pair of
+    vectors, so lengths and angles match the single-vector forms bit for bit.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+class AdjacencyTables:
+    """Face/tet incidence arrays.
+
+    ``faces`` holds each face's sorted vertex triple once, in lexicographic
+    order, and ``tet_faces[t, i]`` is the face opposite local vertex i of
+    tet t.  ``face_tets``/``face_local`` hold a face's one or two (tet, local
+    face) incidences in (tet, local face) order, -1 for none.
+    """
+
+    def __init__(self, tets):
         nt = len(tets)
-        raw = np.empty((4 * nt, 3), dtype=np.int64)
-        for li, (a, b, c) in enumerate(FACE_VERTICES):
-            raw[li::4] = tets[:, [a, b, c]]
-        keys = np.sort(raw, axis=1)
+        keys = np.sort(tets[:, FACE_VERTICES].reshape(-1, 3), axis=1)
         uniq, inverse, counts = np.unique(
             keys, axis=0, return_inverse=True, return_counts=True
         )
         if counts.max() > 2:
             bad = uniq[np.argmax(counts)]
             raise NonManifold("face %s has %d incident tets" % (bad, counts.max()))
+        inverse = inverse.reshape(-1)
         self.faces = uniq
         self.tet_faces = inverse.reshape(nt, 4)
-        nf = len(uniq)
-        self.face_tets = -np.ones((nf, 2), dtype=np.int64)
-        self.face_local = -np.ones((nf, 2), dtype=np.int64)
-        for t in range(nt):
-            for li in range(4):
-                f = self.tet_faces[t, li]
-                slot = 0 if self.face_tets[f, 0] < 0 else 1
-                self.face_tets[f, slot] = t
-                self.face_local[f, slot] = li
-        self.interior_mask = self.face_tets[:, 1] >= 0
-        self.boundary_face_ids = np.nonzero(~self.interior_mask)[0]
-        self.face_index = {tuple(f): i for i, f in enumerate(self.faces)}
-        self.vertex_tets = [[] for _ in range(len(mesh.vertices))]
-        for t, tet in enumerate(tets):
-            for v in tet:
-                self.vertex_tets[v].append(t)
-        self.vertex_tets = [np.asarray(vt, dtype=np.int64) for vt in self.vertex_tets]
+        # incidences grouped by face, each group in (tet, local face) order
+        incidence = np.argsort(inverse, kind="stable")
+        start = np.cumsum(counts) - counts
+        pair = counts == 2
+        self.face_tets = -np.ones((len(uniq), 2), dtype=np.int64)
+        self.face_local = -np.ones((len(uniq), 2), dtype=np.int64)
+        self.face_tets[:, 0], self.face_local[:, 0] = np.divmod(incidence[start], 4)
+        self.face_tets[pair, 1], self.face_local[pair, 1] = np.divmod(
+            incidence[start[pair] + 1], 4
+        )
+        self.interior_mask = pair
+        self.boundary_face_ids = np.nonzero(~pair)[0]
 
     def face_id(self, tri):
-        return self.face_index.get(tuple(sorted(tri)))
-
-    def tets_of_face(self, tri):
-        fid = self.face_id(tri)
-        if fid is None:
-            return ()
-        pair = self.face_tets[fid]
-        return tuple(int(t) for t in pair if t >= 0)
-
-
-def build_adjacency(mesh):
-    """Face/tet incidence tables; raises on non-manifold configurations."""
-    return AdjacencyTables(mesh)
+        """Row of ``faces`` holding the triangle ``tri``; None when absent."""
+        hit = np.nonzero((self.faces == np.sort(tri)).all(axis=1))[0]
+        return int(hit[0]) if len(hit) else None
 
 
 class TetMesh:
     """Tetrahedral mesh with boundary patches, feature curves and corners."""
 
-    def __init__(self, vertices, tets, feature_edges=None, corners=None,
-                 boundary_patch_tags=None):
+    def __init__(self, vertices, tets, feature_edges=None, corners=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.tets = np.ascontiguousarray(tets, dtype=np.int64)
-        if self.tets.size and self.tets.max() >= len(self.vertices):
-            raise IndexError("tet vertex index out of range")
+        if self.tets.size == 0:
+            raise DegenerateTet("mesh has no tets")
+        outside = (self.tets < 0) | (self.tets >= len(self.vertices))
+        if outside.any():
+            raise IndexOutOfRange("tet vertex index %d outside [0, %d)"
+                                  % (self.tets[outside][0], len(self.vertices)))
         self._fix_orientation()
-        self.adjacency = build_adjacency(self)
-        self._extract_boundary(boundary_patch_tags)
+        self.adjacency = AdjacencyTables(self.tets)
+        self._extract_boundary()
         # tagged features from the input file; curve ids preserved
         self.tagged_feature_edges = (
             [(int(a), int(b), int(c)) for a, b, c in feature_edges]
@@ -202,110 +210,119 @@ class TetMesh:
 
     # -- boundary -----------------------------------------------------------
 
-    def _extract_boundary(self, patch_tags):
+    def _extract_boundary(self):
+        """Outward boundary triangles and their edge table.
+
+        ``boundary_edges`` (E, 2) lists each boundary edge once as a sorted
+        vertex pair, in lexicographic order; ``boundary_edge_tris`` holds its
+        two triangles in triangle order, and ``boundary_half_edges`` the edge
+        as the first of them runs it.
+        """
         adj = self.adjacency
-        tris = []
-        for fid in adj.boundary_face_ids:
-            t = adj.face_tets[fid, 0]
-            li = adj.face_local[fid, 0]
-            tet = self.tets[t]
-            a, b, c = (tet[i] for i in FACE_VERTICES[li])
-            # orient outward: opposite vertex must be on the negative side
-            p = self.vertices
-            d = np.dot(np.cross(p[b] - p[a], p[c] - p[a]), p[tet[li]] - p[a])
-            tris.append((a, c, b) if d > 0 else (a, b, c))
-        self.boundary_tris = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+        fids = adj.boundary_face_ids
+        local = adj.face_local[fids, 0]
+        tet = self.tets[adj.face_tets[fids, 0]]
+        tris = np.take_along_axis(tet, np.asarray(FACE_VERTICES)[local], axis=1)
+        # orient outward: the opposite vertex must be on the negative side
+        p = self.vertices
+        a = p[tris[:, 0]]
+        d = row_dots(np.cross(p[tris[:, 1]] - a, p[tris[:, 2]] - a),
+                     p[tet[np.arange(len(tet)), local]] - a)
+        tris[d > 0] = tris[d > 0][:, [0, 2, 1]]
+        self.boundary_tris = tris
         self.boundary_patch_ids = np.zeros(len(tris), dtype=np.int64)
-        self._input_patch_tags = {}
-        if patch_tags:
-            for tri, ref in patch_tags:
-                self._input_patch_tags[tuple(sorted(tri))] = int(ref)
-        self._check_watertight()
-        self.boundary_vertices = np.unique(self.boundary_tris)
+        self.boundary_vertices = np.unique(tris)
+        # half-edges (a, b), (b, c), (c, a) of every triangle, in triangle order
+        half = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
+        edges, inverse, counts = np.unique(
+            np.sort(half, axis=1), axis=0, return_inverse=True, return_counts=True
+        )
+        if (counts != 2).any():
+            k = int(np.argmax(counts != 2))
+            raise OpenBoundary("boundary edge %s has %d incident triangles"
+                               % (tuple(edges[k].tolist()), counts[k]))
+        pairs = np.argsort(inverse.reshape(-1), kind="stable").reshape(-1, 2)
+        self.boundary_edges = edges
+        self.boundary_edge_tris = pairs // 3
+        self.boundary_half_edges = half[pairs[:, 0]]
 
-    def _check_watertight(self):
-        edges = {}
-        for ti, (a, b, c) in enumerate(self.boundary_tris):
-            for u, v in ((a, b), (b, c), (c, a)):
-                edges.setdefault((min(u, v), max(u, v)), []).append((ti, u, v))
-        for key, occ in edges.items():
-            if len(occ) != 2:
-                raise OpenBoundary(
-                    "boundary edge %s has %d incident triangles" % (key, len(occ))
-                )
-        self._boundary_edge_tris = edges
+    def _edge_rows(self, keys):
+        """Rows of ``boundary_edges`` holding the sorted vertex pairs ``keys``."""
+        scale = np.array([len(self.vertices), 1])
+        codes = self.boundary_edges @ scale
+        want = np.asarray(keys, dtype=np.int64).reshape(-1, 2) @ scale
+        rows = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+        missing = codes[rows] != want
+        if missing.any():
+            raise IndexOutOfRange("feature edge %s is not a boundary edge"
+                                  % (tuple(keys[int(np.argmax(missing))]),))
+        return rows
 
-    def boundary_tri_normals(self):
+    def _boundary_cross(self):
+        """Per boundary triangle: outward normal scaled by twice its area."""
         p = self.vertices
         t = self.boundary_tris
-        n = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
+        return np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
+
+    def boundary_tri_normals(self):
+        n = self._boundary_cross()
         return n / np.linalg.norm(n, axis=1)[:, None]
 
     def boundary_area(self):
-        p = self.vertices
-        t = self.boundary_tris
-        n = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
-        return 0.5 * np.linalg.norm(n, axis=1).sum()
+        return 0.5 * np.linalg.norm(self._boundary_cross(), axis=1).sum()
 
     def boundary_euler_characteristic(self):
-        nv = len(np.unique(self.boundary_tris))
-        ne = len(self._boundary_edge_tris)
-        nf = len(self.boundary_tris)
-        return nv - ne + nf
+        nv = len(self.boundary_vertices)
+        return nv - len(self.boundary_edges) + len(self.boundary_tris)
 
     def boundary_edge_dihedrals(self):
-        """Interior dihedral angle (degrees, in (0, 360)) per boundary edge."""
+        """Interior dihedral angle (degrees, in (0, 360)) per ``boundary_edges`` row."""
         normals = self.boundary_tri_normals()
+        n1 = normals[self.boundary_edge_tris[:, 0]]
+        n2 = normals[self.boundary_edge_tris[:, 1]]
         p = self.vertices
-        out = {}
-        for key, occ in self._boundary_edge_tris.items():
-            (t1, u1, v1), (t2, u2, v2) = occ
-            e = p[v1] - p[u1]
-            e = e / np.linalg.norm(e)
-            n1, n2 = normals[t1], normals[t2]
-            ang = np.pi - np.arctan2(np.dot(np.cross(n1, n2), e), np.dot(n1, n2))
-            out[key] = np.degrees(ang) % 360.0
-        return out
+        e = p[self.boundary_half_edges[:, 1]] - p[self.boundary_half_edges[:, 0]]
+        e = e / np.sqrt(row_dots(e, e))[:, None]
+        ang = np.pi - np.arctan2(row_dots(np.cross(n1, n2), e), row_dots(n1, n2))
+        return np.degrees(ang) % 360.0
 
     # -- features -----------------------------------------------------------
 
     def detect_features(self, angle_threshold=FEATURE_ANGLE_DEFAULT):
-        """Detect feature edges, chain curves, flood-fill patches.
+        """Detect feature edges, chain curves, group the surface into patches.
 
         Input-file feature tags take precedence over dihedral detection.
         Populates ``feature_edges``, ``feature_curves``, ``patches`` and
         ``corners``; idempotent for a fixed threshold.
         """
         dihedrals = self.boundary_edge_dihedrals()
-        tagged = {}
+        all_edges = {}
         for u, v, cid in self.tagged_feature_edges:
-            tagged[(min(u, v), max(u, v))] = cid
-        detected = set()
-        for key, ang in dihedrals.items():
-            if key in tagged:
-                continue
-            if abs(ang - 180.0) > angle_threshold:
-                detected.add(key)
-        self.feature_curves = self._chain_curves(tagged, detected, dihedrals)
-        self.feature_edges = []
-        for curve in self.feature_curves:
-            for u, v in curve.edges():
-                self.feature_edges.append((u, v, curve.curve_id))
-        self._build_patches()
+            all_edges[(min(u, v), max(u, v))] = cid
+        detected = np.abs(dihedrals - 180.0) > angle_threshold
+        detected[self._edge_rows(list(all_edges))] = False
+        for key in map(tuple, self.boundary_edges[detected].tolist()):
+            all_edges[key] = None
+        rows = self._edge_rows(list(all_edges))
+        self.feature_curves, self.corners = self._chain_curves(
+            all_edges, dict(zip(all_edges, dihedrals[rows].tolist()))
+        )
+        self.feature_edges = [
+            (u, v, c.curve_id) for c in self.feature_curves for u, v in c.edges()
+        ]
+        self._build_patches(rows)
         return self.feature_curves
 
-    def _feature_graph(self, edge_keys):
+    def _chain_curves(self, all_edges, dihedrals):
+        """Chain feature edges into curves; returns (curves, corners).
+
+        ``all_edges`` maps each feature edge to its tag (None when detected)
+        and ``dihedrals`` maps it to its dihedral angle.
+        """
         graph = {}
-        for u, v in edge_keys:
+        for u, v in all_edges:
             graph.setdefault(u, []).append(v)
             graph.setdefault(v, []).append(u)
-        return graph
-
-    def _chain_curves(self, tagged, detected, dihedrals):
-        all_edges = dict(tagged)
-        for key in sorted(detected):
-            all_edges.setdefault(key, None)
-        graph = self._feature_graph(all_edges)
         corners = set(self.tagged_corners)
         for v, nbrs in graph.items():
             if len(nbrs) != 2:
@@ -367,11 +384,9 @@ class TetMesh:
                 chain = chain[:-1]
             curves.append(self._make_curve(next_id, chain, dihedrals, closed=closed))
             next_id += 1
-        self.corners = sorted(
-            corners | {c.vertices[0] for c in curves if not c.closed}
-            | {c.vertices[-1] for c in curves if not c.closed}
-        )
-        return curves
+        corners |= {c.vertices[0] for c in curves if not c.closed}
+        corners |= {c.vertices[-1] for c in curves if not c.closed}
+        return curves, sorted(corners)
 
     def _make_curve(self, cid, chain, dihedrals, closed):
         p = self.vertices
@@ -393,51 +408,41 @@ class TetMesh:
         mean_dih = float(np.mean([dihedrals[k] for k in keys]))
         return FeatureCurve(cid, verts, tangents, mean_dih, closed=closed)
 
-    def _build_patches(self):
-        feature_keys = {
-            (min(u, v), max(u, v)) for u, v, _ in self.feature_edges
-        }
-        nt = len(self.boundary_tris)
-        tri_edges = [[] for _ in range(nt)]
-        for key, occ in self._boundary_edge_tris.items():
-            if key in feature_keys:
-                continue
-            (t1, _, _), (t2, _, _) = occ
-            tri_edges[t1].append(t2)
-            tri_edges[t2].append(t1)
-        patch_of = -np.ones(nt, dtype=np.int64)
-        next_patch = 0
-        for seed in range(nt):
-            if patch_of[seed] >= 0:
-                continue
-            stack = [seed]
-            patch_of[seed] = next_patch
-            while stack:
-                t = stack.pop()
-                for nb in tri_edges[t]:
-                    if patch_of[nb] < 0:
-                        patch_of[nb] = next_patch
-                        stack.append(nb)
-            next_patch += 1
-        self.boundary_patch_ids = patch_of
-        normals = self.boundary_tri_normals()
-        p = self.vertices
-        t = self.boundary_tris
-        areas = 0.5 * np.linalg.norm(
-            np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]]), axis=1
+    def _build_patches(self, feature_rows):
+        """Patches: triangles connected across edges not in ``feature_rows``.
+
+        Patch ids follow each patch's lowest triangle.  A patch's vertex
+        normals are area-weighted sums of its triangle normals, keyed in
+        the order the vertices first appear in its triangles.
+        """
+        tris = self.boundary_tris
+        smooth = np.ones(len(self.boundary_edges), dtype=bool)
+        smooth[feature_rows] = False
+        t1, t2 = self.boundary_edge_tris[smooth].T
+        links = coo_matrix((np.ones(len(t1)), (t1, t2)), shape=(len(tris),) * 2)
+        n_patches, patch_of = connected_components(links, directed=False)
+        self.boundary_patch_ids = patch_of.astype(np.int64)
+        nv = len(self.vertices)
+        areas = 0.5 * np.linalg.norm(self._boundary_cross(), axis=1)
+        # one accumulator per (patch, vertex), summed in triangle order
+        slots, first, slot = np.unique(
+            np.repeat(self.boundary_patch_ids, 3) * nv + tris.ravel(),
+            return_index=True, return_inverse=True,
         )
+        acc = np.zeros((len(slots), 3))
+        np.add.at(acc, slot.reshape(-1),
+                  np.repeat(areas[:, None] * self.boundary_tri_normals(), 3, axis=0))
+        length = np.sqrt(row_dots(acc, acc))
+        order = np.argsort(first)
+        order = order[length[order] > 0]
         self.patches = []
-        for pid in range(next_patch):
-            tris = np.nonzero(patch_of == pid)[0]
-            acc = {}
-            for ti in tris:
-                for v in self.boundary_tris[ti]:
-                    acc.setdefault(v, np.zeros(3))
-                    acc[v] += areas[ti] * normals[ti]
-            vnorm = {
-                v: w / np.linalg.norm(w) for v, w in acc.items() if np.linalg.norm(w) > 0
-            }
-            self.patches.append(SurfacePatch(pid, tris, vnorm))
+        for pid in range(n_patches):
+            mine = order[slots[order] // nv == pid]
+            normals = acc[mine] / length[mine, None]
+            self.patches.append(SurfacePatch(
+                pid, np.nonzero(patch_of == pid)[0],
+                dict(zip((slots[mine] % nv).tolist(), normals)),
+            ))
 
     # -- lookups used downstream -------------------------------------------
 
@@ -450,11 +455,7 @@ class TetMesh:
         return out
 
     def feature_vertex_set(self):
-        s = set()
-        for u, v, _ in self.feature_edges:
-            s.add(u)
-            s.add(v)
-        return s
+        return {w for u, v, _ in self.feature_edges for w in (u, v)}
 
     def __repr__(self):
         return "TetMesh(V=%d, T=%d, B=%d)" % (

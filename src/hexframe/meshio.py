@@ -98,8 +98,8 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
             n = take_count("Triangles count")
             for _ in range(n):
                 a, b, c = (take_int("Triangles") for _ in range(3))
-                ref = take_int("triangle ref")
-                tris.append(((a - 1, b - 1, c - 1), ref))
+                take_int("triangle ref")
+                tris.append((a - 1, b - 1, c - 1))
         elif key == "edges":
             n = take_count("Edges count")
             for _ in range(n):
@@ -118,9 +118,7 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
         raise ParseError("missing Vertices or Tetrahedra section")
     if len(tets) == 0:
         raise ParseError("Tetrahedra section is empty")
-    if tets.min() < 1 or tets.max() > len(vertices):
-        raise IndexOutOfRange("tetrahedron vertex index out of range")
-    for (a, b, c), _ in tris:
+    for a, b, c in tris:
         if min(a, b, c) < 0 or max(a, b, c) >= len(vertices):
             raise IndexOutOfRange("triangle vertex index out of range")
     for a, b, _ in edges:
@@ -129,13 +127,7 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
     for c in corners:
         if not 0 <= c < len(vertices):
             raise IndexOutOfRange("corner vertex index %d out of range" % (c + 1))
-    mesh = TetMesh(
-        vertices,
-        tets - 1,
-        feature_edges=edges,
-        corners=corners,
-        boundary_patch_tags=tris,
-    )
+    mesh = TetMesh(vertices, tets - 1, feature_edges=edges, corners=corners)
     if detect:
         mesh.detect_features(feature_angle)
     return mesh

@@ -134,7 +134,7 @@ def _singular_face(field, frames, triangle, h, face_id=None):
         index = "other"
     adj = field.mesh.adjacency
     fid = face_id if face_id is not None else adj.face_id((a, b, c))
-    tets = adj.tets_of_face((a, b, c))
+    tets = () if fid is None else tuple(int(t) for t in adj.face_tets[fid] if t >= 0)
     return SingularFace(fid, (a, b, c), tets, h, index, W)
 
 

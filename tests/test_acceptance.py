@@ -11,6 +11,7 @@ fixture, so the suite runs each model once.
 import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ class TestExtrusionFailure:
         mesh, field = solved("curved_arc_box")
         field_path = str(tmp_path / "field.txt")
         write_field(field, field_path)
-        before = open(field_path, "rb").read()
+        before = Path(field_path).read_bytes()
         out = str(tmp_path / "out")
         code = cli_main([
             "correct", "--mesh",
@@ -215,14 +216,14 @@ class TestExtrusionFailure:
             "--field", field_path, "--out", out, "--strategy", strategy,
         ])
         assert code == 2
-        report = open(os.path.join(out, "report.txt")).read()
+        report = Path(out, "report.txt").read_text()
         assert "applicable: False" in report
         assert "failure_0" in report
         assert ("sheared_sheet" in report
                 or "streamline_hit_singularity" in report
                 or "limit_cycle" in report)
         # the input field is untouched and no corrected field is written
-        assert open(field_path, "rb").read() == before
+        assert Path(field_path).read_bytes() == before
         assert not os.path.exists(os.path.join(out, "field.txt"))
 
 
@@ -284,6 +285,6 @@ class TestDeterminism:
             ])
             assert code == 0
         for name in ("field.txt", "graph.vtk", "report.txt"):
-            a = open(os.path.join(outs[0], name), "rb").read()
-            b = open(os.path.join(outs[1], name), "rb").read()
+            a = Path(outs[0], name).read_bytes()
+            b = Path(outs[1], name).read_bytes()
             assert a == b, name

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ class TestSolve:
             assert os.path.exists(os.path.join(out, name))
         report = dict(
             line.split(": ", 1)
-            for line in open(os.path.join(out, "report.txt")).read().splitlines()
+            for line in Path(out, "report.txt").read_text().splitlines()
         )
         assert report["chains"] == "0"
         assert report["chains_35"] == "0"
@@ -57,7 +58,7 @@ class TestSolve:
         polylines, scalars = read_vtk_polylines(os.path.join(out, "graph.vtk"))
         report = dict(
             line.split(": ", 1)
-            for line in open(os.path.join(out, "report.txt")).read().splitlines()
+            for line in Path(out, "report.txt").read_text().splitlines()
         )
         assert int(report["chains"]) == len(polylines)
 
@@ -80,8 +81,8 @@ class TestSolve:
         run(["solve", "--mesh", cube_path, "--out", out1, "--sweeps", "5"])
         assert run(["graph", "--mesh", cube_path, "--out", out2,
                     "--field", os.path.join(out1, "field.txt")]) == 0
-        f1 = open(os.path.join(out1, "field.txt"), "rb").read()
-        f2 = open(os.path.join(out2, "field.txt"), "rb").read()
+        f1 = Path(out1, "field.txt").read_bytes()
+        f2 = Path(out2, "field.txt").read_bytes()
         assert f1 == f2
 
 
@@ -92,8 +93,8 @@ class TestDeterminism:
             assert run(["solve", "--mesh", cube_path, "--out", out,
                         "--sweeps", "5"]) == 0
         for name in ("field.txt", "graph.vtk", "report.txt"):
-            a = open(os.path.join(outs[0], name), "rb").read()
-            b = open(os.path.join(outs[1], name), "rb").read()
+            a = Path(outs[0], name).read_bytes()
+            b = Path(outs[1], name).read_bytes()
             assert a == b, name
 
 

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hexframe.errors import (
     IoError,
     ParseError,
 )
+from hexframe.mesh import TetMesh
 from hexframe.meshio import read_field, read_medit, write_field, write_medit
 from hexframe.solver import SolverConfig, build_boundary_conditions, compute_field
 
@@ -85,9 +87,9 @@ class TestMeditErrors:
     def test_zero_volume_tet(self, box_files, tmp_path, capsys):
         mesh_path, _, mesh = box_files
         centre = int(np.argmin(np.linalg.norm(mesh.vertices - 0.5, axis=1)))
-        tet = mesh.tets[mesh.adjacency.vertex_tets[centre][0]]
+        tet = mesh.tets[(mesh.tets == centre).any(axis=1)][0]
         neighbour = int(next(v for v in tet if v != centre))
-        lines = open(mesh_path).read().splitlines(True)
+        lines = Path(mesh_path).read_text().splitlines(True)
         first = lines.index("Vertices\n") + 2
         lines[first + centre] = lines[first + neighbour]
         path = _write(tmp_path / "m.mesh", "".join(lines))
@@ -107,17 +109,37 @@ class TestMeditErrors:
             read_medit(_write(tmp_path / "m.mesh", text), detect=False)
 
 
+class TestMeshErrors:
+    def test_bad_tets(self):
+        box = generate_box(2, 2, 2)
+        v, t = box.vertices, box.tets
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTet, match="no tets"):
+                TetMesh(v, np.empty((0, 4), dtype=np.int64))
+            for bad in (len(v), -1):
+                tets = t.copy()
+                tets[5, 2] = bad
+                with pytest.raises(IndexOutOfRange, match="index %d" % bad):
+                    TetMesh(v, tets)
+            # a tagged feature edge must lie on the boundary
+            centre = int(np.argmin(np.linalg.norm(v - 0.5, axis=1)))
+            mesh = TetMesh(v, t, feature_edges=[(0, centre, 0)])
+            with pytest.raises(IndexOutOfRange, match="not a boundary edge"):
+                mesh.detect_features(30.0)
+
+
 class TestFieldErrors:
     def test_non_numeric_count(self, box_files, tmp_path):
         _, field_path, mesh = box_files
-        lines = open(field_path).read().splitlines(True)
+        lines = Path(field_path).read_text().splitlines(True)
         path = _write(tmp_path / "f.txt", "".join(lines[:1] + ["abc\n"] + lines[2:]))
         with pytest.raises(ParseError, match="line 2"):
             read_field(path, mesh)
 
     def test_non_numeric_value(self, box_files, tmp_path):
         _, field_path, mesh = box_files
-        lines = open(field_path).read().splitlines(True)
+        lines = Path(field_path).read_text().splitlines(True)
         lines[4] = "abc " + lines[4].split(" ", 1)[1]
         with pytest.raises(ParseError, match="line 5"):
             read_field(_write(tmp_path / "f.txt", "".join(lines)), mesh)
@@ -148,7 +170,7 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=50)
 def test_fuzz_read_medit(box_files, tmp_path_factory, data):
     mesh_path, _, _ = box_files
     path = _write(tmp_path_factory.getbasetemp() / "fuzz.mesh",
-                  _mutate(open(mesh_path).read(), data))
+                  _mutate(Path(mesh_path).read_text(), data))
     try:
         read_medit(path)
     except HexFrameError:
@@ -160,7 +182,7 @@ def test_fuzz_read_medit(box_files, tmp_path_factory, data):
 def test_fuzz_read_field(box_files, tmp_path_factory, data):
     _, field_path, mesh = box_files
     path = _write(tmp_path_factory.getbasetemp() / "fuzz_field.txt",
-                  _mutate(open(field_path).read(), data))
+                  _mutate(Path(field_path).read_text(), data))
     try:
         read_field(path, mesh)
     except HexFrameError:
@@ -175,8 +197,9 @@ def test_fuzz_cli_graph(box_files, tmp_path_factory, data, which):
     args = ["graph", "--mesh", mesh_path, "--out", str(base / "fuzz_out"),
             "--sweeps", "3"]
     if which == "mesh":
-        args[2] = _write(base / "fuzz_cli.mesh", _mutate(open(mesh_path).read(), data))
+        args[2] = _write(base / "fuzz_cli.mesh",
+                         _mutate(Path(mesh_path).read_text(), data))
     else:
         args += ["--field", _write(base / "fuzz_cli_field.txt",
-                                   _mutate(open(field_path).read(), data))]
+                                   _mutate(Path(field_path).read_text(), data))]
     assert main(args) in (0, 2, 3, 64)

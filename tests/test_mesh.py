@@ -1,9 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
+import mesh_oracle as oracle
+
+from hexframe import boxgen
 from hexframe.boxgen import generate_box
 from hexframe.errors import DegenerateDihedral, NonManifold
-from hexframe.mesh import TetMesh, build_adjacency, classify_feature_valence
+from hexframe.mesh import TetMesh, classify_feature_valence
 from hexframe.meshio import read_medit, write_medit
 
 
@@ -15,7 +20,7 @@ SINGLE_TET = TetMesh(
 
 class TestAdjacency:
     def test_single_tet(self):
-        adj = build_adjacency(SINGLE_TET)
+        adj = SINGLE_TET.adjacency
         assert len(adj.boundary_face_ids) == 4
         assert adj.interior_mask.sum() == 0
 
@@ -26,7 +31,7 @@ class TestAdjacency:
         mesh = TetMesh(verts, np.array([[0, 1, 2, 3], [1, 2, 3, 4]]))
         adj = mesh.adjacency
         assert adj.interior_mask.sum() == 1
-        assert len(adj.tets_of_face((1, 2, 3))) == 2
+        assert (adj.face_tets[adj.face_id((1, 2, 3))] >= 0).sum() == 2
 
     def test_three_tets_on_one_face_nonmanifold(self):
         verts = np.array(
@@ -94,11 +99,10 @@ class TestBoxFeatures:
     def test_dihedral_convention(self):
         mesh = generate_box(2, 2, 2)
         dih = mesh.boundary_edge_dihedrals()
-        feats = {
-            k for k, a in dih.items() if abs(a - 90.0) < 1.0
-        }
+        assert dih.shape == (len(mesh.boundary_edges),)
+        feats = np.abs(dih - 90.0) < 1.0
         # all box edges are convex right angles
-        assert len(feats) == 24  # 12 box edges, 2 mesh edges each
+        assert feats.sum() == 24  # 12 box edges, 2 mesh edges each
 
 
 class TestMedit:
@@ -133,3 +137,70 @@ class TestMedit:
 
         with pytest.raises(ParseError):
             read_medit(path)
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+FIXTURE_NAMES = ["notch", "arc_box", "groove_box", "halfsphere_box", "curved_arc_box"]
+
+
+def _rotated_box():
+    box = generate_box(12, 12, 12, bulge=0.3)
+    R = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+    mesh = TetMesh(box.vertices @ R.T, box.tets,
+                   feature_edges=box.tagged_feature_edges, corners=box.tagged_corners)
+    mesh.detect_features(30.0)
+    return mesh
+
+
+class TestOracleParity:
+    """The array tables equal the loop-based reference in tests/mesh_oracle.py."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["rotated_box"])
+    def test_tables_match_loops(self, name):
+        if name == "rotated_box":
+            mesh = _rotated_box()
+        else:
+            mesh = read_medit(os.path.join(FIXTURES, name + ".mesh"))
+        p, adj = mesh.vertices, mesh.adjacency
+        faces, tet_faces, face_tets, face_local = oracle.adjacency(mesh.tets)
+        for got, want in ((adj.faces, faces), (adj.tet_faces, tet_faces),
+                          (adj.face_tets, face_tets), (adj.face_local, face_local)):
+            assert np.array_equal(got, want)
+        tris = oracle.boundary_tris(p, mesh.tets, face_tets, face_local)
+        assert np.array_equal(mesh.boundary_tris, tris)
+        assert np.array_equal(mesh.boundary_vertices, np.unique(tris))
+        edges = oracle.edge_dict(tris)
+        assert [tuple(e) for e in mesh.boundary_edges.tolist()] == sorted(edges)
+        dihedral = oracle.dihedrals(p, tris, edges)
+        want = np.array([dihedral[k] for k in sorted(edges)])
+        assert np.abs(mesh.boundary_edge_dihedrals() - want).max() < 1e-12
+
+        curves, corners = oracle.feature_curves(mesh, dihedral, 30.0)
+        assert mesh.corners == corners
+        assert len(mesh.feature_curves) == len(curves)
+        for got, ref in zip(mesh.feature_curves, curves):
+            assert got.vertices == ref.vertices
+            assert np.array_equal(got.tangents, ref.tangents)
+            assert got.closed == ref.closed
+            assert got.target_valence == ref.target_valence
+        patch_of, vertex_normals = oracle.patches(p, tris, edges, curves)
+        assert np.array_equal(mesh.boundary_patch_ids, patch_of)
+        assert len(mesh.patches) == len(vertex_normals)
+        for patch, ref in zip(mesh.patches, vertex_normals):
+            assert np.array_equal(patch.tri_indices, np.nonzero(patch_of == patch.patch_id)[0])
+            assert list(patch.vertex_normals) == list(ref)
+            for v, n in ref.items():
+                assert np.array_equal(patch.vertex_normals[v], n)
+
+    @pytest.mark.parametrize("dims,size,bulge", [
+        ((12, 12, 12), (1.0, 1.0, 1.0), 0.3),
+        ((3, 4, 2), (2.0, 1.0, 1.5), 0.0),
+        ((2, 5, 3), (1.0, 1.0, 1.0), -0.2),
+    ])
+    def test_generate_box_matches_loops(self, dims, size, bulge, monkeypatch):
+        # the arrays as generate_box hands them over, before TetMesh orients them
+        monkeypatch.setattr(boxgen, "TetMesh", lambda v, t, **tags: (v, t))
+        verts, tets = boxgen.generate_box(*dims, size=size, bulge=bulge)
+        want_verts, want_tets = oracle.generate_box(*dims, size=size, bulge=bulge)
+        assert np.array_equal(verts, want_verts)
+        assert np.array_equal(tets, want_tets)

@@ -114,8 +114,11 @@ def _report_pairs(mesh, field, graph, extra=()):
         ("tets", len(mesh.tets)),
         ("feature_curves", len(mesh.feature_curves)),
         ("dirichlet_energy", "%.12g" % field.report.get("dirichlet_energy", 0.0)),
+        ("cg_info", field.report.get("cg_info", 0)),
         ("smoothing_sweeps", field.report.get("smoothing_sweeps", 0)),
         ("smoothing_converged", field.report.get("smoothing_converged", "")),
+        ("smoothing_last_delta",
+         "%.6g" % field.report.get("smoothing_last_delta", 0.0)),
         ("chains", len(graph.chains)),
         ("chains_35", len(detect_35(graph))),
         ("junctions", len(graph.junction_tets)),

@@ -8,11 +8,14 @@ m=0 and sqrt(5/12) at m=+4.  Components are ordered m = -4..+4 (sine terms
 for negative m, cosine terms for positive m).  A frame's representative
 rotation ``R`` is a plain (3, 3) array whose columns are the frame's axes.
 
-``D(R)`` is built from the closed-form diagonal z-rotation blocks
-(cos k*alpha / sin k*alpha for k = 1..4) and the constant +-90 degree
-x-rotation matrix, composed through a ZYZ Euler decomposition of ``R``.
+Coefficients are linear in the frame's 4th-order moment tensor
+``sum_k a_k (x) a_k (x) a_k (x) a_k`` over its axes ``a_k`` (the tensor
+representation of Chemin, Henrotte, Remacle and Van Schaftingen), so one
+(81, 9) moment map, fitted at import to ``wigner4``, gives the coefficients
+of one frame or a whole stack, with no Euler angles and no gimbal branch.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -69,22 +72,15 @@ class NotARotation(ValueError):
 
 
 def _check_rotation(R, tol=1e-8):
+    """``R`` as a float array when it is a rotation or a stack of them:
+    row Gram entries within ``tol`` of the identity and a positive
+    determinant."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
+    if R.shape[-2:] != (3, 3):
         raise NotARotation("expected a 3x3 rotation matrix")
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = R.tolist()
-    # row Gram matrix against the identity, entrywise
-    if (abs(a0 * a0 + a1 * a1 + a2 * a2 - 1.0) > tol
-            or abs(b0 * b0 + b1 * b1 + b2 * b2 - 1.0) > tol
-            or abs(c0 * c0 + c1 * c1 + c2 * c2 - 1.0) > tol
-            or abs(a0 * b0 + a1 * b1 + a2 * b2) > tol
-            or abs(a0 * c0 + a1 * c1 + a2 * c2) > tol
-            or abs(b0 * c0 + b1 * c1 + b2 * c2) > tol):
-        raise NotARotation("expected a 3x3 rotation matrix")
-    # orthogonal with unit rows: determinant is +-1, sign from the triple
-    # product of the rows
-    if ((a1 * b2 - a2 * b1) * c0 + (a2 * b0 - a0 * b2) * c1
-            + (a0 * b1 - a1 * b0) * c2) < 0:
+    gram = R @ np.swapaxes(R, -1, -2)
+    if not ((np.abs(gram - np.eye(3)) <= tol).all()
+            and (np.linalg.det(R) > 0).all()):
         raise NotARotation("expected a 3x3 rotation matrix")
     return R
 
@@ -109,7 +105,8 @@ def _euler_zyz(R):
     if sb < 1e-12:
         if r22 > 0:
             return math.atan2(r10, r00), 0.0, 0.0
-        return math.atan2(r10, -r00), math.pi, 0.0
+        # R = Rz(a) Ry(pi) = [[-cos a, -sin a, 0], [-sin a, cos a, 0], ...]
+        return math.atan2(-r10, -r00), math.pi, 0.0
     a = math.atan2(r12, r02)
     b = math.atan2(sb, r22)
     g = math.atan2(r21, -r20)
@@ -124,55 +121,69 @@ def wigner4(R):
     return wigner_z(a) @ Dy @ wigner_z(g)
 
 
-def _rotate_z_pairs(v, alpha):
-    """Apply the z-rotation block matrix to a 9-vector in place-free form.
-
-    Scalar double-angle recurrences instead of vector trig: this sits in
-    the projection inner loop where small-array overhead dominates.
-    """
-    c1 = math.cos(alpha)
-    s1 = math.sin(alpha)
-    c2 = c1 * c1 - s1 * s1
-    s2 = 2.0 * s1 * c1
-    c3 = c1 * c2 - s1 * s2
-    s3 = s1 * c2 + c1 * s2
-    c4 = c2 * c2 - s2 * s2
-    s4 = 2.0 * s2 * c2
-    v0, v1, v2, v3, v4, v5, v6, v7, v8 = v.tolist()
-    return np.array([
-        c4 * v0 + s4 * v8,
-        c3 * v1 + s3 * v7,
-        c2 * v2 + s2 * v6,
-        c1 * v3 + s1 * v5,
-        v4,
-        -s1 * v3 + c1 * v5,
-        -s2 * v2 + c2 * v6,
-        -s3 * v1 + c3 * v7,
-        -s4 * v0 + c4 * v8,
+def _build_seed_rotations(count=20):
+    # quasi-uniform cover of the rotation group; with this density the
+    # best-scoring seed reliably sits in the Newton basin of the global
+    # maximum, which makes cold projection idempotent on the manifold
+    w, x, y, z = np.random.default_rng(2471).standard_normal((count - 1, 4)).T
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    w, x, y, z = w / n, x / n, y / n, z / n
+    R = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
+    return np.concatenate([np.eye(3)[None], R.transpose(2, 0, 1)])
 
 
-_X90_048 = np.ascontiguousarray(X90[:, [0, 4, 8]])
-_H0 = float(REFERENCE_COEFFS[4])
-_H8 = float(REFERENCE_COEFFS[8])
+_SEED_ROTATIONS = _build_seed_rotations()
+
+
+def _moments(A):
+    """Flattened 4th-order moment tensor ``sum_k a_k (x) a_k (x) a_k (x) a_k``
+    of the columns ``a_k`` of ``A``: (..., 3, k) to (..., 81)."""
+    B = (A[..., :, None, :] * A[..., None, :, :]).reshape(A.shape[:-2] + (9, -1))
+    return (B @ np.swapaxes(B, -1, -2)).reshape(A.shape[:-2] + (81,))
+
+
+def _fit_moment_map():
+    """The (81, 9) map from moments to coefficients that vanishes off the
+    span of the rotations' moments.
+
+    The coefficient vector is linear in the moment tensor, and the moment
+    tensors of rotations span 10 dimensions.  Gram-Schmidt over the seeds'
+    moments, each step taking the largest residual and carrying the
+    seeds' ``wigner4`` coefficients along, fits the map to 3e-15 with no
+    LAPACK call, whose first use would cost ~1 MB of resident memory.
+    """
+    X = _moments(_SEED_ROTATIONS)
+    C = np.array([wigner4(R) @ REFERENCE_COEFFS for R in _SEED_ROTATIONS])
+    Q, D = [], []
+    for _ in range(10):
+        k = np.argmax((X * X).sum(axis=1))
+        n = math.sqrt(X[k] @ X[k])
+        q, d = X[k] / n, C[k] / n
+        t = X @ q
+        X, C = X - t[:, None] * q, C - t[:, None] * d
+        Q.append(q)
+        D.append(d)
+    return np.transpose(Q) @ np.array(D)
+
+
+_MOMENT_MAP = _fit_moment_map()
 
 
 def frame_coeffs(R):
-    """Coefficient vector ``wigner4(R) @ REFERENCE_COEFFS`` without the
-    full 9x9 product; used in projection inner loops."""
-    a, b, g = _euler_zyz(R)
-    # the reference vector is nonzero at m=0 and m=+4 only, so the first
-    # z-rotation and X90 product reduce to three columns
-    c4 = math.cos(4.0 * g)
-    s4 = math.sin(4.0 * g)
-    v = _X90_048 @ np.array([s4 * _H8, _H0, c4 * _H8])
-    return _rotate_z_pairs(X90T @ _rotate_z_pairs(v, b), a)
+    """Coefficient vector ``wigner4(R) @ REFERENCE_COEFFS`` of a rotation or
+    a stack of rotations (..., 3, 3), unchecked.  A stack of row products
+    rounds each row as the row alone does."""
+    return (_moments(R)[..., None, :] @ _MOMENT_MAP)[..., 0, :]
 
 
 def coeffs_from_rotation(R):
-    """Coefficient vector of the frame represented by rotation ``R``."""
-    R = _check_rotation(R)
-    return frame_coeffs(R)
+    """Coefficient vector of the frame represented by rotation ``R``, or
+    (..., 9) for a stack of rotations."""
+    return frame_coeffs(_check_rotation(R))
 
 
 def axis_angle_rotation(w):
@@ -192,38 +203,31 @@ def axis_angle_rotation(w):
 
 
 def rotation_to_axis(v):
-    """A rotation mapping the z axis onto the unit vector ``v``."""
+    """The rotation about ``z x v`` that maps the z axis onto the direction
+    ``v``; (..., 3) to (..., 3, 3).  The antipode of z gets the half turn
+    about x."""
     v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
-    if v[2] > 1.0 - 1e-12:
-        return np.eye(3)
-    if v[2] < -1.0 + 1e-12:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross([0.0, 0.0, 1.0], v)
-    axis /= np.linalg.norm(axis)
-    return axis_angle_rotation(axis * np.arccos(np.clip(v[2], -1, 1)))
+    x, y, z = np.moveaxis(v / np.linalg.norm(v, axis=-1, keepdims=True), -1, 0)
+    south = z < 0.0
+    # k = 1 / (1 + z), as (1 - z) / (x^2 + y^2) below the equator where
+    # 1 + z cancels
+    den = np.where(south, x * x + y * y, 1.0 + z)
+    pole = den < 1e-200
+    k = np.where(south, 1.0 - z, 1.0) / np.where(pole, 1.0, den)
+    R = np.moveaxis(np.array([[1.0 - k * x * x, -k * x * y, x],
+                              [-k * x * y, 1.0 - k * y * y, y],
+                              [-x, -y, z]]), (0, 1), (-2, -1))
+    return np.where(pole[..., None, None], np.diag([1.0, -1.0, -1.0]), R)
 
 
 # --- octahedral group -------------------------------------------------------
 
 def _build_octa_group():
-    gens = [
-        np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),  # z 90
-        np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]]),  # x 90
-    ]
-    elems = {tuple(np.eye(3, dtype=int).ravel())}
-    frontier = [np.eye(3, dtype=int)]
-    while frontier:
-        nxt = []
-        for E in frontier:
-            for G in gens:
-                P = G @ E
-                key = tuple(P.ravel())
-                if key not in elems:
-                    elems.add(key)
-                    nxt.append(P)
-        frontier = nxt
-    mats = [np.array(k, dtype=float).reshape(3, 3) for k in sorted(elems, reverse=True)]
+    # the signed permutation matrices of determinant +1
+    mats = [np.diag(sign) @ np.array(P)
+            for P in itertools.permutations(np.eye(3))
+            for sign in itertools.product((1.0, -1.0), repeat=3)]
+    mats = [M for M in mats if np.linalg.det(M) > 0]
     # identity first, remaining elements in a fixed lexicographic order
     mats.sort(key=lambda M: (np.trace(M) < 3 - 1e-9, tuple(-M.ravel())))
     return np.array(mats)
@@ -233,37 +237,22 @@ def _build_octa_group():
 #: fixed (identity first, then descending lexicographic on the entries).
 OCTA_GROUP = _build_octa_group()
 
-_OCTA_MUL = None
-_OCTA_INV = None
-
-
-def _octa_tables():
-    global _OCTA_MUL, _OCTA_INV
-    if _OCTA_MUL is None:
-        n = len(OCTA_GROUP)
-        keys = {tuple(np.rint(G).astype(int).ravel()): i for i, G in enumerate(OCTA_GROUP)}
-        mul = np.zeros((n, n), dtype=int)
-        inv = np.zeros(n, dtype=int)
-        for i in range(n):
-            for j in range(n):
-                mul[i, j] = keys[tuple(np.rint(OCTA_GROUP[i] @ OCTA_GROUP[j]).astype(int).ravel())]
-            inv[i] = keys[tuple(np.rint(OCTA_GROUP[i].T).astype(int).ravel())]
-        _OCTA_MUL, _OCTA_INV = mul, inv
-    return _OCTA_MUL, _OCTA_INV
+# Cayley table and inverses; trace(G_k^T P) is 3 only where G_k = P
+_OCTA_MUL = np.argmax(
+    np.einsum("kij,aim,bmj->abk", OCTA_GROUP, OCTA_GROUP, OCTA_GROUP), axis=-1)
+_OCTA_INV = np.argmax(_OCTA_MUL == 0, axis=1)
 
 
 def octa_compose(i, j):
     """Index of the product OCTA_GROUP[i] @ OCTA_GROUP[j]; elementwise on
     index arrays."""
-    mul, _ = _octa_tables()
-    g = mul[i, j]
+    g = _OCTA_MUL[i, j]
     return int(g) if np.ndim(g) == 0 else g
 
 
 def octa_inverse(i):
     """Index of the inverse of OCTA_GROUP[i]."""
-    _, inv = _octa_tables()
-    return int(inv[i])
+    return int(_OCTA_INV[i])
 
 
 # --- infinitesimal generators ----------------------------------------------
@@ -282,26 +271,7 @@ def _build_generators():
 
 _GENERATORS = _build_generators()
 
-def _build_seed_rotations(count=20):
-    # quasi-uniform cover of the rotation group; with this density the
-    # best-scoring seed reliably sits in the Newton basin of the global
-    # maximum, which makes cold projection idempotent on the manifold
-    rng = np.random.default_rng(2471)
-    seeds = [np.eye(3)]
-    while len(seeds) < count:
-        w, x, y, z = rng.standard_normal(4)
-        n = np.sqrt(w * w + x * x + y * y + z * z)
-        w, x, y, z = w / n, x / n, y / n, z / n
-        seeds.append(np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]))
-    return np.array(seeds)
-
-
-_SEED_ROTATIONS = _build_seed_rotations()
-_SEED_COEFFS = np.array([frame_coeffs(R) for R in _SEED_ROTATIONS])
+_SEED_COEFFS = frame_coeffs(_SEED_ROTATIONS)
 
 
 def _solve3(H, b):
@@ -329,21 +299,33 @@ def _solve3(H, b):
 _MAX_STEPS = 200
 
 
+def _is_peak(H, tol):
+    """Whether the symmetric 3x3 Hessian ``H`` has no eigenvalue reaching
+    ``tol``: Sylvester's criterion on ``tol*I - H``."""
+    (a, d, e), (_, b, f), (_, _, c) = (tol * np.eye(3) - H).tolist()
+    return (a > 0 and a * b - d * d > 0
+            and a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e) > 0)
+
+
 def _ascend(q, R, grad_tol=1e-10):
+    """Ascent of ``q @ frame_coeffs(R)`` from ``R``; returns ``(R, c, f,
+    ok)`` where ``ok`` says that it stopped at a maximum."""
     step = 0.1
     c = frame_coeffs(R)
     f = float(q @ c)
     Lq = _GENERATORS @ q
+    tol = 1e-9 * math.sqrt(q @ q)
     for _ in range(_MAX_STEPS):
         Lc = _GENERATORS @ c
         g = Lc @ q
         gn = math.sqrt(g @ g)
-        if gn < grad_tol:
-            return R, c, f, True
-        # Newton step in the 3-parameter Lie algebra; quadratic convergence
-        # near the maximum, where the Hessian is negative definite
+        # Hessian in the 3-parameter Lie algebra
         H = -Lq @ Lc.T
         H = 0.5 * (H + H.T)
+        if gn < grad_tol:
+            return R, c, f, _is_peak(H, tol)
+        # Newton step; quadratic convergence near the maximum, where the
+        # Hessian is negative definite
         w = _solve3(H, -g)
         if w is not None and w @ g > 0 and w @ w < 0.64:
             Rn = axis_angle_rotation(w) @ R
@@ -363,7 +345,7 @@ def _ascend(q, R, grad_tol=1e-10):
                 break
             step *= 0.5
         else:
-            return R, c, f, gn < 1e-7
+            return R, c, f, gn < 1e-7 and _is_peak(H, tol)
     return R, c, f, False
 
 
@@ -372,9 +354,10 @@ def project_to_octahedral(q, warm_start=None):
 
     Maximizes the inner product with exact-frame vectors by Newton-accelerated
     ascent in the Lie algebra, started from the best of a fixed seed cover of
-    the rotation group (or from the rotation ``warm_start`` when it scores at
-    least as well).  Returns ``(R, coeffs)``: the frame's rotation, whose
-    columns are its axes, and its coefficient vector.
+    the rotation group, or from the rotation ``warm_start`` when it scores at
+    least as well; the best seed backs up a warm ascent that does not end at
+    a maximum.  Returns ``(R, coeffs)``: the frame's rotation, whose columns
+    are its axes, and its coefficient vector.
     """
     q = np.asarray(q, dtype=float)
     qn = np.linalg.norm(q)
@@ -383,10 +366,13 @@ def project_to_octahedral(q, warm_start=None):
     scores = _SEED_COEFFS @ q
     order = np.argsort(scores)[::-1]
     starts = [_SEED_ROTATIONS[k] for k in order[:2]]
+    # the inner product is bounded by |q|; a tight ascent cannot be beaten
+    # from another basin, so it skips the remaining starts
+    enough = qn * (1.0 - 1e-9)
     if warm_start is not None:
         Rw = np.asarray(warm_start, dtype=float)
         if float(q @ frame_coeffs(Rw)) >= scores.max():
-            starts = [Rw]
+            starts, enough = [Rw, starts[0]], -np.inf
         else:
             starts = starts[:1]
     best = None
@@ -394,9 +380,7 @@ def project_to_octahedral(q, warm_start=None):
         R, c, f, ok = _ascend(q, R0)
         if best is None or f > best[2]:
             best = (R, c, f)
-        # the inner product is bounded by |q|; a tight first ascent cannot
-        # be beaten from another basin, so skip the remaining starts
-        if ok and best[2] >= qn * (1.0 - 1e-9):
+        if ok and best[2] >= enough:
             break
     return best[:2]
 
@@ -431,24 +415,34 @@ def octa_matching(Ra, Rb):
     return int(g) if g.ndim == 0 else g
 
 
+_EIGHTH_TURN_Z = axis_angle_rotation([0.0, 0.0, np.pi / 8.0])
+
+
 def tangency_basis(n):
     """Affine basis of the frame vectors with one axis along unit normal ``n``.
 
-    Returns ``(h0, h1, h2)``: the constraint set is
-    ``{h0 + c*h1 + s*h2 : c^2 + s^2 = 5/12}``.
+    Returns ``(h0, h1, h2)``, each (..., 9) for normals (..., 3): the
+    constraint set is ``{h0 + c*h1 + s*h2 : c^2 + s^2 = 5/12}``.  ``h1`` and
+    ``h2`` are the unit spin parts (m = +4 and m = -4 about ``n``) of the
+    frame ``rotation_to_axis(n)`` and of that frame turned by an eighth
+    about ``n``.
     """
-    D = wigner4(rotation_to_axis(n))
-    h0 = np.sqrt(7.0 / 12.0) * D[:, 4]
-    h1 = D[:, 8]
-    h2 = D[:, 0]
+    Rn = rotation_to_axis(n)
+    h0 = axisymmetric_coeffs(n)
+    spin = REFERENCE_COEFFS[8]
+    h1 = (frame_coeffs(Rn) - h0) / spin
+    h2 = (frame_coeffs(Rn @ _EIGHTH_TURN_Z) - h0) / spin
     return h0, h1, h2
 
 
 def axisymmetric_coeffs(v):
-    """Spin-invariant singular prototype aligned with unit vector ``v``.
+    """Spin-invariant singular prototype aligned with direction ``v``; (..., 3)
+    to (..., 9).
 
     Equals the average of the frame coefficients over all rotations about
-    ``v``; its norm is sqrt(7/12).
+    ``v``, whose moment tensor is ``7/4 v(x)v(x)v(x)v`` up to terms the
+    moment map drops; its norm is sqrt(7/12).
     """
-    D = wigner4(rotation_to_axis(v))
-    return np.sqrt(7.0 / 12.0) * D[:, 4]
+    v = np.asarray(v, dtype=float)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return 1.75 * frame_coeffs(v[..., None])

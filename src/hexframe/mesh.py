@@ -22,6 +22,8 @@ FEATURE_ANGLE_DEFAULT = 30.0
 
 # local vertices of tet face i, the face opposite vertex i
 FACE_VERTICES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
+# local vertex pairs of the six tet edges
+TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def classify_feature_valence(dihedral_angle):
@@ -82,7 +84,7 @@ class SurfacePatch:
 
 
 def row_dots(a, b):
-    """Row-wise dot products of two (n, 3) arrays.
+    """Row-wise dot products of two (n, k) arrays.
 
     A stacked matmul rounds each row as ``np.dot`` rounds one pair of
     vectors, so lengths and angles match the single-vector forms bit for bit.
@@ -143,6 +145,13 @@ class TetMesh:
             raise IndexOutOfRange("tet vertex index %d outside [0, %d)"
                                   % (self.tets[outside][0], len(self.vertices)))
         self._fix_orientation()
+        # scales of the tracer's default step and length budget; the
+        # vertices do not move after construction
+        v, t = self.vertices, self.tets
+        self._mean_edge_length = sum(
+            np.linalg.norm(v[t[:, a]] - v[t[:, b]], axis=1).sum()
+            for a, b in TET_EDGES) / (6 * len(t))
+        self._bounding_box_diagonal = float(np.linalg.norm(v.max(0) - v.min(0)))
         self.adjacency = AdjacencyTables(self.tets)
         self._extract_boundary()
         # tagged features from the input file; curve ids preserved
@@ -188,25 +197,18 @@ class TetMesh:
         )
 
     def mean_edge_length(self):
-        v = self.vertices
-        t = self.tets
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        total = 0.0
-        for a, b in pairs:
-            total += np.linalg.norm(v[t[:, a]] - v[t[:, b]], axis=1).sum()
-        return total / (6 * len(t))
+        return self._mean_edge_length
 
     def edge_length_ratio(self):
         v = self.vertices
         t = self.tets
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         lens = np.concatenate(
-            [np.linalg.norm(v[t[:, a]] - v[t[:, b]], axis=1) for a, b in pairs]
+            [np.linalg.norm(v[t[:, a]] - v[t[:, b]], axis=1) for a, b in TET_EDGES]
         )
         return lens.max() / lens.min()
 
     def bounding_box_diagonal(self):
-        return float(np.linalg.norm(self.vertices.max(0) - self.vertices.min(0)))
+        return self._bounding_box_diagonal
 
     # -- boundary -----------------------------------------------------------
 

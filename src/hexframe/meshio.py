@@ -6,7 +6,7 @@ import numpy as np
 
 from . import frames as fr
 from .errors import CountMismatch, IndexOutOfRange, IoError, ParseError
-from .mesh import FEATURE_ANGLE_DEFAULT, TetMesh
+from .mesh import FEATURE_ANGLE_DEFAULT, TetMesh, row_dots
 from .solver import FrameField, build_boundary_conditions
 
 
@@ -299,9 +299,7 @@ def read_field(path, mesh):
     frames = values[:, 9:].reshape(n, 3, 3).copy()
     field = FrameField(mesh, coeffs, build_boundary_conditions(mesh))
     norms = np.maximum(np.linalg.norm(coeffs, axis=1), 1e-300)
-    quality = np.array(
-        [c @ fr.frame_coeffs(R) for c, R in zip(coeffs / norms[:, None], frames)]
-    )
+    quality = row_dots(coeffs / norms[:, None], fr.frame_coeffs(frames))
     field._frames = frames
     field._quality = quality
     return field

@@ -378,7 +378,10 @@ def surface_cross_indices(field, mesh=None):
     pos = np.minimum(np.searchsorted(key, vtx * nv + b, sorter=order), len(key) - 1)
     succ = order[pos]
     closed = key[succ] == vtx * nv + b
-    delta = _wrap_quarter(th[succ] - (th - alpha))
+    # wrap each link as seen from its lower-numbered triangle, so that an
+    # exact quarter-turn tie cancels between the two fans an edge links
+    sign = np.where(np.arange(len(vtx)) // 3 < succ // 3, 1.0, -1.0)
+    delta = sign * _wrap_quarter(sign * (th[succ] - (th - alpha)))
     # vertices in order of first appearance, compact ids per incidence
     verts, first, inv = np.unique(vtx, return_index=True, return_inverse=True)
     theta_sum = np.bincount(inv, alpha)

@@ -204,8 +204,7 @@ def _build_reduced_system(bcs):
     offsets = np.cumsum(widths) - widths
     free = np.flatnonzero(bcs.kind == FREE)
     tang = np.flatnonzero(bcs.kind == TANGENCY)
-    H = np.reshape([fr.tangency_basis(nrm) for nrm in bcs.normals[tang]],
-                   (-1, 3, 9))
+    H = np.stack(fr.tangency_basis(bcs.normals[tang]), axis=1)
     b = np.where((bcs.kind == DIRICHLET)[:, None], bcs.coeffs, 0.0)
     b[tang] = H[:, 0]
     k = np.arange(9)
@@ -283,8 +282,9 @@ def smooth_nonlinear(field, config=None, K=None):
     lam = config.projection_relaxation
     bcs = field.bcs
     kinds = bcs.kind
-    tang = {v: fr.tangency_basis(bcs.normals[v])
-            for v in np.flatnonzero(kinds == TANGENCY)}
+    tang = np.flatnonzero(kinds == TANGENCY)
+    bases = np.zeros((n, 3, 9))
+    bases[tang] = np.stack(fr.tangency_basis(bcs.normals[tang]), axis=1)
     warm = [None] * n
     indptr, indices, data = K.indptr, K.indices, K.data
     sweeps_done = 0
@@ -307,7 +307,7 @@ def smooth_nonlinear(field, config=None, K=None):
                 continue
             avg = acc / wsum
             if kinds[v] == TANGENCY:
-                h0, h1, h2 = tang[v]
+                h0, h1, h2 = bases[v]
                 c, s = (avg - h0) @ h1, (avg - h0) @ h2
                 r = np.hypot(c, s)
                 if r > 1e-12:

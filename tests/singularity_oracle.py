@@ -65,6 +65,12 @@ def _wrap_quarter(x):
     return x - np.pi / 2 * np.ceil((x - np.pi / 4) / (np.pi / 2) - 1e-12)
 
 
+def _wrap_link(x, t_from, t_to):
+    """``x`` wrapped as seen from the lower-numbered of the two triangles."""
+    s = 1.0 if t_from < t_to else -1.0
+    return s * _wrap_quarter(s * x)
+
+
 def surface_cross_indices(field):
     """``(per_triangle, per_vertex, total)`` as ``surface_cross_indices``."""
     mesh = field.mesh
@@ -106,7 +112,7 @@ def surface_cross_indices(field):
         if cur != a0:
             continue
         theta_sum = delta_sum = 0.0
-        prev_theta = first_theta = prev_alpha = None
+        prev_theta = first_theta = prev_alpha = prev_ti = None
         for ti, a, b in order:
             e1 = p[a] - p[vtx]
             e2 = p[b] - p[vtx]
@@ -118,11 +124,12 @@ def surface_cross_indices(field):
             th = _cross_angle_in_plane(frames[int(tris[ti][0])], u, w)
             theta_sum += alpha
             if prev_theta is not None:
-                delta_sum += _wrap_quarter(th - (prev_theta - prev_alpha))
+                delta_sum += _wrap_link(th - (prev_theta - prev_alpha), prev_ti, ti)
             else:
                 first_theta = th
-            prev_theta, prev_alpha = th, alpha
-        delta_sum += _wrap_quarter(first_theta - (prev_theta - prev_alpha))
+            prev_theta, prev_alpha, prev_ti = th, alpha, ti
+        delta_sum += _wrap_link(first_theta - (prev_theta - prev_alpha),
+                                prev_ti, order[0][0])
         q = int(round((2 * np.pi - theta_sum + delta_sum) / (np.pi / 2)))
         if q:
             per_vertex[vtx] = q

@@ -51,6 +51,10 @@ class TestSolve:
         )
         assert report["chains"] == "0"
         assert report["chains_35"] == "0"
+        assert report["cg_info"] == "0"
+        assert float(report["smoothing_last_delta"]) > 0.0
+        assert report["smoothing_last_delta"] == "%.6g" % float(
+            report["smoothing_last_delta"])
 
     def test_report_counts_match_graph_vtk(self, cube_path, tmp_path):
         out = str(tmp_path / "run")

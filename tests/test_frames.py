@@ -53,6 +53,84 @@ class TestWigner:
             assert np.allclose(fr.wigner4(R), wigner4_oracle(R), atol=1e-10)
 
 
+class TestMomentMap:
+    """The moment map is the only coefficient map; it agrees with the
+    Wigner form and takes stacks."""
+
+    def test_matches_wigner4_on_many_rotations(self):
+        rng = np.random.default_rng(29)
+        Rs = np.array([random_rotation(rng) for _ in range(10000)])
+        want = np.array([fr.wigner4(R) @ fr.REFERENCE_COEFFS for R in Rs])
+        assert np.abs(fr.coeffs_from_rotation(Rs) - want).max() < 1e-14
+
+    @pytest.mark.parametrize("b", [0.0, np.pi])
+    def test_gimbal_cases(self, b):
+        # R = Rz(a) Ry(b) has no unique ZYZ decomposition at b = 0 and pi
+        flip = np.diag([1.0, 1.0, 1.0] if b == 0.0 else [-1.0, 1.0, -1.0])
+        for a in np.linspace(-np.pi, np.pi, 13):
+            R = rot_z(a) @ flip
+            assert np.allclose(fr.wigner4(R), wigner4_oracle(R), atol=1e-10)
+            want = fr.wigner4(R) @ fr.REFERENCE_COEFFS
+            assert np.abs(fr.coeffs_from_rotation(R) - want).max() < 1e-14
+
+    def test_rotation_stack_matches_rows(self):
+        rng = np.random.default_rng(31)
+        Rs = np.array([random_rotation(rng) for _ in range(30)]).reshape(3, 10, 3, 3)
+        C = fr.coeffs_from_rotation(Rs)
+        assert C.shape == (3, 10, 9)
+        for idx in np.ndindex(3, 10):
+            assert np.array_equal(C[idx], fr.coeffs_from_rotation(Rs[idx]))
+
+    def test_normal_stacks_match_rows(self):
+        rng = np.random.default_rng(37)
+        ns = np.vstack([rng.normal(size=(30, 3)),
+                        [[0, 0, 1], [0, 0, -1], [1, 0, 0], [1e-9, 0, -1]]])
+        H = fr.tangency_basis(ns)
+        A = fr.axisymmetric_coeffs(ns)
+        assert [h.shape for h in H] == [(34, 9)] * 3 and A.shape == (34, 9)
+        for i, n in enumerate(ns):
+            for stacked, row in zip(H, fr.tangency_basis(n)):
+                assert np.array_equal(stacked[i], row)
+            assert np.array_equal(A[i], fr.axisymmetric_coeffs(n))
+
+    def test_tangency_basis_is_wigner_columns(self):
+        # h0, h1, h2 are sqrt(7/12) D[:, 4], D[:, 8] and D[:, 0] of the
+        # rotation taking z onto the normal
+        rng = np.random.default_rng(41)
+        for n in rng.normal(size=(100, 3)):
+            D = fr.wigner4(fr.rotation_to_axis(n))
+            h0, h1, h2 = fr.tangency_basis(n)
+            assert np.abs(h0 - np.sqrt(7.0 / 12.0) * D[:, 4]).max() < 1e-14
+            assert np.abs(h1 - D[:, 8]).max() < 1e-14
+            assert np.abs(h2 - D[:, 0]).max() < 1e-14
+
+    def test_rotation_to_axis_stack(self):
+        rng = np.random.default_rng(43)
+        ns = np.vstack([rng.normal(size=(20, 3)), [[0, 0, 2], [0, 0, -1],
+                                                    [3e-9, -1e-9, -1]]])
+        R = fr.rotation_to_axis(ns)
+        units = ns / np.linalg.norm(ns, axis=1)[:, None]
+        assert np.allclose(R[:, :, 2], units, rtol=0, atol=1e-15)
+        assert np.allclose(R @ np.swapaxes(R, 1, 2), np.eye(3), rtol=0, atol=1e-14)
+        assert np.allclose(np.linalg.det(R), 1.0, rtol=0, atol=1e-14)
+        for i, n in enumerate(ns):
+            assert np.array_equal(R[i], fr.rotation_to_axis(n))
+
+    def test_stack_with_one_bad_row_raises(self):
+        rng = np.random.default_rng(47)
+        Rs = np.array([random_rotation(rng) for _ in range(6)])
+        fr.coeffs_from_rotation(Rs)
+        for bad in (np.diag([1.0, 1.0, 2.0]), np.diag([1.0, 1.0, -1.0]),
+                    np.full((3, 3), np.nan)):
+            Rb = Rs.copy()
+            Rb[3] = bad
+            with pytest.raises(fr.NotARotation):
+                fr.coeffs_from_rotation(Rb)
+        for shape in ((3,), (3, 4), (6, 3, 4)):
+            with pytest.raises(fr.NotARotation):
+                fr.coeffs_from_rotation(np.zeros(shape))
+
+
 class TestFrameAlgebraProperties:
     def test_unit_norm(self):
         rng = np.random.default_rng(1)
@@ -91,6 +169,14 @@ class TestOctaGroup:
         for i in range(24):
             assert fr.octa_compose(i, fr.octa_inverse(i)) == 0
 
+    def test_compose_is_matrix_product(self):
+        G = fr.OCTA_GROUP
+        idx = np.arange(24)
+        table = fr.octa_compose(idx[:, None], idx[None, :])
+        assert np.array_equal(G[table], np.einsum("aij,bjk->abik", G, G))
+        assert np.array_equal(G[[fr.octa_inverse(i) for i in idx]],
+                              np.swapaxes(G, 1, 2))
+
 
 class TestProjection:
     def test_reference_projects_to_identity(self):
@@ -122,6 +208,14 @@ class TestProjection:
             _, c1 = fr.project_to_octahedral(q)
             _, c2 = fr.project_to_octahedral(c1)
             assert np.allclose(c1, c2, atol=1e-6)
+
+    def test_stationary_non_maximum_is_not_ok(self):
+        # the eighth turn about z is stationary for the identity frame and
+        # a minimum along z, so an ascent from it has not found a maximum
+        R, _, f, ok = fr._ascend(fr.REFERENCE_COEFFS, rot_z(np.pi / 4))
+        assert abs(f - 1.0 / 6.0) < 1e-12
+        assert not ok
+        assert fr._ascend(fr.REFERENCE_COEFFS, np.eye(3))[3]
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -170,6 +170,35 @@ class TestSurfaceCrossIndices:
         assert total == Fraction(2)
 
 
+def exact_quarter_field(mesh, sign):
+    """The quarter field with its exact frames in place of projected ones."""
+    field = analytic_quarter_field(mesh, sign)
+    theta = np.arctan2(mesh.vertices[:, 1] - 0.5, mesh.vertices[:, 0] - 0.5)
+    field._frames = np.array([rot_z(sign * t / 4.0) for t in theta])
+    field._quality = np.ones(len(theta))
+    return field
+
+
+class TestQuarterFieldInvariance:
+    """Results on the quarter fields do not depend on projection accidents
+    or on how a quarter-turn tie rounds."""
+
+    @pytest.mark.parametrize("name", ["valence3_field", "valence5_field"])
+    def test_projection_recovers_exact_frames(self, name, request):
+        _, quality = request.getfixturevalue(name).vertex_frames()
+        assert quality.min() >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_total_with_exact_frames(self, box, sign):
+        field = exact_quarter_field(box, sign)
+        per_tri, per_vertex, total = surface_cross_indices(field)
+        assert total == Fraction(2)
+        ref_tri, ref_vertex, ref_total = oracle.surface_cross_indices(field)
+        assert per_tri == ref_tri
+        assert list(per_vertex.items()) == list(ref_vertex.items())
+        assert ref_total == total
+
+
 @pytest.fixture(scope="module")
 def rotated_box_field():
     """Short solve on a bulged box in general position, with 3-5 chains."""

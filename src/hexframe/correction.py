@@ -22,6 +22,7 @@ from .solver import (
     TANGENCY,
     SolverConfig,
     apply_internal_constraints,
+    assemble_stiffness,
     build_boundary_conditions,
     dirichlet_bc_on_curve,
     smooth_nonlinear,
@@ -32,6 +33,7 @@ from .tracing import TracerConfig, trace
 
 WEDGE_MARGIN = np.radians(15.0)
 SHEAR_MERGE_ANGLE = np.radians(10.0)
+MAX_SNAP_ROUNDS = 8
 
 
 class SnapAssignment:
@@ -65,37 +67,30 @@ class CorrectionPlan:
             self.applicable)
 
 
-def _curve_vertex_near(curve, mesh, point):
-    d = np.linalg.norm(mesh.vertices[curve.vertices] - point, axis=1)
-    return int(np.argmin(d))
-
-
 def _patch_side_directions(mesh, v, t):
     """Unit directions into each adjacent surface patch, orthogonal to t."""
     out = []
     p = mesh.vertices[v]
-    tri_patches = {}
-    for ti in np.nonzero((mesh.boundary_tris == v).any(axis=1))[0]:
-        pid = mesh.boundary_patch_ids[ti]
-        tri_patches.setdefault(pid, []).append(ti)
-    for pid in sorted(tri_patches):
-        cent = mesh.vertices[mesh.boundary_tris[tri_patches[pid]]].mean(axis=(0, 1))
+    tris = mesh.vertex_triangles(v)
+    pids = mesh.boundary_patch_ids[tris]
+    for pid in np.unique(pids):
+        cent = mesh.vertices[mesh.boundary_tris[tris[pids == pid]]].mean(axis=(0, 1))
         d = cent - p
         d = d - (d @ t) * t
         n = np.linalg.norm(d)
         if n > 1e-12:
-            out.append((pid, d / n))
+            out.append(d / n)
     return out
 
 
-def extrusion_directions(curve, field, sample):
-    """Frame axes pointing strictly into the material wedge at a curve point.
+def extrusion_directions(curve, field, i):
+    """Frame axes pointing strictly into the material wedge at the curve's
+    ``i``-th vertex.
 
     Returns target_valence - 1 unit vectors; the axes are screened against
     the two adjacent surface tangent rays with a 15 degree angular margin.
     """
     mesh = field.mesh
-    i = _curve_vertex_near(curve, mesh, np.asarray(sample, dtype=float))
     v = curve.vertices[i]
     t = np.asarray(curve.tangents[i], dtype=float)
     t /= np.linalg.norm(t)
@@ -103,16 +98,14 @@ def extrusion_directions(curve, field, sample):
     if len(sides) < 2:
         raise WedgeMismatch("curve %d vertex %d has %d adjacent patches"
                             % (curve.curve_id, v, len(sides)))
-    r1, r2 = sides[0][1], sides[1][1]
-    # angular frame in the plane orthogonal to t
-    e1 = r1
+    # angular frame in the plane orthogonal to t, from the side ray r1
+    e1 = sides[0]
     e2 = np.cross(t, e1)
     theta = np.radians(curve.dihedral_angle)
-    # sweep from r1 through the material onto r2; the material side is the
-    # one facing away from the outward surface normals (robust at 180 deg,
-    # where ending on r2 does not fix the orientation)
-    tri_ids = np.nonzero((mesh.boundary_tris == v).any(axis=1))[0]
-    n_out = mesh.boundary_tri_normals()[tri_ids].mean(axis=0)
+    # sweep from r1 through the material onto the side ray r2; the material
+    # side is the one facing away from the outward surface normals (robust
+    # at 180 deg, where ending on r2 does not fix the orientation)
+    n_out = mesh.boundary_normals[mesh.vertex_triangles(v)].mean(axis=0)
     half = 0.5 * theta
     if (np.cos(half) * e1 + np.sin(half) * e2) @ n_out <= 0:
         sweep = 1.0
@@ -142,8 +135,10 @@ def extrusion_directions(curve, field, sample):
     return [dirs[k] for k in order]
 
 
-def _nearest_vertex(mesh, point):
-    return int(np.argmin(np.linalg.norm(mesh.vertices - point, axis=1)))
+def _nearest_vertices(mesh, points):
+    """Index of the mesh vertex nearest to each of ``points`` (k, 3)."""
+    d = np.linalg.norm(mesh.vertices - np.asarray(points)[:, None, :], axis=2)
+    return d.argmin(axis=1).tolist()
 
 
 def _merge_constraint(plan, table, vertex, kind, payload):
@@ -197,7 +192,7 @@ def extrude_feature_curves(mesh, field, curves=None, tracer_config=None):
             if len(_patch_side_directions(mesh, v, t)) != 2:
                 continue
             try:
-                dirs = extrusion_directions(curve, field, p)
+                dirs = extrusion_directions(curve, field, i)
             except WedgeMismatch as exc:
                 plan.fail("wedge_mismatch", detail=str(exc), vertex=int(v))
                 continue
@@ -216,13 +211,13 @@ def extrude_feature_curves(mesh, field, curves=None, tracer_config=None):
                 if sl.termination == "MaxLength":
                     plan.fail("limit_cycle", seed=tuple(p))
                     continue
-                for pk, vk in zip(sl.points[1:], sl.directions[1:]):
+                for w, vk in zip(_nearest_vertices(mesh, sl.points[1:]),
+                                 sl.directions[1:]):
                     u = np.cross(t, vk)
                     un = np.linalg.norm(u)
                     if un < 1e-9:
                         continue
                     u = u / un
-                    w = _nearest_vertex(mesh, pk)
                     if w in boundary:
                         # pin the sheet where it meets the surface, else the
                         # singular legs reconnect through the last free layer
@@ -267,10 +262,10 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
             else:
                 pts = chain.points
                 tangent = (pts[-1] - pts[-2]) if end == "end" else (pts[0] - pts[1])
+                seed = pts[-1] if end == "end" else pts[0]
                 frames, _ = field.vertex_frames()
-                w = _nearest_vertex(mesh, pts[-1] if end == "end" else pts[0])
+                w = _nearest_vertices(mesh, [seed])[0]
                 v0 = fr.closest_direction(tangent, frames[w])
-                seed = (pts[-1] if end == "end" else pts[0])
             try:
                 sl = trace(field, seed, v0, tracer_config)
             except SeedOutside:
@@ -297,9 +292,9 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
     # singular line crossing tet interiors, where face holonomy sees it
     table = {}
     boundary = set(mesh.boundary_vertices)
-    t, Rt, near = _column_geometry(mesh, columns)
+    t, Rt, near, theta = _column_geometry(mesh, columns)
     r_out = 2.0 * edge
-    offset = _ambient_phase_offset(mesh, field, columns, t, Rt, near, r_out, edge)
+    offset = _ambient_phase_offset(field, t, Rt, near, theta, r_out, edge)
     plan.diagnostics["winding_offset"] = offset
     for v in np.nonzero(near < r_out)[0]:
         v = int(v)
@@ -317,11 +312,11 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
             if abs(float(n @ t)) < 0.7:
                 continue
         _merge_constraint(plan, table, v, "dirichlet_coeffs",
-                          _winding_coeffs(mesh, columns, t, Rt, v, offset))
+                          _winding_coeffs(t, Rt, theta[v], offset))
     return plan
 
 
-def _ambient_phase_offset(mesh, field, columns, t, Rt, near, r_out, edge):
+def _ambient_phase_offset(field, t, Rt, near, theta, r_out, edge):
     """Azimuth offset aligning the imposed winding with the solved field.
 
     Sampled on a one-edge shell just outside the clamped tube; without it
@@ -329,65 +324,56 @@ def _ambient_phase_offset(mesh, field, columns, t, Rt, near, r_out, edge):
     matching budget and shed spurious singular pairs.
     """
     frames_v, _ = field.vertex_frames()
-    shell = np.nonzero((near >= r_out)
-                       & (near < r_out + edge))[0]
+    shell = np.nonzero((near >= r_out) & (near < r_out + edge)
+                       & ~np.isnan(theta))[0]
     acc = 0.0 + 0.0j
     for v in shell:
-        theta = _winding_phase(mesh, columns, t, Rt, int(v))
-        if theta is None:
-            continue
-        R = frames_v[int(v)]
+        R = frames_v[v]
         for k in range(3):
             ap = R[:, k] - (R[:, k] @ t) * t
             if np.linalg.norm(ap) < 0.7:
                 continue
             az = np.arctan2(ap @ Rt[:, 1], ap @ Rt[:, 0])
             # frame azimuths live modulo a quarter turn
-            acc += np.exp(4j * (az - theta))
+            acc += np.exp(4j * (az - theta[v]))
             break
     return float(np.angle(acc) / 4.0) if abs(acc) > 1e-12 else 0.0
 
 
 def _column_geometry(mesh, columns):
-    """Common axis, base frame and per-vertex distance to the column set."""
+    """Common axis, base frame, and per vertex the distance to the column
+    set and the superposed winding phase.
+
+    Nearby columns of opposite index overlap, so each column's azimuthal
+    angle about the common axis, seen from the column's nearest point, is
+    summed; the phase is NaN on an axis, where the azimuth degenerates.
+    """
     t = np.zeros(3)
     for col in columns:
         t += np.asarray(col["axis"], dtype=float)
     t /= max(np.linalg.norm(t), 1e-300)
     Rt = fr.rotation_to_axis(t)
-    near = np.full(len(mesh.vertices), np.inf)
+    p = mesh.vertices
+    tb, e1, e2 = (np.broadcast_to(a, p.shape) for a in (t, Rt[:, 0], Rt[:, 1]))
+    near = np.full(len(p), np.inf)
+    theta = np.zeros(len(p))
+    on_axis = np.zeros(len(p), dtype=bool)
     for col in columns:
         pts = np.asarray(col["points"])
-        d = np.linalg.norm(
-            mesh.vertices[:, None, :] - pts[None, :, :], axis=2).min(axis=1)
-        near = np.minimum(near, d)
-    return t, Rt, near
+        d = np.linalg.norm(p[:, None, :] - pts[None, :, :], axis=2)
+        k = d.argmin(axis=1)
+        near = np.minimum(near, d[np.arange(len(p)), k])
+        rv = p - pts[k]
+        rp = rv - row_dots(rv, tb)[:, None] * t
+        on_axis |= np.sqrt(row_dots(rp, rp)) < 1e-9
+        theta += float(col["index"]) * np.arctan2(row_dots(rp, e2), row_dots(rp, e1))
+    theta[on_axis] = np.nan
+    return t, Rt, near, theta
 
 
-def _winding_phase(mesh, columns, t, Rt, v):
-    """Superposed azimuthal angle of all columns at vertex ``v``.
-
-    Nearby columns of opposite index overlap, so their angles are summed
-    about the common axis; returns None on the axis itself, where the
-    azimuth degenerates.
-    """
-    e1, e2 = Rt[:, 0], Rt[:, 1]
-    theta = 0.0
-    for col in columns:
-        pts = np.asarray(col["points"])
-        rv = mesh.vertices[v] - pts[np.argmin(
-            np.linalg.norm(pts - mesh.vertices[v], axis=1))]
-        rp = rv - (rv @ t) * t
-        if np.linalg.norm(rp) < 1e-9:
-            return None
-        theta += float(col["index"]) * np.arctan2(rp @ e2, rp @ e1)
-    return theta
-
-
-def _winding_coeffs(mesh, columns, t, Rt, v, offset=0.0):
-    """Frame coefficients of the quarter-index winding at vertex ``v``."""
-    theta = _winding_phase(mesh, columns, t, Rt, v)
-    if theta is None:
+def _winding_coeffs(t, Rt, theta, offset):
+    """Frame coefficients of the quarter-index winding of phase ``theta``."""
+    if np.isnan(theta):
         return fr.axisymmetric_coeffs(t)
     return fr.coeffs_from_rotation(
         fr.axis_angle_rotation(t * (theta + offset)) @ Rt)
@@ -497,7 +483,7 @@ def snap_35_curves(mesh, field, graph, exclude=()):
 
 
 def snap_until_clean(mesh, field, graph=None, solver_config=None,
-                     snap_radius=None, max_rounds=8):
+                     snap_radius=None):
     """Iterate boundary snapping until no 3-5 chain remains.
 
     Releasing constraints can spawn fresh 3-5 chains near the snapped
@@ -514,7 +500,7 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None,
     current_field, current_graph = field, graph
     corrected = field
     covered = set()
-    for _ in range(max_rounds):
+    for _ in range(MAX_SNAP_ROUNDS):
         plan = snap_35_curves(mesh, current_field, current_graph)
         new = {v for a in plan.snapped for v in a.path} - covered
         if plan.snapped and not new:
@@ -538,9 +524,7 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None,
 
 
 def _vertex_normal(mesh, v):
-    acc = np.zeros(3)
-    for _, n in mesh.patch_normal(v):
-        acc += n
+    acc = mesh.patch_normals(v).sum(axis=0)
     nn = np.linalg.norm(acc)
     if nn < 1e-12:
         raise ValueError("no surface normal at vertex %d" % v)
@@ -654,6 +638,7 @@ def apply_plan(mesh, field, plan, solver_config=None, snap_radius=None):
     else:
         bcs = field.bcs
     bcs = apply_internal_constraints(bcs, plan.internal_constraints)
-    out = smooth_nonlinear(solve_initial(mesh, bcs, config), config)
+    K = assemble_stiffness(mesh)
+    out = smooth_nonlinear(solve_initial(mesh, bcs, config, K=K), config, K=K)
     plan.diagnostics["graph"] = extract_graph(out)
     return out

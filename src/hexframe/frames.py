@@ -71,16 +71,20 @@ class NotARotation(ValueError):
     """Input matrix is not orthogonal with determinant +1."""
 
 
-def _check_rotation(R, tol=1e-8):
-    """``R`` as a float array when it is a rotation or a stack of them:
-    row Gram entries within ``tol`` of the identity and a positive
-    determinant."""
-    R = np.asarray(R, dtype=float)
-    if R.shape[-2:] != (3, 3):
-        raise NotARotation("expected a 3x3 rotation matrix")
+def rotation_rows(R):
+    """Which matrices of a (..., 3, 3) float stack are rotations: row Gram
+    entries within 1e-8 of the identity and a positive determinant."""
     gram = R @ np.swapaxes(R, -1, -2)
-    if not ((np.abs(gram - np.eye(3)) <= tol).all()
-            and (np.linalg.det(R) > 0).all()):
+    with np.errstate(invalid="ignore"):  # a NaN row fails the Gram test
+        det = np.linalg.det(R)
+    return (np.abs(gram - np.eye(3)) <= 1e-8).all(axis=(-2, -1)) & (det > 0)
+
+
+def _check_rotation(R):
+    """``R`` as a float array when it is a rotation or a stack of them, by
+    the rule of ``rotation_rows``."""
+    R = np.asarray(R, dtype=float)
+    if R.shape[-2:] != (3, 3) or not rotation_rows(R).all():
         raise NotARotation("expected a 3x3 rotation matrix")
     return R
 
@@ -142,7 +146,8 @@ _SEED_ROTATIONS = _build_seed_rotations()
 def _moments(A):
     """Flattened 4th-order moment tensor ``sum_k a_k (x) a_k (x) a_k (x) a_k``
     of the columns ``a_k`` of ``A``: (..., 3, k) to (..., 81)."""
-    B = (A[..., :, None, :] * A[..., None, :, :]).reshape(A.shape[:-2] + (9, -1))
+    B = (A[..., :, None, :] * A[..., None, :, :]).reshape(
+        A.shape[:-2] + (9, A.shape[-1]))
     return (B @ np.swapaxes(B, -1, -2)).reshape(A.shape[:-2] + (81,))
 
 

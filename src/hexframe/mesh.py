@@ -71,18 +71,6 @@ class FeatureCurve:
         )
 
 
-class SurfacePatch:
-    """Edge-connected boundary region not crossing feature edges."""
-
-    def __init__(self, patch_id, tri_indices, vertex_normals):
-        self.patch_id = patch_id
-        self.tri_indices = np.asarray(tri_indices, dtype=int)
-        self.vertex_normals = vertex_normals  # dict vertex -> outward unit normal
-
-    def __repr__(self):
-        return "SurfacePatch(id=%d, tris=%d)" % (self.patch_id, len(self.tri_indices))
-
-
 def row_dots(a, b):
     """Row-wise dot products of two (n, k) arrays.
 
@@ -133,7 +121,8 @@ class AdjacencyTables:
 
 
 class TetMesh:
-    """Tetrahedral mesh with boundary patches, feature curves and corners."""
+    """Tetrahedral mesh with boundary patches (ids in ``boundary_patch_ids``),
+    feature curves and corners."""
 
     def __init__(self, vertices, tets, feature_edges=None, corners=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
@@ -163,8 +152,11 @@ class TetMesh:
         self.tagged_corners = sorted(int(c) for c in corners) if corners else []
         self.feature_edges = []   # list of (u, v, curve_id), filled by detect_features
         self.feature_curves = []
-        self.patches = []
         self.corners = []
+        # the (patch id, unit normal) table of _build_patches, empty until then
+        self.vertex_patch_ptr = np.zeros(len(self.vertices) + 1, dtype=np.int64)
+        self.vertex_patch_ids = np.zeros(0, dtype=np.int64)
+        self.vertex_patch_normals = np.zeros((0, 3))
 
     # -- geometry -----------------------------------------------------------
 
@@ -213,12 +205,14 @@ class TetMesh:
     # -- boundary -----------------------------------------------------------
 
     def _extract_boundary(self):
-        """Outward boundary triangles and their edge table.
+        """Outward boundary triangles, their unit normals and their tables.
 
         ``boundary_edges`` (E, 2) lists each boundary edge once as a sorted
         vertex pair, in lexicographic order; ``boundary_edge_tris`` holds its
         two triangles in triangle order, and ``boundary_half_edges`` the edge
-        as the first of them runs it.
+        as the first of them runs it.  ``vertex_tris`` lists each vertex's
+        triangles in ascending order, vertex ``v``'s from
+        ``vertex_tri_ptr[v]`` to ``vertex_tri_ptr[v + 1]``.
         """
         adj = self.adjacency
         fids = adj.boundary_face_ids
@@ -232,8 +226,15 @@ class TetMesh:
                      p[tet[np.arange(len(tet)), local]] - a)
         tris[d > 0] = tris[d > 0][:, [0, 2, 1]]
         self.boundary_tris = tris
+        n = self._boundary_cross()
+        self.boundary_normals = n / np.linalg.norm(n, axis=1)[:, None]
         self.boundary_patch_ids = np.zeros(len(tris), dtype=np.int64)
         self.boundary_vertices = np.unique(tris)
+        # a triangle holds a vertex once, so a stable sort of the corners
+        # groups them by vertex in ascending triangle order
+        self.vertex_tris = np.argsort(tris.ravel(), kind="stable") // 3
+        self.vertex_tri_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(tris.ravel(), minlength=len(p)))])
         # half-edges (a, b), (b, c), (c, a) of every triangle, in triangle order
         half = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
         edges, inverse, counts = np.unique(
@@ -266,10 +267,6 @@ class TetMesh:
         t = self.boundary_tris
         return np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
 
-    def boundary_tri_normals(self):
-        n = self._boundary_cross()
-        return n / np.linalg.norm(n, axis=1)[:, None]
-
     def boundary_area(self):
         return 0.5 * np.linalg.norm(self._boundary_cross(), axis=1).sum()
 
@@ -279,9 +276,8 @@ class TetMesh:
 
     def boundary_edge_dihedrals(self):
         """Interior dihedral angle (degrees, in (0, 360)) per ``boundary_edges`` row."""
-        normals = self.boundary_tri_normals()
-        n1 = normals[self.boundary_edge_tris[:, 0]]
-        n2 = normals[self.boundary_edge_tris[:, 1]]
+        n1 = self.boundary_normals[self.boundary_edge_tris[:, 0]]
+        n2 = self.boundary_normals[self.boundary_edge_tris[:, 1]]
         p = self.vertices
         e = p[self.boundary_half_edges[:, 1]] - p[self.boundary_half_edges[:, 0]]
         e = e / np.sqrt(row_dots(e, e))[:, None]
@@ -294,8 +290,9 @@ class TetMesh:
         """Detect feature edges, chain curves, group the surface into patches.
 
         Input-file feature tags take precedence over dihedral detection.
-        Populates ``feature_edges``, ``feature_curves``, ``patches`` and
-        ``corners``; idempotent for a fixed threshold.
+        Populates ``feature_edges``, ``feature_curves``, ``corners``,
+        ``boundary_patch_ids`` and the vertex patch-normal table;
+        idempotent for a fixed threshold.
         """
         dihedrals = self.boundary_edge_dihedrals()
         all_edges = {}
@@ -413,9 +410,11 @@ class TetMesh:
     def _build_patches(self, feature_rows):
         """Patches: triangles connected across edges not in ``feature_rows``.
 
-        Patch ids follow each patch's lowest triangle.  A patch's vertex
-        normals are area-weighted sums of its triangle normals, keyed in
-        the order the vertices first appear in its triangles.
+        Patch ids follow each patch's lowest triangle.  A vertex's normal in
+        a patch is the area-weighted sum of the patch's triangle normals at
+        it, summed in triangle order.  The rows of vertex ``v``, in patch-id
+        order, run from ``vertex_patch_ptr[v]`` to ``vertex_patch_ptr[v + 1]``
+        of ``vertex_patch_ids`` and ``vertex_patch_normals``.
         """
         tris = self.boundary_tris
         smooth = np.ones(len(self.boundary_edges), dtype=bool)
@@ -424,37 +423,34 @@ class TetMesh:
         links = coo_matrix((np.ones(len(t1)), (t1, t2)), shape=(len(tris),) * 2)
         n_patches, patch_of = connected_components(links, directed=False)
         self.boundary_patch_ids = patch_of.astype(np.int64)
-        nv = len(self.vertices)
         areas = 0.5 * np.linalg.norm(self._boundary_cross(), axis=1)
-        # one accumulator per (patch, vertex), summed in triangle order
-        slots, first, slot = np.unique(
-            np.repeat(self.boundary_patch_ids, 3) * nv + tris.ravel(),
-            return_index=True, return_inverse=True,
+        # one accumulator per (vertex, patch) row
+        rows, slot = np.unique(
+            tris.ravel() * n_patches + np.repeat(self.boundary_patch_ids, 3),
+            return_inverse=True,
         )
-        acc = np.zeros((len(slots), 3))
+        acc = np.zeros((len(rows), 3))
         np.add.at(acc, slot.reshape(-1),
-                  np.repeat(areas[:, None] * self.boundary_tri_normals(), 3, axis=0))
+                  np.repeat(areas[:, None] * self.boundary_normals, 3, axis=0))
         length = np.sqrt(row_dots(acc, acc))
-        order = np.argsort(first)
-        order = order[length[order] > 0]
-        self.patches = []
-        for pid in range(n_patches):
-            mine = order[slots[order] // nv == pid]
-            normals = acc[mine] / length[mine, None]
-            self.patches.append(SurfacePatch(
-                pid, np.nonzero(patch_of == pid)[0],
-                dict(zip((slots[mine] % nv).tolist(), normals)),
-            ))
+        keep = length > 0
+        vertex, self.vertex_patch_ids = np.divmod(rows[keep], n_patches)
+        self.vertex_patch_normals = acc[keep] / length[keep, None]
+        self.vertex_patch_ptr = np.searchsorted(
+            vertex, np.arange(len(self.vertices) + 1))
 
     # -- lookups used downstream -------------------------------------------
 
-    def patch_normal(self, vertex):
-        """Outward normals of the patches containing a boundary vertex."""
-        out = []
-        for patch in self.patches:
-            if vertex in patch.vertex_normals:
-                out.append((patch.patch_id, patch.vertex_normals[vertex]))
-        return out
+    def patch_normals(self, vertex):
+        """Outward unit normals (k, 3) of the patches containing ``vertex``,
+        in patch-id order."""
+        lo, hi = self.vertex_patch_ptr[vertex:vertex + 2]
+        return self.vertex_patch_normals[lo:hi]
+
+    def vertex_triangles(self, vertex):
+        """Boundary triangles containing ``vertex``, in ascending order."""
+        lo, hi = self.vertex_tri_ptr[vertex:vertex + 2]
+        return self.vertex_tris[lo:hi]
 
     def feature_vertex_set(self):
         return {w for u, v, _ in self.feature_edges for w in (u, v)}

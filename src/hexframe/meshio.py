@@ -297,6 +297,9 @@ def read_field(path, mesh):
         values[i] = vals
     coeffs = values[:, :9].copy()
     frames = values[:, 9:].reshape(n, 3, 3).copy()
+    bad = ~fr.rotation_rows(frames)
+    if bad.any():
+        raise ParseError("line %d: frame is not a rotation" % (np.argmax(bad) + 3))
     field = FrameField(mesh, coeffs, build_boundary_conditions(mesh))
     norms = np.maximum(np.linalg.norm(coeffs, axis=1), 1e-300)
     quality = row_dots(coeffs / norms[:, None], fr.frame_coeffs(frames))

@@ -18,14 +18,15 @@ from .errors import (
     ConflictingConstraint,
     DegenerateTangent,
 )
+from .mesh import row_dots
 
 TANGENCY_RADIUS = np.sqrt(5.0 / 12.0)
+# relative CG residual; CG stops after 10 iterations per unknown
+CG_TOLERANCE = 1e-8
 
 
 @dataclass
 class SolverConfig:
-    cg_tolerance: float = 1e-8
-    max_cg_iters: int = 0          # 0 means 10 * number of unknowns
     smoothing_sweeps: int = 50
     projection_relaxation: float = 0.95
     convergence_delta: float = 1e-6
@@ -82,8 +83,8 @@ def dirichlet_bc_on_curve(curve, mesh):
         if tn < 1e-9:
             raise DegenerateTangent("curve %d vertex %d" % (curve.curve_id, v))
         t = t / tn
-        normals = [n for _, n in mesh.patch_normal(v)]
-        if not normals:
+        normals = mesh.patch_normals(v)
+        if not len(normals):
             continue
         if curve.target_valence == 2:
             n = np.mean(normals, axis=0)
@@ -120,12 +121,13 @@ def build_boundary_conditions(mesh):
     for v, vals in corner_acc.items():
         avg = np.mean(vals, axis=0)
         bcs.set_dirichlet(v, fr.project_to_octahedral(avg)[1])
-    feature_verts = mesh.feature_vertex_set() | set(mesh.corners)
-    for patch in mesh.patches:
-        for v, n in patch.vertex_normals.items():
-            if v in feature_verts or bcs.kind[v] == DIRICHLET:
-                continue
-            bcs.set_tangency(v, n)
+    # the other boundary vertices are tangent to their last patch's normal
+    ptr = mesh.vertex_patch_ptr
+    tang = (ptr[1:] > ptr[:-1]) & (bcs.kind != DIRICHLET)
+    tang[list(mesh.feature_vertex_set() | set(mesh.corners))] = False
+    n = mesh.vertex_patch_normals[ptr[1:][tang] - 1]
+    bcs.kind[tang] = TANGENCY
+    bcs.normals[tang] = n / np.sqrt(row_dots(n, n))[:, None]
     return bcs
 
 
@@ -240,16 +242,16 @@ def solve_initial(mesh, bcs, config=None, K=None, warm_coeffs=None):
     diag = M.diagonal()
     diag[diag <= 0] = 1.0
     precond = spla.LinearOperator(M.shape, matvec=lambda x: x / diag)
-    maxiter = config.max_cg_iters or 10 * nu
+    maxiter = 10 * nu
     x0 = None
     if warm_coeffs is not None:
         # the columns of A are orthonormal, so A^T inverts x = A u + b
         x0 = A.T @ (np.ravel(warm_coeffs) - b)
-    u, info = spla.cg(M, rhs, x0=x0, rtol=config.cg_tolerance, atol=0.0,
+    u, info = spla.cg(M, rhs, x0=x0, rtol=CG_TOLERANCE, atol=0.0,
                       maxiter=maxiter, M=precond)
     if info > 0:
         res = np.linalg.norm(M @ u - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        if res > np.sqrt(config.cg_tolerance):
+        if res > np.sqrt(CG_TOLERANCE):
             raise CGDiverged("CG residual %.3e after %d iterations" % (res, maxiter))
     x = A @ u + b
     coeffs = x.reshape(n, 9)

@@ -14,12 +14,16 @@ from . import frames as fr
 from .errors import OutsideMesh, SeedOutside
 
 
+# a streamline stops at a sample below this projection quality, or where
+# the carried axis turns by more than 60 degrees
+SINGULAR_QUALITY_CUTOFF = 0.5
+DIRECTION_DOT_MIN = 0.5
+
+
 @dataclass
 class TracerConfig:
     step_size: float = 0.0            # 0 -> half the mean edge length
     max_length: float = 0.0           # 0 -> 20 bounding box diagonals
-    singular_quality_cutoff: float = 0.5
-    direction_dot_min: float = 0.5
 
 
 class Streamline:
@@ -117,19 +121,21 @@ class _MeshSampler:
         return None if tet is None else _frame_in_tet(self.field, tet, point)
 
 
-def _clip_to_boundary(sampler, p, d, h):
-    """Last inside point along the segment p -> p + h*d (bisection)."""
+def _clip_to_boundary(sampler, p, d, h, hint):
+    """Last inside point along the segment p -> p + h*d (bisection); each
+    point is located from the last inside tet, starting at ``hint``."""
     lo, hi = 0.0, h
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if sampler.locate(p + mid * d) is None:
+        tet = sampler.locate(p + mid * d, hint)
+        if tet is None:
             hi = mid
         else:
-            lo = mid
+            lo, hint = mid, tet
     return p + lo * d
 
 
-def _axis_at(sampler, point, hint, ref, check, config):
+def _axis_at(sampler, point, hint, ref, check):
     """Frame axis at ``point`` closest to ``ref``, checked against ``check``.
 
     Returns ``(termination, axis, hint)``; ``termination`` is None when the
@@ -143,10 +149,10 @@ def _axis_at(sampler, point, hint, ref, check, config):
     R, q, tet = got
     if tet is not None:
         hint = tet
-    if q < config.singular_quality_cutoff:
+    if q < SINGULAR_QUALITY_CUTOFF:
         return "HitSingularRegion", None, hint
     v = fr.closest_direction(ref, R)
-    if v @ check < config.direction_dot_min:
+    if v @ check < DIRECTION_DOT_MIN:
         return "HitSingularRegion", None, hint
     return None, v, hint
 
@@ -176,7 +182,7 @@ def trace(field, seed, direction, config=None):
     if got is None:
         raise SeedOutside("seed %s is outside the mesh" % p)
     R0, q0, hint = got
-    if q0 < config.singular_quality_cutoff:
+    if q0 < SINGULAR_QUALITY_CUTOFF:
         return Streamline([p], np.zeros((0, 3)), "HitSingularRegion", 0.0)
     d = fr.closest_direction(np.asarray(direction, dtype=float), R0)
 
@@ -192,15 +198,16 @@ def trace(field, seed, direction, config=None):
         for frac in (0.0, 0.5, 0.5, 1.0):
             base = vs[-1] if vs else d
             stop, v, hint = _axis_at(sampler, p + frac * h * base, hint,
-                                     base, base, config)
+                                     base, base)
             if stop:
                 break
             vs.append(v)
         else:
             step = (h / 6.0) * (vs[0] + 2.0 * vs[1] + 2.0 * vs[2] + vs[3])
-            stop, v, hint = _axis_at(sampler, p + step, hint, vs[3], d, config)
+            stop, v, hint = _axis_at(sampler, p + step, hint, vs[3], d)
         if stop == "ExitedBoundary":
-            p_end = _clip_to_boundary(sampler, p, d if step is None else step / h, h)
+            p_end = _clip_to_boundary(sampler, p, d if step is None else step / h,
+                                      h, hint)
             if np.linalg.norm(p_end - p) > 1e-14:
                 length += np.linalg.norm(p_end - p)
                 points.append(p_end)

@@ -1,12 +1,15 @@
 """Loop-based reference for the mesh tables, kept to check the array forms.
 
-Each function is the per-tet, per-face or per-edge loop that ``TetMesh``
-and ``boxgen.generate_box`` once ran.  Only tests import this module.
+Each function is the per-tet, per-face or per-edge loop that ``TetMesh``,
+``boxgen.generate_box`` and ``solver.build_boundary_conditions`` once ran.
+Only tests import this module.
 """
 
 import numpy as np
 
+from hexframe import frames as fr
 from hexframe.mesh import FACE_VERTICES
+from hexframe.solver import DIRICHLET, BoundaryConditionSet
 
 
 def adjacency(tets):
@@ -123,6 +126,48 @@ def patches(vertices, tris, edges, curves):
             {v: w / np.linalg.norm(w) for v, w in acc.items() if np.linalg.norm(w) > 0}
         )
     return patch_of, vertex_normals
+
+
+def boundary_conditions(mesh, vertex_normals):
+    """The standard boundary conditions from per-patch ``{vertex: normal}``
+    dicts: curve frames from the patch normals in patch order, corner and
+    junction frames averaged and projected, then tangency patch by patch."""
+    def curve_frames(curve):
+        out = {}
+        for i, v in enumerate(curve.vertices):
+            t = curve.tangents[i] / np.linalg.norm(curve.tangents[i])
+            normals = [patch[v] for patch in vertex_normals if v in patch]
+            if not normals:
+                continue
+            n = np.mean(normals, axis=0) if curve.target_valence == 2 else normals[0]
+            a2 = n - (n @ t) * t
+            ln = np.linalg.norm(a2)
+            if ln < 1e-9:
+                a2 = np.eye(3)[int(np.argmin(np.abs(t)))]
+                a2 = a2 - (a2 @ t) * t
+                ln = np.linalg.norm(a2)
+            a2 /= ln
+            out[v] = fr.coeffs_from_rotation(np.column_stack([a2, np.cross(t, a2), t]))
+        return out
+
+    bcs = BoundaryConditionSet(len(mesh.vertices))
+    corner_acc = {}
+    for curve in mesh.feature_curves:
+        for v, c in curve_frames(curve).items():
+            if v in mesh.corners:
+                corner_acc.setdefault(v, []).append(c)
+            elif bcs.kind[v] == DIRICHLET:
+                corner_acc.setdefault(v, [bcs.coeffs[v].copy()]).append(c)
+            else:
+                bcs.set_dirichlet(v, c)
+    for v, vals in corner_acc.items():
+        bcs.set_dirichlet(v, fr.project_to_octahedral(np.mean(vals, axis=0))[1])
+    feature_verts = mesh.feature_vertex_set() | set(mesh.corners)
+    for patch in vertex_normals:
+        for v, n in patch.items():
+            if v not in feature_verts and bcs.kind[v] != DIRICHLET:
+                bcs.set_tangency(v, n)
+    return bcs
 
 
 _CUBE_TETS = [(0, 1, 3, 7), (0, 3, 2, 7), (0, 2, 6, 7), (0, 6, 4, 7), (0, 4, 5, 7), (0, 5, 1, 7)]

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hexframe
 from hexframe.boxgen import generate_box
 from hexframe.cli import main
 from hexframe.meshio import read_vtk_polylines, write_medit
@@ -130,3 +133,16 @@ class TestReport:
 
     def test_report_without_run_exits_64(self, tmp_path):
         assert run(["report", "--out", str(tmp_path / "nope")]) == 64
+
+
+def test_cli_does_not_load_scipy_spatial():
+    # scipy.spatial on top of `import hexframe.cli, hexframe.correction`
+    # raised peak RSS from 64.1 to 70.3 MB: +6.2 MB, above the benchmark's
+    # 5% peak_rss_mb bound on every workload
+    src = os.path.dirname(os.path.dirname(hexframe.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, hexframe.cli; "
+            "print([m in sys.modules for m in ('hexframe.correction', 'scipy.spatial')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[True, False]"

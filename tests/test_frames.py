@@ -93,6 +93,14 @@ class TestMomentMap:
                 assert np.array_equal(stacked[i], row)
             assert np.array_equal(A[i], fr.axisymmetric_coeffs(n))
 
+    def test_empty_stacks(self):
+        # a mesh with no tangency vertex builds its reduced system from these
+        rotations, normals = np.zeros((0, 3, 3)), np.zeros((0, 3))
+        assert fr.frame_coeffs(rotations).shape == (0, 9)
+        assert fr.coeffs_from_rotation(rotations).shape == (0, 9)
+        assert fr.axisymmetric_coeffs(normals).shape == (0, 9)
+        assert [h.shape for h in fr.tangency_basis(normals)] == [(0, 9)] * 3
+
     def test_tangency_basis_is_wigner_columns(self):
         # h0, h1, h2 are sqrt(7/12) D[:, 4], D[:, 8] and D[:, 0] of the
         # rotation taking z onto the normal

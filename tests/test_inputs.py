@@ -110,6 +110,12 @@ class TestMeditErrors:
 
 
 class TestMeshErrors:
+    def test_single_tet_solves(self, tmp_path):
+        # every vertex is a corner, so no vertex has a tangency constraint
+        path = _write(tmp_path / "m.mesh", SINGLE_TET)
+        assert main(["solve", "--mesh", path, "--out", str(tmp_path),
+                     "--sweeps", "3"]) == 0
+
     def test_bad_tets(self):
         box = generate_box(2, 2, 2)
         v, t = box.vertices, box.tets
@@ -143,6 +149,17 @@ class TestFieldErrors:
         lines[4] = "abc " + lines[4].split(" ", 1)[1]
         with pytest.raises(ParseError, match="line 5"):
             read_field(_write(tmp_path / "f.txt", "".join(lines)), mesh)
+
+    def test_frame_not_a_rotation(self, box_files, tmp_path):
+        mesh_path, field_path, mesh = box_files
+        lines = Path(field_path).read_text().splitlines(True)
+        two = ["2", "0", "0", "0", "2", "0", "0", "0", "2"]
+        lines[2] = " ".join(lines[2].split()[:9] + two) + "\n"
+        path = _write(tmp_path / "f.txt", "".join(lines))
+        with pytest.raises(ParseError, match="line 3"):
+            read_field(path, mesh)
+        assert main(["graph", "--mesh", mesh_path, "--field", path,
+                     "--out", str(tmp_path)]) == 3
 
     def test_round_trip_carries_boundary_conditions(self, box_files):
         _, field_path, mesh = box_files

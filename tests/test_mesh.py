@@ -10,6 +10,7 @@ from hexframe.boxgen import generate_box
 from hexframe.errors import DegenerateDihedral, NonManifold
 from hexframe.mesh import TetMesh, classify_feature_valence
 from hexframe.meshio import read_medit, write_medit
+from hexframe.solver import build_boundary_conditions
 
 
 SINGLE_TET = TetMesh(
@@ -65,7 +66,7 @@ class TestBoxFeatures:
         mesh.detect_features(30.0)
         assert len(mesh.feature_curves) == 12
         assert len(mesh.corners) == 8
-        assert len(mesh.patches) == 6
+        assert len(np.unique(mesh.boundary_patch_ids)) == 6
         for c in mesh.feature_curves:
             assert c.target_valence == 1
             assert 85.0 < c.dihedral_angle < 95.0
@@ -152,15 +153,18 @@ def _rotated_box():
     return mesh
 
 
+def _parity_mesh(name):
+    if name == "rotated_box":
+        return _rotated_box()
+    return read_medit(os.path.join(FIXTURES, name + ".mesh"))
+
+
 class TestOracleParity:
     """The array tables equal the loop-based reference in tests/mesh_oracle.py."""
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES + ["rotated_box"])
     def test_tables_match_loops(self, name):
-        if name == "rotated_box":
-            mesh = _rotated_box()
-        else:
-            mesh = read_medit(os.path.join(FIXTURES, name + ".mesh"))
+        mesh = _parity_mesh(name)
         p, adj = mesh.vertices, mesh.adjacency
         faces, tet_faces, face_tets, face_local = oracle.adjacency(mesh.tets)
         for got, want in ((adj.faces, faces), (adj.tet_faces, tet_faces),
@@ -185,12 +189,27 @@ class TestOracleParity:
             assert got.target_valence == ref.target_valence
         patch_of, vertex_normals = oracle.patches(p, tris, edges, curves)
         assert np.array_equal(mesh.boundary_patch_ids, patch_of)
-        assert len(mesh.patches) == len(vertex_normals)
-        for patch, ref in zip(mesh.patches, vertex_normals):
-            assert np.array_equal(patch.tri_indices, np.nonzero(patch_of == patch.patch_id)[0])
-            assert list(patch.vertex_normals) == list(ref)
-            for v, n in ref.items():
-                assert np.array_equal(patch.vertex_normals[v], n)
+        # the patch-normal table holds the same rows, by vertex then patch
+        rows = sorted((v, pid) for pid, ref in enumerate(vertex_normals) for v in ref)
+        count = np.bincount([v for v, _ in rows], minlength=len(p))
+        assert np.array_equal(np.diff(mesh.vertex_patch_ptr), count)
+        assert mesh.vertex_patch_ids.tolist() == [pid for _, pid in rows]
+        want = np.array([vertex_normals[pid][v] for v, pid in rows])
+        assert np.array_equal(mesh.vertex_patch_normals, want)
+        for v in range(len(p)):
+            assert np.array_equal(mesh.vertex_triangles(v),
+                                  np.nonzero((tris == v).any(axis=1))[0])
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["rotated_box"])
+    def test_boundary_conditions_match_loops(self, name):
+        mesh = _parity_mesh(name)
+        tris = mesh.boundary_tris
+        _, vertex_normals = oracle.patches(mesh.vertices, tris, oracle.edge_dict(tris),
+                                           mesh.feature_curves)
+        got = build_boundary_conditions(mesh)
+        want = oracle.boundary_conditions(mesh, vertex_normals)
+        for field in ("kind", "coeffs", "normals"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
     @pytest.mark.parametrize("dims,size,bulge", [
         ((12, 12, 12), (1.0, 1.0, 1.0), 0.3),

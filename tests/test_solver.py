@@ -66,8 +66,7 @@ class TestCurveBCs:
             if v not in vals:
                 continue
             t = curve.tangents[i]
-            normals = [n for _, n in cube.patch_normal(v)]
-            n = normals[0]
+            n = cube.patch_normals(v)[0]
             a2 = n - (n @ t) * t
             a2 /= np.linalg.norm(a2)
             R = np.column_stack([a2, np.cross(t, a2), t])

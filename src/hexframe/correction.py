@@ -583,6 +583,7 @@ def build_snapped_bcs(mesh, plan, radius=None):
         path_coeffs.update(_path_frames(mesh, assign.path))
 
     # split feature curves at snapped endpoints; interpolate the sub-curves
+    split = {}
     for curve in mesh.feature_curves:
         splits = split_points.get(curve.curve_id)
         if not splits:
@@ -605,11 +606,10 @@ def build_snapped_bcs(mesh, plan, radius=None):
                 [[0.0], np.cumsum(np.linalg.norm(np.diff(p[seg], axis=0), axis=1))])
             arc /= max(arc[-1], 1e-300)
             for s, v in zip(arc, seg):
-                if v in path_set:
-                    continue
-                c = (1.0 - s) * ca + s * cb
-                bcs.set_dirichlet(v, fr.project_to_octahedral(c)[1])
-
+                if v not in path_set:
+                    split[v] = (1.0 - s) * ca + s * cb
+    values = np.reshape(list(split.values()), (-1, 9))
+    path_coeffs.update(zip(split, fr.project_to_octahedral(values)[1]))
     for v, c in path_coeffs.items():
         bcs.set_dirichlet(v, c)
 

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .mesh import row_dots
+
 __all__ = [
     "REFERENCE_COEFFS",
     "NotARotation",
@@ -148,7 +150,7 @@ def _moments(A):
     of the columns ``a_k`` of ``A``: (..., 3, k) to (..., 81)."""
     B = (A[..., :, None, :] * A[..., None, :, :]).reshape(
         A.shape[:-2] + (9, A.shape[-1]))
-    return (B @ np.swapaxes(B, -1, -2)).reshape(A.shape[:-2] + (81,))
+    return (B @ B.swapaxes(-1, -2)).reshape(A.shape[:-2] + (81,))
 
 
 def _fit_moment_map():
@@ -191,20 +193,19 @@ def coeffs_from_rotation(R):
     return frame_coeffs(_check_rotation(R))
 
 
+_EYE3 = np.eye(3)
+# maps an axis k to its flattened cross-product matrix [k]x
+_CROSS = np.cross(_EYE3[:, None], _EYE3).swapaxes(1, 2).reshape(3, 9)
+
+
 def axis_angle_rotation(w):
-    """Rotation matrix of the axis-angle vector ``w`` (Rodrigues)."""
-    w0, w1, w2 = float(w[0]), float(w[1]), float(w[2])
-    theta = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    if theta < 1e-300:
-        return np.eye(3)
-    k0, k1, k2 = w0 / theta, w1 / theta, w2 / theta
-    s = math.sin(theta)
-    v = 1.0 - math.cos(theta)
-    return np.array([
-        [1.0 - v * (k1 * k1 + k2 * k2), k0 * k1 * v - k2 * s, k0 * k2 * v + k1 * s],
-        [k0 * k1 * v + k2 * s, 1.0 - v * (k0 * k0 + k2 * k2), k1 * k2 * v - k0 * s],
-        [k0 * k2 * v - k1 * s, k1 * k2 * v + k0 * s, 1.0 - v * (k0 * k0 + k1 * k1)],
-    ])
+    """Rotation matrix of the axis-angle vector ``w`` (Rodrigues); (..., 3)
+    to (..., 3, 3)."""
+    w = np.asarray(w, dtype=float)
+    theta = np.sqrt(w[..., None, :] @ w[..., :, None])
+    K = (w[..., None, :] / np.maximum(theta, 1e-300) @ _CROSS).reshape(
+        w.shape[:-1] + (3, 3))
+    return _EYE3 + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
 
 
 def rotation_to_axis(v):
@@ -279,115 +280,191 @@ _GENERATORS = _build_generators()
 _SEED_COEFFS = frame_coeffs(_SEED_ROTATIONS)
 
 
-def _solve3(H, b):
-    """Cramer solve of a symmetric 3x3 system; None when singular."""
-    (a, d, e), (_, bb, ff), (_, _, cc) = H
-    det = (a * (bb * cc - ff * ff) - d * (d * cc - ff * e)
-           + e * (d * ff - bb * e))
-    if abs(det) < 1e-300:
-        return None
-    x0, x1, x2 = b
-    i00 = bb * cc - ff * ff
-    i01 = e * ff - d * cc
-    i02 = d * ff - e * bb
-    i11 = a * cc - e * e
-    i12 = e * d - a * ff
-    i22 = a * bb - d * d
-    return np.array([
-        (i00 * x0 + i01 * x1 + i02 * x2) / det,
-        (i01 * x0 + i11 * x1 + i12 * x2) / det,
-        (i02 * x0 + i12 * x1 + i22 * x2) / det,
-    ])
+def _gradient_map():
+    """(9, 108) map X such that ``(q @ X).reshape(12, 9) @ c`` is the gradient
+    ``q . L_a c`` and the symmetrized Hessian ``-(L_a q . L_b c + L_b q .
+    L_a c) / 2`` of ``q . c`` in the Lie algebra, at the frame vector c."""
+    L = _GENERATORS
+    H = [-0.5 * (L[a].T @ L[b] + L[b].T @ L[a]) for a in range(3) for b in range(3)]
+    return np.hstack([*L, *H])
 
 
+_GRADIENT_MAP = _gradient_map()
+
+
+def _cofactor_map():
+    """(81, 9) map from the products of the entries of a 3x3 matrix M to its
+    cofactors M[i+1, j+1] M[i+2, j+2] - M[i+1, j+2] M[i+2, j+1]."""
+    P = np.zeros((3, 3, 3, 3, 3, 3))
+    for i, j in itertools.product(range(3), repeat=2):
+        a, b, c, d = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        P[a, c, b, d, i, j], P[a, d, b, c, i, j] = 1.0, -1.0
+    return P.reshape(81, 9)
+
+
+_COFACTOR_MAP = _cofactor_map()
 # Newton/line-search step budget of one ascent
 _MAX_STEPS = 200
+# rows projected together, which bounds the line search's transient arrays
+_CHUNK = 256
+# a line search's step factors: halvings 0-3, then every further halving
+# that can stay above 1e-14 from the largest step, 0.5
+_HALVINGS = (0.5 ** np.arange(4), 0.5 ** np.arange(4, 46))
 
 
-def _is_peak(H, tol):
-    """Whether the symmetric 3x3 Hessian ``H`` has no eigenvalue reaching
+def _cofactors(M):
+    """Cofactor matrices, the transposed adjugates, and determinants of 3x3
+    matrices (n, 3, 3)."""
+    m = M.reshape(-1, 1, 9)
+    cof = (m.swapaxes(1, 2) * m).reshape(-1, 1, 81) @ _COFACTOR_MAP
+    cof = cof.reshape(-1, 3, 3)
+    return cof, row_dots(M[:, 0], cof[:, 0])
+
+
+def _peaks(H, tol):
+    """Where the symmetric 3x3 Hessians ``H`` have no eigenvalue reaching
     ``tol``: Sylvester's criterion on ``tol*I - H``."""
-    (a, d, e), (_, b, f), (_, _, c) = (tol * np.eye(3) - H).tolist()
-    return (a > 0 and a * b - d * d > 0
-            and a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e) > 0)
+    M = tol[:, None, None] * _EYE3 - H
+    cof, det = _cofactors(M)
+    return (M[:, 0, 0] > 0) & (cof[:, 2, 2] > 0) & (det > 0)
 
 
-def _ascend(q, R, grad_tol=1e-10):
-    """Ascent of ``q @ frame_coeffs(R)`` from ``R``; returns ``(R, c, f,
-    ok)`` where ``ok`` says that it stopped at a maximum."""
-    step = 0.1
-    c = frame_coeffs(R)
-    f = float(q @ c)
-    Lq = _GENERATORS @ q
-    tol = 1e-9 * math.sqrt(q @ q)
+def _step(Q, R, C, F, step, g, gn, H, flat):
+    """One ascent step of the rows that are not ``flat``, in place: a Newton
+    step where it does not fall, else a line-searched gradient step.
+    Returns the rows where no step rose."""
+    # Newton; quadratic convergence near the maximum, where the Hessian is
+    # negative definite
+    cof, det = _cofactors(H)
+    solvable = np.abs(det) >= 1e-300
+    w = (-g[:, None] @ cof)[:, 0] / np.where(solvable, det, 1.0)[:, None]
+    newton = ~flat & solvable & (row_dots(w, g) > 0) & (row_dots(w, w) < 0.64)
+    count = np.count_nonzero(newton)
+    if count:
+        # whole arrays where every row steps, which keeps one row cheap
+        r = slice(None) if count == len(F) else newton
+        Rn = axis_angle_rotation(w[r]) @ R[r]
+        Cn = frame_coeffs(Rn)
+        Fn = row_dots(Q[r], Cn)
+        up = Fn >= F[r]
+        if np.count_nonzero(up) == len(F):
+            R[:], C[:], F[:] = Rn, Cn, Fn
+            return np.arange(0)
+        newton[r] = up
+        R[newton], C[newton], F[newton] = Rn[up], Cn[up], Fn[up]
+    # the line search: the step size halved 0-3 times, then, where none
+    # rose, every further halving above 1e-14; the first rise wins
+    left = np.flatnonzero(~(flat | newton))
+    for factors in _HALVINGS:
+        if not len(left):
+            break
+        s = step[left, None] * factors
+        W = g[left, None] * (s / np.maximum(gn[left], 1.0)[:, None])[..., None]
+        Rn = axis_angle_rotation(W) @ R[left, None]
+        Cn = frame_coeffs(Rn)
+        Fn = (Cn[..., None, :] @ Q[left, None, :, None])[..., 0, 0]
+        rise = (s > 1e-14) & (Fn > F[left, None])
+        rose = rise.any(axis=1)
+        k = rise[rose].argmax(axis=1)
+        r = left[rose]
+        R[r], C[r], F[r] = Rn[rose, k], Cn[rose, k], Fn[rose, k]
+        step[r] = np.minimum(s[rose, k] * 1.5, 0.5)
+        left = left[~rose]
+    return left
+
+
+def _ascent(Q, R):
+    """Ascent of each row's ``q @ frame_coeffs(R)`` from its rotation ``R``
+    (n, 3, 3); returns ``(R, c, f, ok)`` where ``ok`` says that a row stopped
+    at a maximum.  A row leaves the working set, whose arrays are kept
+    compact, once its gradient vanishes or no step rises."""
+    n = len(Q)
+    out = np.empty((n, 3, 3)), np.empty((n, 9)), np.empty(n), np.zeros(n, dtype=bool)
+    R = np.array(R, dtype=float)
+    C = frame_coeffs(R)
+    F = row_dots(Q, C)
+    QB = (Q[:, None] @ _GRADIENT_MAP).reshape(-1, 12, 9)
+    tol = 1e-9 * np.sqrt(row_dots(Q, Q))
+    step = np.full(n, 0.1)
+    idx = np.arange(n)
     for _ in range(_MAX_STEPS):
-        Lc = _GENERATORS @ c
-        g = Lc @ q
-        gn = math.sqrt(g @ g)
-        # Hessian in the 3-parameter Lie algebra
-        H = -Lq @ Lc.T
-        H = 0.5 * (H + H.T)
-        if gn < grad_tol:
-            return R, c, f, _is_peak(H, tol)
-        # Newton step; quadratic convergence near the maximum, where the
-        # Hessian is negative definite
-        w = _solve3(H, -g)
-        if w is not None and w @ g > 0 and w @ w < 0.64:
-            Rn = axis_angle_rotation(w) @ R
-            cn = frame_coeffs(Rn)
-            fn = float(q @ cn)
-            if fn >= f:
-                R, c, f = Rn, cn, fn
-                continue
-        # fall back to a line-searched gradient step
-        while step > 1e-14:
-            Rn = axis_angle_rotation(g * (step / max(gn, 1.0))) @ R
-            cn = frame_coeffs(Rn)
-            fn = float(q @ cn)
-            if fn > f:
-                R, c, f = Rn, cn, fn
-                step = min(step * 1.5, 0.5)
-                break
-            step *= 0.5
-        else:
-            return R, c, f, gn < 1e-7 and _is_peak(H, tol)
-    return R, c, f, False
+        # gradient and Hessian in the 3-parameter Lie algebra
+        gH = (QB @ C[:, :, None])[..., 0]
+        g, H = gH[:, :3], gH[:, 3:].reshape(-1, 3, 3)
+        gn = np.sqrt(row_dots(g, g))
+        stop = gn < 1e-10
+        if np.count_nonzero(stop) < len(idx):
+            stop[_step(Q, R, C, F, step, g, gn, H, stop)] = True
+        if np.count_nonzero(stop):
+            ok = (gn[stop] < 1e-7) & _peaks(H[stop], tol[stop])
+            if len(ok) == n:
+                return R, C, F, ok
+            i = idx[stop]
+            out[0][i], out[1][i], out[2][i], out[3][i] = R[stop], C[stop], F[stop], ok
+            keep = ~stop
+            if not np.count_nonzero(keep):
+                return out
+            Q, QB, tol, step, idx, R, C, F = (
+                a[keep] for a in (Q, QB, tol, step, idx, R, C, F))
+    out[0][idx], out[1][idx], out[2][idx] = R, C, F
+    return out
 
 
-def project_to_octahedral(q, warm_start=None):
-    """Closest frame to the 9-vector ``q``.
+def _project(Q, warm):
+    """``project_to_octahedral`` of the rows ``Q`` (n, 9), with warm starts
+    ``warm`` (n, 3, 3) or None."""
+    n = len(Q)
+    scores = (_SEED_COEFFS @ Q[:, :, None])[..., 0]
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :3]
+    starts = _SEED_ROTATIONS[order]
+    # the inner product is bounded by |q|; a tight ascent cannot be beaten
+    # from another basin, so it skips the remaining starts
+    enough = np.sqrt(row_dots(Q, Q)) * (1.0 - 1e-9)
+    tries = np.full(n, 3)
+    if warm is not None:
+        used = row_dots(Q, frame_coeffs(warm)) >= scores[np.arange(n), order[:, 0]]
+        starts[used, 1:] = starts[used, :2]
+        starts[used, 0] = warm[used]
+        enough[used] = -np.inf
+        tries = np.where(used, 2, 1)
+    R, C, F, ok = _ascent(Q, starts[:, 0])
+    todo = np.arange(n)
+    for j in (1, 2):
+        todo = todo[~(ok & (F[todo] >= enough[todo])) & (tries[todo] > j)]
+        if not len(todo):
+            break
+        Rj, Cj, Fj, ok = _ascent(Q[todo], starts[todo, j])
+        up = Fj > F[todo]
+        R[todo[up]], C[todo[up]], F[todo[up]] = Rj[up], Cj[up], Fj[up]
+    return R, C
+
+
+def project_to_octahedral(Q, warm_start=None):
+    """Closest frame to the 9-vector ``Q``, or to each row of a stack (n, 9).
 
     Maximizes the inner product with exact-frame vectors by Newton-accelerated
     ascent in the Lie algebra, started from the best of a fixed seed cover of
-    the rotation group, or from the rotation ``warm_start`` when it scores at
-    least as well; the best seed backs up a warm ascent that does not end at
-    a maximum.  Returns ``(R, coeffs)``: the frame's rotation, whose columns
-    are its axes, and its coefficient vector.
+    the rotation group.  A row whose ascent is not tight also ascends from the
+    2nd and 3rd best seeds.  A warm start (a rotation, or one per row) is used
+    where it scores at least as well as the best seed, which then backs up a
+    warm ascent that does not end at a maximum; where it scores worse, the
+    best seed alone is ascended.  Returns ``(R, coeffs)``: the frame's
+    rotation, whose columns are its axes, and its coefficient vector, (n, 3,
+    3) and (n, 9) for a stack.  A stack gives the same bits as its rows.
     """
-    q = np.asarray(q, dtype=float)
-    qn = np.linalg.norm(q)
-    if qn <= 1e-12:
+    Q = np.ascontiguousarray(Q, dtype=float)
+    rows = Q.reshape(-1, 9)
+    if (np.sqrt(row_dots(rows, rows)) <= 1e-12).any():
         raise ValueError("cannot project a (near-)zero vector")
-    scores = _SEED_COEFFS @ q
-    order = np.argsort(scores)[::-1]
-    starts = [_SEED_ROTATIONS[k] for k in order[:2]]
-    # the inner product is bounded by |q|; a tight ascent cannot be beaten
-    # from another basin, so it skips the remaining starts
-    enough = qn * (1.0 - 1e-9)
+    warm = None
     if warm_start is not None:
-        Rw = np.asarray(warm_start, dtype=float)
-        if float(q @ frame_coeffs(Rw)) >= scores.max():
-            starts, enough = [Rw, starts[0]], -np.inf
-        else:
-            starts = starts[:1]
-    best = None
-    for R0 in starts:
-        R, c, f, ok = _ascend(q, R0)
-        if best is None or f > best[2]:
-            best = (R, c, f)
-        if ok and best[2] >= enough:
-            break
-    return best[:2]
+        warm = np.ascontiguousarray(warm_start, dtype=float).reshape(-1, 3, 3)
+    R = np.empty((len(rows), 3, 3))
+    C = np.empty((len(rows), 9))
+    for s in range(0, len(rows), _CHUNK):
+        part = slice(s, s + _CHUNK)
+        R[part], C[part] = _project(rows[part], None if warm is None else warm[part])
+    return R.reshape(Q.shape[:-1] + (3, 3)), C.reshape(Q.shape)
 
 
 def closest_direction(v, R):

@@ -118,9 +118,10 @@ def build_boundary_conditions(mesh):
                 corner_acc.setdefault(v, [bcs.coeffs[v].copy()]).append(c)
             else:
                 bcs.set_dirichlet(v, c)
-    for v, vals in corner_acc.items():
-        avg = np.mean(vals, axis=0)
-        bcs.set_dirichlet(v, fr.project_to_octahedral(avg)[1])
+    corners = list(corner_acc)
+    avgs = np.reshape([np.mean(v, axis=0) for v in corner_acc.values()], (-1, 9))
+    bcs.kind[corners] = DIRICHLET
+    bcs.coeffs[corners] = fr.project_to_octahedral(avgs)[1]
     # the other boundary vertices are tangent to their last patch's normal
     ptr = mesh.vertex_patch_ptr
     tang = (ptr[1:] > ptr[:-1]) & (bcs.kind != DIRICHLET)
@@ -168,30 +169,23 @@ class FrameField:
         self.report = {}
 
     def vertex_frames(self):
-        """Projected frame and alignment quality at every vertex."""
+        """Projected frame and alignment quality at every vertex; a vertex
+        whose coefficients have norm at most 1e-9 keeps the identity frame
+        and quality 0."""
         if self._frames is None:
-            n = len(self.coeffs)
-            R = np.empty((n, 3, 3))
-            q = np.empty(n)
-            warm = None
-            for i in range(n):
-                c = self.coeffs[i]
-                nc = np.linalg.norm(c)
-                if nc < 1e-9:
-                    R[i] = np.eye(3)
-                    q[i] = 0.0
-                    continue
-                warm, pc = fr.project_to_octahedral(c, warm_start=warm)
-                R[i] = warm
-                q[i] = float((c / nc) @ pc)
-            self._frames = R
-            self._quality = q
+            c = self.coeffs
+            nc = np.sqrt(row_dots(c, c))
+            live = nc > 1e-9
+            self._frames = np.tile(np.eye(3), (len(c), 1, 1))
+            self._quality = np.zeros(len(c))
+            self._frames[live], pc = fr.project_to_octahedral(c[live])
+            self._quality[live] = row_dots(c[live] / nc[live, None], pc)
         return self._frames, self._quality
 
     def energy(self, K=None):
         if K is None:
             K = assemble_stiffness(self.mesh)
-        return float(sum(self.coeffs[:, k] @ (K @ self.coeffs[:, k]) for k in range(9)))
+        return float((self.coeffs * (K @ self.coeffs)).sum())
 
 
 def _build_reduced_system(bcs):
@@ -256,75 +250,90 @@ def solve_initial(mesh, bcs, config=None, K=None, warm_coeffs=None):
     x = A @ u + b
     coeffs = x.reshape(n, 9)
     # restore the circle radius at tangency vertices
-    cs = u[offsets[:, None] + [0, 1]]
-    r = np.hypot(cs[:, :1], cs[:, 1:])
-    ok = r > 1e-12
-    cs = np.where(ok, TANGENCY_RADIUS * cs / np.where(ok, r, 1.0),
-                  [TANGENCY_RADIUS, 0.0])
-    coeffs[tang] = H[:, 0] + cs[:, :1] * H[:, 1] + cs[:, 1:] * H[:, 2]
+    coeffs[tang] = _on_circle(H, u[offsets[:, None] + [0, 1]])
     field = FrameField(mesh, coeffs, bcs, config)
     field.report["cg_info"] = int(info)
     return field
 
 
+def _on_circle(H, cs):
+    """The point of each tangency circle ``h0 + c h1 + s h2`` (c^2 + s^2 =
+    5/12), for bases ``H`` (t, 3, 9), in the direction of the rows (c, s) of
+    ``cs``; (1, 0) where that direction is undefined."""
+    r = np.hypot(cs[:, :1], cs[:, 1:])
+    ok = r > 1e-12
+    cs = np.where(ok, TANGENCY_RADIUS * cs / np.where(ok, r, 1.0),
+                  [TANGENCY_RADIUS, 0.0])
+    return H[:, 0] + cs[:, :1] * H[:, 1] + cs[:, 1:] * H[:, 2]
+
+
+def _sweep_levels(K, bcs):
+    """The moving vertices of a Gauss-Seidel sweep, grouped by level.
+
+    A vertex moves when it is not Dirichlet and its neighbour weights ``-K``
+    have a positive sum.  Its level is one more than the highest level among
+    its lower-numbered moving neighbours, so no two vertices of a level are
+    neighbours, and updating a level at once reads what a vertex-order sweep
+    reads.  Returns, per level, the vertices, their rows of the normalised
+    weights (CSR), which of them are tangency vertices, and those vertices'
+    (h0, h1, h2) bases.
+    """
+    W = (sp.diags(K.diagonal()) - K).tocsr()
+    wsum = np.asarray(W.sum(axis=1)).ravel()
+    move = np.flatnonzero((bcs.kind != DIRICHLET) & (wsum > 0))
+    W = (sp.diags(1.0 / wsum[move]) @ W[move]).tocsr()
+    lower = sp.tril(W[:, move], k=-1, format="csr")
+    rows = np.flatnonzero(np.diff(lower.indptr))
+    level = np.zeros(len(move), dtype=np.int64)
+    while True:
+        new = np.zeros_like(level)
+        new[rows] = np.maximum.reduceat(level[lower.indices],
+                                        lower.indptr[rows]) + 1
+        if np.array_equal(new, level):
+            break
+        level = new
+    order = np.argsort(level, kind="stable")
+    out = []
+    for group in np.split(order, np.cumsum(np.bincount(level)))[:-1]:
+        v = move[group]
+        tg = bcs.kind[v] == TANGENCY
+        H = np.stack(fr.tangency_basis(bcs.normals[v[tg]]), axis=1)
+        out.append((v, W[group], tg, H))
+    return out
+
+
 def smooth_nonlinear(field, config=None, K=None):
     """Projected nonlinear Gauss-Seidel smoothing toward the frame manifold.
 
-    Each free vertex moves to the stiffness-weighted neighbor average blended
-    with its manifold projection (relaxation lambda); tangency vertices are
-    re-projected onto their constraint circle.  Sweeps run in vertex order
-    for determinism.
+    Each moving vertex moves to the stiffness-weighted neighbor average; a
+    free vertex blends it with its manifold projection (relaxation lambda),
+    and a tangency vertex takes the nearest point of its constraint circle.
+    Sweeps run in vertex order for determinism, one dependency level of
+    ``_sweep_levels`` at a time, and each free vertex's projection is
+    warm-started from its frame of the last sweep.
     """
     config = config or field.config
     if K is None:
         K = assemble_stiffness(field.mesh)
-    K = K.tocsr()
     coeffs = field.coeffs.copy()
-    n = len(coeffs)
     lam = config.projection_relaxation
     bcs = field.bcs
-    kinds = bcs.kind
-    tang = np.flatnonzero(kinds == TANGENCY)
-    bases = np.zeros((n, 3, 9))
-    bases[tang] = np.stack(fr.tangency_basis(bcs.normals[tang]), axis=1)
-    warm = [None] * n
-    indptr, indices, data = K.indptr, K.indices, K.data
+    levels = _sweep_levels(K, bcs)
+    frames = np.empty((len(coeffs), 3, 3))
     sweeps_done = 0
     max_delta = np.inf
     for sweep in range(config.smoothing_sweeps):
         max_delta = 0.0
-        for v in range(n):
-            if kinds[v] == DIRICHLET:
-                continue
-            acc = np.zeros(9)
-            wsum = 0.0
-            for idx in range(indptr[v], indptr[v + 1]):
-                j = indices[idx]
-                if j == v:
-                    continue
-                w = -data[idx]
-                acc += w * coeffs[j]
-                wsum += w
-            if wsum <= 0:
-                continue
-            avg = acc / wsum
-            if kinds[v] == TANGENCY:
-                h0, h1, h2 = bases[v]
-                c, s = (avg - h0) @ h1, (avg - h0) @ h2
-                r = np.hypot(c, s)
-                if r > 1e-12:
-                    c, s = TANGENCY_RADIUS * c / r, TANGENCY_RADIUS * s / r
-                else:
-                    c, s = TANGENCY_RADIUS, 0.0
-                new = h0 + c * h1 + s * h2
-            elif lam == 0.0:
-                new = avg
-            else:
-                warm[v], pc = fr.project_to_octahedral(avg, warm_start=warm[v])
-                new = (1.0 - lam) * avg + lam * pc
-            delta = np.max(np.abs(new - coeffs[v]))
-            if delta > max_delta:
-                max_delta = delta
+        for v, W, tg, H in levels:
+            new = W @ coeffs
+            new[tg] = _on_circle(
+                H, (H[:, 1:] @ (new[tg] - H[:, 0])[:, :, None])[..., 0])
+            if lam != 0.0:
+                free, avg = v[~tg], new[~tg]
+                frames[free], pc = fr.project_to_octahedral(
+                    avg, warm_start=frames[free] if sweep else None)
+                new[~tg] = (1.0 - lam) * avg + lam * pc
+            max_delta = max(max_delta, np.abs(new - coeffs[v]).max())
             coeffs[v] = new
         sweeps_done = sweep + 1
         if max_delta < config.convergence_delta:

@@ -1,16 +1,22 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import hexframe.frames as fr
+import solver_oracle
 from hexframe.boxgen import generate_box
 from hexframe.errors import ConflictingConstraint
 from hexframe.mesh import TetMesh
+from hexframe.meshio import read_medit
+from hexframe.singularities import detect_35, extract_graph
 from hexframe.solver import (
     DIRICHLET,
     FREE,
     TANGENCY,
     BoundaryConditionSet,
+    FrameField,
     SolverConfig,
     _build_reduced_system,
     apply_internal_constraints,
@@ -201,6 +207,52 @@ class TestSmoothing:
         a = smooth_nonlinear(solve_initial(cube, bcs, cfg), cfg)
         b = smooth_nonlinear(solve_initial(cube, bcs, cfg), cfg)
         assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def graph_counters(field):
+    graph = extract_graph(field)
+    detect_35(graph)
+    return ([c.is_35 for c in graph.chains], len(graph.singular_faces),
+            len(graph.defects), len(graph.boundary_nodes),
+            len(graph.junction_tets))
+
+
+def cg_field(name):
+    """CG field and stiffness of the notch fixture or of a 4^3 box."""
+    if name == "notch":
+        mesh = read_medit(os.path.join(os.path.dirname(__file__), "..",
+                                       "fixtures", "notch.mesh"))
+    else:
+        mesh = generate_box(4, 4, 4)
+        mesh.detect_features(30.0)
+    K = assemble_stiffness(mesh)
+    return solve_initial(mesh, build_boundary_conditions(mesh), K=K), K
+
+
+class TestLevelSchedule:
+    """A sweep run one dependency level at a time is the vertex-order sweep
+    of ``solver_oracle``."""
+
+    @pytest.mark.parametrize("name", ["notch", "box"])
+    @pytest.mark.parametrize("sweeps", [1, 3])
+    def test_lambda_zero_matches_vertex_loop(self, name, sweeps):
+        field, K = cg_field(name)
+        cfg = SolverConfig(projection_relaxation=0.0, smoothing_sweeps=sweeps,
+                           convergence_delta=0.0)
+        out = smooth_nonlinear(field, cfg, K=K)
+        want, delta = solver_oracle.smooth_coeffs(field, K, sweeps, 0.0)
+        assert np.abs(out.coeffs - want).max() < 1e-13
+        assert abs(out.report["smoothing_last_delta"] - delta) < 1e-13
+
+    def test_default_lambda_matches_vertex_loop(self):
+        field, K = cg_field("notch")
+        cfg = SolverConfig(smoothing_sweeps=5, convergence_delta=0.0)
+        out = smooth_nonlinear(field, cfg, K=K)
+        want, _ = solver_oracle.smooth_coeffs(field, K, 5,
+                                              cfg.projection_relaxation)
+        assert np.abs(out.coeffs - want).max() < 1e-6
+        loop = FrameField(field.mesh, want, field.bcs, cfg)
+        assert graph_counters(out) == graph_counters(loop)
 
 
 class TestInternalConstraints:

@@ -4,9 +4,10 @@ Three strategies repair non-meshable singularity structure: extruding
 concave feature curves along interior frame directions, extruding
 boundary singular nodes along their stable direction, and snapping 3-5
 curves onto the boundary as new feature curves.  Each strategy produces a
-CorrectionPlan; applying a plan rebuilds the constraint set and recomputes
-the field.  A plan that detects a failure mode is marked non-applicable
-and leaves the field untouched.
+CorrectionPlan, whose internal constraints are boundary-condition rows
+keyed by vertex; applying a plan writes them onto a copy of the base set
+and recomputes the field.  A plan that detects a failure mode is marked
+non-applicable and leaves the field untouched.
 """
 
 import heapq
@@ -19,9 +20,9 @@ from . import frames as fr
 from .errors import NoBoundaryPath, NonApplicable, SeedOutside, WedgeMismatch
 from .mesh import row_dots
 from .solver import (
+    DIRICHLET,
     TANGENCY,
     SolverConfig,
-    apply_internal_constraints,
     assemble_stiffness,
     build_boundary_conditions,
     dirichlet_bc_on_curve,
@@ -52,7 +53,8 @@ class SnapAssignment:
 class CorrectionPlan:
     def __init__(self, strategy):
         self.strategy = strategy
-        self.internal_constraints = []   # (vertex, kind, payload)
+        # vertex -> (TANGENCY, unit direction) or (DIRICHLET, 9 coefficients)
+        self.internal_constraints = {}
         self.snapped = []                # SnapAssignment list
         self.diagnostics = {"streamlines": [], "failures": []}
         self.applicable = True
@@ -92,8 +94,7 @@ def extrusion_directions(curve, field, i):
     """
     mesh = field.mesh
     v = curve.vertices[i]
-    t = np.asarray(curve.tangents[i], dtype=float)
-    t /= np.linalg.norm(t)
+    t = curve.tangents[i] / np.linalg.norm(curve.tangents[i])
     sides = _patch_side_directions(mesh, v, t)
     if len(sides) < 2:
         raise WedgeMismatch("curve %d vertex %d has %d adjacent patches"
@@ -141,52 +142,40 @@ def _nearest_vertices(mesh, points):
     return d.argmin(axis=1).tolist()
 
 
-def _merge_constraint(plan, table, vertex, kind, payload):
-    """Register a constraint, merging near-duplicates.
+def _merge_constraint(plan, vertex, direction):
+    """Register a tangency line at ``vertex``, merging near-duplicates.
 
     Directions within 10 degrees (as lines) merge; a larger disagreement on
     one vertex is the sheared-sheet failure mode.
     """
-    if vertex in table:
-        pk, pp = table[vertex]
-        if pk != kind:
-            plan.fail("constraint_kind_conflict", vertex=vertex)
-            return
-        if kind == "tangency_dir":
-            ang = np.degrees(np.arccos(min(1.0, abs(float(pp @ payload)))))
-        else:
-            ang = np.degrees(np.arccos(np.clip(
-                float(pp @ payload) / (np.linalg.norm(pp) * np.linalg.norm(payload)),
-                -1.0, 1.0)))
+    if vertex in plan.internal_constraints:
+        _, first = plan.internal_constraints[vertex]
+        ang = np.degrees(np.arccos(min(1.0, abs(float(first @ direction)))))
         if ang > np.degrees(SHEAR_MERGE_ANGLE):
             plan.fail("sheared_sheet", vertex=vertex, angle=float(ang))
         return
-    table[vertex] = (kind, np.asarray(payload, dtype=float))
-    plan.internal_constraints.append((vertex, kind, np.asarray(payload, float)))
+    plan.internal_constraints[vertex] = (TANGENCY, direction)
 
 
-def extrude_feature_curves(mesh, field, curves=None, tracer_config=None):
+def extrude_feature_curves(mesh, field, tracer_config=None):
     """Plan sheets swept from concave feature curves into the volume.
 
     One streamline per (curve vertex, interior direction); every streamline
     point constrains its nearest interior vertex to keep a frame axis along
-    tangent x direction.
+    tangent x direction; where the sheet meets the surface the frame is
+    pinned to (surface normal, tangency line).
     """
     plan = CorrectionPlan("extrude-curve")
     tracer_config = tracer_config or TracerConfig()
-    if curves is None:
-        curves = [c for c in mesh.feature_curves if c.target_valence >= 2]
-    table = {}
     sheet_boundary = {}      # boundary vertex -> its surface normal
     boundary = set(mesh.boundary_vertices)
     edge = mesh.mean_edge_length()
-    for curve in curves:
+    for curve in mesh.feature_curves:
         if curve.target_valence < 2:
             continue
         for i, v in enumerate(curve.vertices):
             p = mesh.vertices[v]
-            t = np.asarray(curve.tangents[i], float)
-            t /= np.linalg.norm(t)
+            t = curve.tangents[i] / np.linalg.norm(curve.tangents[i])
             # terminal vertices sitting on other feature geometry do not see
             # this curve's wedge; they are junctions, not samples
             if len(_patch_side_directions(mesh, v, t)) != 2:
@@ -228,20 +217,14 @@ def extrude_feature_curves(mesh, field, curves=None, tracer_config=None):
                         nn = np.linalg.norm(u2)
                         if nn < 0.5:
                             continue
-                        _merge_constraint(plan, table, w, "tangency_dir",
-                                          u2 / nn)
+                        _merge_constraint(plan, w, u2 / nn)
                         sheet_boundary[w] = n
                     else:
-                        _merge_constraint(plan, table, w, "tangency_dir", u)
-    constraints = []
-    for v, kind, payload in plan.internal_constraints:
-        n = sheet_boundary.get(v)
-        if n is None:
-            constraints.append((v, kind, payload))
-            continue
-        R = np.column_stack([n, payload, np.cross(n, payload)])
-        constraints.append((v, "dirichlet_coeffs", fr.coeffs_from_rotation(R)))
-    plan.internal_constraints = constraints
+                        _merge_constraint(plan, w, u)
+    for v, n in sheet_boundary.items():
+        _, d = plan.internal_constraints[v]
+        R = np.column_stack([n, d, np.cross(n, d)])
+        plan.internal_constraints[v] = (DIRICHLET, fr.coeffs_from_rotation(R))
     return plan
 
 
@@ -290,7 +273,6 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
     # quarter-turn winding (not just the axisymmetric value, which carries
     # no azimuth and cannot hold a winding against the smoother) pins a
     # singular line crossing tet interiors, where face holonomy sees it
-    table = {}
     boundary = set(mesh.boundary_vertices)
     t, Rt, near, theta = _column_geometry(mesh, columns)
     r_out = 2.0 * edge
@@ -311,8 +293,8 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
             # pin the surface only where the curve meets it head-on
             if abs(float(n @ t)) < 0.7:
                 continue
-        _merge_constraint(plan, table, v, "dirichlet_coeffs",
-                          _winding_coeffs(t, Rt, theta[v], offset))
+        plan.internal_constraints[v] = (
+            DIRICHLET, _winding_coeffs(t, Rt, theta[v], offset))
     return plan
 
 
@@ -626,8 +608,10 @@ def build_snapped_bcs(mesh, plan, radius=None):
 def apply_plan(mesh, field, plan, solver_config=None, snap_radius=None):
     """Re-solve the field under the plan's constraints.
 
-    Raises NonApplicable for failed plans; otherwise returns the corrected
-    field with its singularity graph in ``plan.diagnostics["graph"]``.
+    The plan's rows are written onto a copy of the base set (the snapped
+    set for snap plans, else ``field.bcs``).  Raises NonApplicable for
+    failed plans; otherwise returns the corrected field with its singularity
+    graph in ``plan.diagnostics["graph"]``.
     """
     if not plan.applicable:
         raise NonApplicable("plan %s is not applicable" % plan.strategy,
@@ -636,8 +620,12 @@ def apply_plan(mesh, field, plan, solver_config=None, snap_radius=None):
     if plan.strategy == "snap":
         bcs = build_snapped_bcs(mesh, plan, radius=snap_radius)
     else:
-        bcs = field.bcs
-    bcs = apply_internal_constraints(bcs, plan.internal_constraints)
+        bcs = field.bcs.copy()
+    for v, (kind, payload) in plan.internal_constraints.items():
+        if kind == TANGENCY:
+            bcs.set_tangency(v, payload)
+        else:
+            bcs.set_dirichlet(v, payload)
     K = assemble_stiffness(mesh)
     out = smooth_nonlinear(solve_initial(mesh, bcs, config, K=K), config, K=K)
     plan.diagnostics["graph"] = extract_graph(out)

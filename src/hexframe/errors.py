@@ -29,10 +29,6 @@ class CGDiverged(HexFrameError):
     """Conjugate gradient failed to reach the requested tolerance."""
 
 
-class ConflictingConstraint(HexFrameError):
-    """A vertex received two different internal constraints."""
-
-
 class UnprojectableVertex(HexFrameError):
     """Coefficient vector too small to project onto the frame manifold."""
 

@@ -33,9 +33,6 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
 
     pos = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
     def take(what):
         nonlocal pos
         if pos >= len(tokens):
@@ -301,8 +298,11 @@ def read_field(path, mesh):
     if bad.any():
         raise ParseError("line %d: frame is not a rotation" % (np.argmax(bad) + 3))
     field = FrameField(mesh, coeffs, build_boundary_conditions(mesh))
-    norms = np.maximum(np.linalg.norm(coeffs, axis=1), 1e-300)
-    quality = row_dots(coeffs / norms[:, None], fr.frame_coeffs(frames))
+    # quality 0 where vertex_frames does not project (norm at most 1e-9)
+    norms = np.linalg.norm(coeffs, axis=1)
+    quality = row_dots(coeffs / np.maximum(norms, 1e-300)[:, None],
+                       fr.frame_coeffs(frames))
+    quality[norms <= 1e-9] = 0.0
     field._frames = frames
     field._quality = quality
     return field

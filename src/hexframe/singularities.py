@@ -327,14 +327,14 @@ def _wrap_quarter(x):
     return x - np.pi / 2 * np.ceil((x - np.pi / 4) / (np.pi / 2) - 1e-12)
 
 
-def surface_cross_indices(field, mesh=None):
+def surface_cross_indices(field):
     """Per-triangle tangent cross indices and per-vertex quarter charges.
 
     Returns (per_triangle, per_vertex_quarters, total) where ``total`` is the
     exact quarter-unit sum of the vertex charges; for a closed surface it
     equals 4 * Euler characteristic quarters, i.e. ``total == chi``.
     """
-    mesh = mesh or field.mesh
+    mesh = field.mesh
     frames, _ = field.vertex_frames()
     p = mesh.vertices
     tris = mesh.boundary_tris

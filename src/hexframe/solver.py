@@ -13,11 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import frames as fr
-from .errors import (
-    CGDiverged,
-    ConflictingConstraint,
-    DegenerateTangent,
-)
+from .errors import CGDiverged, DegenerateTangent
 from .mesh import row_dots
 
 TANGENCY_RADIUS = np.sqrt(5.0 / 12.0)
@@ -345,32 +341,6 @@ def smooth_nonlinear(field, config=None, K=None):
     out.report["smoothing_last_delta"] = float(max_delta)
     out.report["dirichlet_energy"] = out.energy(K)
     return out
-
-
-def apply_internal_constraints(bcs, constraints):
-    """A copy of ``bcs`` with internal constraints (interior vertices) added.
-
-    ``constraints`` is a list of (vertex, kind, payload) where kind is
-    ``tangency_dir`` (payload: direction) or ``dirichlet_coeffs`` (payload:
-    9-vector).
-    """
-    bcs = bcs.copy()
-    seen = {}
-    for v, kind, payload in constraints:
-        payload = np.asarray(payload, dtype=float)
-        if v in seen:
-            pk, pp = seen[v]
-            if pk != kind or not np.allclose(pp, payload, atol=1e-12):
-                raise ConflictingConstraint("vertex %d constrained twice" % v)
-            continue
-        seen[v] = (kind, payload)
-        if kind == "tangency_dir":
-            bcs.set_tangency(v, payload)
-        elif kind == "dirichlet_coeffs":
-            bcs.set_dirichlet(v, payload)
-        else:
-            raise ValueError("unknown constraint kind %r" % kind)
-    return bcs
 
 
 def compute_field(mesh, config=None):

@@ -16,10 +16,11 @@ from hexframe.correction import (
     snap_35_curves,
     snap_until_clean,
 )
-from hexframe.errors import NonApplicable
+from hexframe.errors import NonApplicable, WedgeMismatch
 from hexframe.meshio import read_medit
 from hexframe.singularities import SingularChain, SingularityGraph, extract_graph
 from hexframe.solver import (
+    DIRICHLET,
     FREE,
     TANGENCY,
     BoundaryConditionSet,
@@ -72,35 +73,69 @@ class TestExtrusionDirections:
                 assert abs(np.linalg.norm(d) - 1.0) < 1e-9
                 assert abs(d @ t) < 1e-6
 
+    def test_planning_leaves_curve_tangents_unchanged(self):
+        mesh = read_medit(os.path.join(FIXTURES, "arc_box.mesh"))
+        field = constant_field(mesh, build_boundary_conditions(mesh))
+        before = [c.tangents.copy() for c in mesh.feature_curves]
+        curve = next(c for c in mesh.feature_curves if c.target_valence == 2)
+        for i in range(len(curve.vertices)):
+            try:
+                extrusion_directions(curve, field, i)
+            except WedgeMismatch:
+                pass
+        extrude_feature_curves(mesh, field)
+        for b, c in zip(before, mesh.feature_curves):
+            assert np.array_equal(b, c.tangents)
+
 
 class TestConstraintMerging:
     def test_close_directions_merge(self):
         plan = CorrectionPlan("extrude-curve")
-        table = {}
         d1 = np.array([1.0, 0.0, 0.0])
         d2 = np.array([np.cos(np.radians(3)), np.sin(np.radians(3)), 0.0])
-        _merge_constraint(plan, table, 7, "tangency_dir", d1)
-        _merge_constraint(plan, table, 7, "tangency_dir", d2)
+        _merge_constraint(plan, 7, d1)
+        _merge_constraint(plan, 7, d2)
         assert plan.applicable
         assert len(plan.internal_constraints) == 1
+        kind, d = plan.internal_constraints[7]
+        assert kind == TANGENCY and np.array_equal(d, d1)
 
     def test_opposite_directions_merge_as_lines(self):
         plan = CorrectionPlan("extrude-curve")
-        table = {}
         d = np.array([0.0, 1.0, 0.0])
-        _merge_constraint(plan, table, 7, "tangency_dir", d)
-        _merge_constraint(plan, table, 7, "tangency_dir", -d)
+        _merge_constraint(plan, 7, d)
+        _merge_constraint(plan, 7, -d)
         assert plan.applicable
 
     def test_shear_detected(self):
         plan = CorrectionPlan("extrude-curve")
-        table = {}
         d1 = np.array([1.0, 0.0, 0.0])
         d2 = np.array([np.cos(np.radians(25)), np.sin(np.radians(25)), 0.0])
-        _merge_constraint(plan, table, 7, "tangency_dir", d1)
-        _merge_constraint(plan, table, 7, "tangency_dir", d2)
+        _merge_constraint(plan, 7, d1)
+        _merge_constraint(plan, 7, d2)
         assert not plan.applicable
         assert plan.diagnostics["failures"][0]["reason"] == "sheared_sheet"
+
+
+class TestExtrusionRows:
+    def test_sheet_rows_pin_surface_frames(self, arc_box):
+        field = constant_field(arc_box, build_boundary_conditions(arc_box))
+        plan = extrude_feature_curves(arc_box, field)
+        assert plan.applicable
+        boundary = set(arc_box.boundary_vertices.tolist())
+        kinds = [k for k, _ in plan.internal_constraints.values()]
+        assert DIRICHLET in kinds and TANGENCY in kinds
+        for v, (kind, payload) in plan.internal_constraints.items():
+            if kind == DIRICHLET:
+                # the frame [n, d, n x d]: on the manifold, one axis along n
+                assert v in boundary
+                assert field.bcs.kind[v] == TANGENCY
+                R, c = fr.project_to_octahedral(payload)
+                assert np.abs(c - payload).max() < 1e-9
+                assert np.abs(R.T @ field.bcs.normals[v]).max() > 1 - 1e-9
+            else:
+                assert kind == TANGENCY
+                assert abs(np.linalg.norm(payload) - 1.0) < 1e-12
 
 
 class TestLimitCycleDetection:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hexframe.frames as fr
 from hexframe.boxgen import generate_box
 from hexframe.cli import main
 from hexframe.errors import (
@@ -20,7 +21,13 @@ from hexframe.errors import (
 )
 from hexframe.mesh import TetMesh
 from hexframe.meshio import read_field, read_medit, write_field, write_medit
-from hexframe.solver import SolverConfig, build_boundary_conditions, compute_field
+from hexframe.singularities import extract_graph
+from hexframe.solver import (
+    FrameField,
+    SolverConfig,
+    build_boundary_conditions,
+    compute_field,
+)
 
 SINGLE_TET_TEMPLATE = """MeshVersionFormatted 2
 Dimension 3
@@ -167,6 +174,25 @@ class TestFieldErrors:
         ref = build_boundary_conditions(mesh)
         for name in ("kind", "coeffs", "normals"):
             assert np.array_equal(getattr(field.bcs, name), getattr(ref, name))
+
+    def test_round_trip_keeps_near_zero_rows_unprojected(self, tmp_path):
+        mesh = generate_box(3, 3, 3)
+        mesh.detect_features(30.0)
+        coeffs = np.tile(fr.REFERENCE_COEFFS, (len(mesh.vertices), 1))
+        v = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_vertices)[0]
+        coeffs[v] *= 1e-10
+        fresh = FrameField(mesh, coeffs, build_boundary_conditions(mesh))
+        path = str(tmp_path / "field.txt")
+        write_field(fresh, path)
+        reloaded = read_field(path, mesh)
+        assert reloaded.vertex_frames()[1][v] == fresh.vertex_frames()[1][v] == 0.0
+        counters = []
+        for field in (fresh, reloaded):
+            graph = extract_graph(field)
+            counters.append((len(graph.chains), len(graph.singular_faces),
+                             sorted(graph.defects)))
+        assert counters[0] == counters[1]
+        assert counters[0][0] == 0 and counters[0][2]
 
 
 def _mutate(text, data):

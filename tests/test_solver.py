@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import hexframe.frames as fr
 import solver_oracle
 from hexframe.boxgen import generate_box
-from hexframe.errors import ConflictingConstraint
+from hexframe.correction import CorrectionPlan, apply_plan
 from hexframe.mesh import TetMesh
 from hexframe.meshio import read_medit
 from hexframe.singularities import detect_35, extract_graph
@@ -19,7 +19,6 @@ from hexframe.solver import (
     FrameField,
     SolverConfig,
     _build_reduced_system,
-    apply_internal_constraints,
     assemble_stiffness,
     build_boundary_conditions,
     dirichlet_bc_on_curve,
@@ -255,55 +254,49 @@ class TestLevelSchedule:
         assert graph_counters(out) == graph_counters(loop)
 
 
+def constrained(mesh, rows, config=None):
+    """``apply_plan`` of a plan holding ``rows`` on a constant field that
+    carries the mesh's standard boundary conditions."""
+    bcs = build_boundary_conditions(mesh)
+    field = FrameField(mesh, np.tile(fr.REFERENCE_COEFFS, (len(bcs.kind), 1)),
+                       bcs)
+    plan = CorrectionPlan("extrude-node")
+    plan.internal_constraints.update(rows)
+    return field, apply_plan(mesh, field, plan, config)
+
+
 class TestInternalConstraints:
     def test_empty_noop(self, cube):
-        bcs = build_boundary_conditions(cube)
-        out = apply_internal_constraints(bcs, [])
-        assert np.array_equal(out.kind, bcs.kind)
-        assert np.array_equal(out.coeffs, bcs.coeffs)
-        assert np.array_equal(out.normals, bcs.normals)
+        field, out = constrained(cube, {})
+        assert out.bcs is not field.bcs
+        assert np.array_equal(out.bcs.kind, field.bcs.kind)
+        assert np.array_equal(out.bcs.coeffs, field.bcs.coeffs)
+        assert np.array_equal(out.bcs.normals, field.bcs.normals)
 
     def test_input_set_unchanged(self, cube):
-        bcs = build_boundary_conditions(cube)
-        before = bcs.copy()
-        interior = np.flatnonzero(bcs.kind == FREE)
-        out = apply_internal_constraints(bcs, [
-            (interior[0], "dirichlet_coeffs", fr.REFERENCE_COEFFS),
-            (interior[1], "tangency_dir", [0.0, 0.0, 2.0]),
-        ])
-        assert out.kind[interior[0]] == DIRICHLET
-        assert out.kind[interior[1]] == TANGENCY
-        assert np.array_equal(out.normals[interior[1]], [0.0, 0.0, 1.0])
+        before = build_boundary_conditions(cube)
+        interior = np.flatnonzero(before.kind == FREE)
+        field, out = constrained(cube, {
+            interior[0]: (DIRICHLET, fr.REFERENCE_COEFFS),
+            interior[1]: (TANGENCY, np.array([0.0, 0.0, 2.0])),
+        })
+        assert out.bcs.kind[interior[0]] == DIRICHLET
+        assert out.bcs.kind[interior[1]] == TANGENCY
+        assert np.array_equal(out.bcs.normals[interior[1]], [0.0, 0.0, 1.0])
         for name in ("kind", "coeffs", "normals"):
-            assert np.array_equal(getattr(bcs, name), getattr(before, name))
+            assert np.array_equal(getattr(field.bcs, name), getattr(before, name))
 
     def test_consistent_constraint_keeps_constant(self, cube):
-        bcs = build_boundary_conditions(cube)
         interior = [
             v for v in range(len(cube.vertices))
             if v not in set(cube.boundary_vertices)
         ]
-        v = interior[0]
-        out = apply_internal_constraints(
-            bcs, [(v, "dirichlet_coeffs", fr.REFERENCE_COEFFS)]
-        )
-        resolved = solve_initial(cube, out)
-        assert np.abs(resolved.coeffs - fr.REFERENCE_COEFFS).max() < 1e-7
-
-    def test_conflicting(self, cube):
-        bcs = build_boundary_conditions(cube)
-        c1 = fr.REFERENCE_COEFFS
-        c2 = fr.axisymmetric_coeffs([0, 0, 1])
-        with pytest.raises(ConflictingConstraint):
-            apply_internal_constraints(
-                bcs,
-                [(10, "dirichlet_coeffs", c1), (10, "dirichlet_coeffs", c2)],
-            )
+        _, out = constrained(cube, {interior[0]: (DIRICHLET, fr.REFERENCE_COEFFS)})
+        assert np.abs(out.coeffs - fr.REFERENCE_COEFFS).max() < 1e-7
 
     def test_forced_singular_line_locality(self):
         mesh = generate_box(4, 4, 4)
         mesh.detect_features(30.0)
-        bcs = build_boundary_conditions(mesh)
         boundary = set(mesh.boundary_vertices)
         line = [
             v
@@ -314,10 +307,7 @@ class TestInternalConstraints:
         ]
         assert line
         sing = fr.axisymmetric_coeffs([0, 0, 1])
-        constrained = apply_internal_constraints(
-            bcs, [(v, "dirichlet_coeffs", sing) for v in line]
-        )
-        resolved = smooth_nonlinear(solve_initial(mesh, constrained))
+        _, resolved = constrained(mesh, {v: (DIRICHLET, sing) for v in line})
         _, q = resolved.vertex_frames()
         center = np.array([0.5, 0.5, 0.5])
         dist = np.linalg.norm(

@@ -5,7 +5,7 @@ The notch model produces one singular curve with valence 3 at one end and
 each endpoint is matched to a nearby feature vertex, a shortest boundary
 path connects them, and the frames along the path are re-imposed rotated
 45 degrees about the path tangent.  Re-solving under these constraints
-removes the 3-5 curve.  Run time is a few minutes (several full solves).
+removes the 3-5 curve.  Run time is a few seconds (several full solves).
 """
 
 import os
@@ -25,8 +25,7 @@ graph = extract_graph(field)
 print("before: %d chains, %d flagged 3-5" % (
     len(graph.chains), len(detect_35(graph))))
 
-plan = snap_35_curves(mesh, field, graph)
-for snap in plan.snapped:
+for snap in snap_35_curves(mesh, field, graph):
     print("  %r" % snap)
     for end, (kind, v) in sorted(snap.targets.items()):
         print("    %s endpoint -> %s vertex %d at %s"

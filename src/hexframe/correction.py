@@ -5,8 +5,8 @@ concave feature curves along interior frame directions, extruding
 boundary singular nodes along their stable direction, and snapping 3-5
 curves onto the boundary as new feature curves.  Each strategy produces a
 CorrectionPlan, whose internal constraints are boundary-condition rows
-keyed by vertex; applying a plan writes them onto a copy of the base set
-and recomputes the field.  A plan that detects a failure mode is marked
+keyed by vertex; applying a plan writes them onto a copy of the field's
+set and recomputes the field.  A plan that detects a failure mode is marked
 non-applicable and leaves the field untouched.
 """
 
@@ -21,10 +21,10 @@ from .errors import NoBoundaryPath, NonApplicable, SeedOutside, WedgeMismatch
 from .mesh import row_dots
 from .solver import (
     DIRICHLET,
+    FREE,
     TANGENCY,
     SolverConfig,
     assemble_stiffness,
-    build_boundary_conditions,
     dirichlet_bc_on_curve,
     smooth_nonlinear,
     solve_initial,
@@ -53,7 +53,8 @@ class SnapAssignment:
 class CorrectionPlan:
     def __init__(self, strategy):
         self.strategy = strategy
-        # vertex -> (TANGENCY, unit direction) or (DIRICHLET, 9 coefficients)
+        # vertex -> (TANGENCY, unit direction), (DIRICHLET, 9 coefficients)
+        # or (FREE, None)
         self.internal_constraints = {}
         self.snapped = []                # SnapAssignment list
         self.diagnostics = {"streamlines": [], "failures": []}
@@ -157,6 +158,25 @@ def _merge_constraint(plan, vertex, direction):
     plan.internal_constraints[vertex] = (TANGENCY, direction)
 
 
+def _trace(plan, field, seed, direction, config, **where):
+    """Streamline from ``seed``, or None after failing ``plan`` at ``where``
+    when the line cannot place constraints."""
+    try:
+        sl = trace(field, seed, direction, config)
+    except SeedOutside:
+        # a direction grazing a curved surface steps out
+        plan.fail("streamline_left_surface", **where)
+        return None
+    plan.diagnostics["streamlines"].append(sl)
+    if sl.termination == "HitSingularRegion":
+        plan.fail("streamline_hit_singularity", **where)
+        return None
+    if sl.termination == "MaxLength":
+        plan.fail("limit_cycle", **where)
+        return None
+    return sl
+
+
 def extrude_feature_curves(mesh, field, tracer_config=None):
     """Plan sheets swept from concave feature curves into the volume.
 
@@ -186,19 +206,9 @@ def extrude_feature_curves(mesh, field, tracer_config=None):
                 plan.fail("wedge_mismatch", detail=str(exc), vertex=int(v))
                 continue
             for d in dirs:
-                seed = p + 1e-3 * edge * d
-                try:
-                    sl = trace(field, seed, d, tracer_config)
-                except SeedOutside:
-                    # a wedge direction grazing a curved surface steps out
-                    plan.fail("streamline_left_surface", vertex=int(v))
-                    continue
-                plan.diagnostics["streamlines"].append(sl)
-                if sl.termination == "HitSingularRegion":
-                    plan.fail("streamline_hit_singularity", seed=tuple(p))
-                    continue
-                if sl.termination == "MaxLength":
-                    plan.fail("limit_cycle", seed=tuple(p))
+                sl = _trace(plan, field, p + 1e-3 * edge * d, d,
+                            tracer_config, vertex=int(v))
+                if sl is None:
                     continue
                 for w, vk in zip(_nearest_vertices(mesh, sl.points[1:]),
                                  sl.directions[1:]):
@@ -249,19 +259,9 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
                 frames, _ = field.vertex_frames()
                 w = _nearest_vertices(mesh, [seed])[0]
                 v0 = fr.closest_direction(tangent, frames[w])
-            try:
-                sl = trace(field, seed, v0, tracer_config)
-            except SeedOutside:
-                plan.fail("streamline_left_surface",
-                          chain=chain.chain_id, end=end)
-                continue
-            plan.diagnostics["streamlines"].append(sl)
-            if sl.termination == "HitSingularRegion":
-                plan.fail("streamline_hit_singularity",
-                          chain=chain.chain_id, end=end)
-                continue
-            if sl.termination == "MaxLength":
-                plan.fail("limit_cycle", chain=chain.chain_id, end=end)
+            sl = _trace(plan, field, seed, v0, tracer_config,
+                        chain=chain.chain_id, end=end)
+            if sl is None:
                 continue
             axis = sl.points[-1] - sl.points[0]
             axis /= max(np.linalg.norm(axis), 1e-300)
@@ -404,7 +404,7 @@ def _dijkstra_path(graph, source, target):
 
 
 def snap_35_curves(mesh, field, graph, exclude=()):
-    """Plan boundary relocations for every 3-5 chain.
+    """Boundary relocations (SnapAssignment list) for every 3-5 chain.
 
     Boundary endpoints snap to the nearest feature-curve vertex, interior
     endpoints to the nearest boundary vertex; chains sharing a junction
@@ -413,7 +413,6 @@ def snap_35_curves(mesh, field, graph, exclude=()):
     outer loop push the snapped region outward when a chain survives on
     the edge of an already snapped band.
     """
-    plan = CorrectionPlan("snap")
     feature_verts = sorted(mesh.feature_vertex_set() | set(mesh.corners))
     if not feature_verts:
         feature_verts = mesh.boundary_vertices.tolist()
@@ -460,8 +459,7 @@ def snap_35_curves(mesh, field, graph, exclude=()):
                                   targets["end"][1])
             done[chain.chain_id] = SnapAssignment(chain.chain_id, targets, path)
             changed = True
-    plan.snapped = [done[k] for k in sorted(done)]
-    return plan
+    return [done[k] for k in sorted(done)]
 
 
 def snap_until_clean(mesh, field, graph=None, solver_config=None,
@@ -470,7 +468,9 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None,
 
     Releasing constraints can spawn fresh 3-5 chains near the snapped
     region; those are snapped in turn, accumulating all paths in a single
-    plan applied to the original field.  A surviving chain that keeps
+    plan applied to the original field.  Each round rewrites the plan's
+    rows from every path so far, since curve splits and released
+    tangency depend on all of them.  A surviving chain that keeps
     mapping onto already snapped vertices is re-targeted with those
     vertices excluded, widening the snapped band until the chain dies.
     Returns (plan, corrected field); the final graph sits in
@@ -483,20 +483,21 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None,
     corrected = field
     covered = set()
     for _ in range(MAX_SNAP_ROUNDS):
-        plan = snap_35_curves(mesh, current_field, current_graph)
-        new = {v for a in plan.snapped for v in a.path} - covered
-        if plan.snapped and not new:
-            plan = snap_35_curves(mesh, current_field, current_graph,
-                                  exclude=covered)
-            new = {v for a in plan.snapped for v in a.path} - covered
+        snapped = snap_35_curves(mesh, current_field, current_graph)
+        new = {v for a in snapped for v in a.path} - covered
+        if snapped and not new:
+            snapped = snap_35_curves(mesh, current_field, current_graph,
+                                     exclude=covered)
+            new = {v for a in snapped for v in a.path} - covered
             if not new:
                 break
-        if not plan.snapped:
+        if not snapped:
             break
         covered |= new
-        combined.snapped.extend(plan.snapped)
-        corrected = apply_plan(mesh, field, combined, solver_config,
-                               snap_radius=snap_radius)
+        combined.snapped.extend(snapped)
+        combined.internal_constraints = snapped_rows(
+            mesh, field.bcs, combined.snapped, snap_radius)
+        corrected = apply_plan(mesh, field, combined, solver_config)
         current_field = corrected
         current_graph = combined.diagnostics["graph"]
         if not detect_35(current_graph):
@@ -537,20 +538,19 @@ def _path_frames(mesh, path):
     return out
 
 
-def build_snapped_bcs(mesh, plan, radius=None):
-    """Boundary conditions realizing the snapped curves as features.
+def snapped_rows(mesh, bcs, snapped, radius=None):
+    """Boundary-condition rows realizing snapped paths as feature curves.
 
     Snapped paths get 45-degree rotated Dirichlet frames; feature curves
     receiving a snapped endpoint are split there with interpolated values;
-    tangency constraints within ``radius`` (default 3 mean edge lengths)
-    of a path are released.
+    tangency rows of the base set ``bcs`` within ``radius`` (default 3 mean
+    edge lengths) of a path are released (FREE).
     """
-    bcs = build_boundary_conditions(mesh)
-    if not plan.snapped:
-        return bcs
+    if not snapped:
+        return {}
     path_vertices = []
     split_points = {}            # curve_id -> set of split vertex positions
-    for assign in plan.snapped:
+    for assign in snapped:
         path_vertices.extend(assign.path)
         for end in ("start", "end"):
             kind, v = assign.targets[end]
@@ -561,7 +561,7 @@ def build_snapped_bcs(mesh, plan, radius=None):
                     split_points.setdefault(curve.curve_id, set()).add(v)
     path_set = set(path_vertices)
     path_coeffs = {}
-    for assign in plan.snapped:
+    for assign in snapped:
         path_coeffs.update(_path_frames(mesh, assign.path))
 
     # split feature curves at snapped endpoints; interpolate the sub-curves
@@ -592,40 +592,37 @@ def build_snapped_bcs(mesh, plan, radius=None):
                     split[v] = (1.0 - s) * ca + s * cb
     values = np.reshape(list(split.values()), (-1, 9))
     path_coeffs.update(zip(split, fr.project_to_octahedral(values)[1]))
-    for v, c in path_coeffs.items():
-        bcs.set_dirichlet(v, c)
+    rows = {v: (DIRICHLET, c) for v, c in path_coeffs.items()}
 
     # release boundary alignment near the snapped paths
     r = 3.0 * mesh.mean_edge_length() if radius is None else float(radius)
     dist = dijkstra(_boundary_graph(mesh), indices=sorted(path_set),
                     min_only=True, limit=r)
-    # the paths themselves are Dirichlet by now
     for v in np.nonzero(np.isfinite(dist) & (bcs.kind == TANGENCY))[0]:
-        bcs.set_free(v)
-    return bcs
+        # a path vertex keeps its Dirichlet row
+        rows.setdefault(int(v), (FREE, None))
+    return rows
 
 
-def apply_plan(mesh, field, plan, solver_config=None, snap_radius=None):
+def apply_plan(mesh, field, plan, solver_config=None):
     """Re-solve the field under the plan's constraints.
 
-    The plan's rows are written onto a copy of the base set (the snapped
-    set for snap plans, else ``field.bcs``).  Raises NonApplicable for
-    failed plans; otherwise returns the corrected field with its singularity
-    graph in ``plan.diagnostics["graph"]``.
+    The plan's rows are written onto a copy of ``field.bcs``.  Raises
+    NonApplicable for failed plans; otherwise returns the corrected field
+    with its singularity graph in ``plan.diagnostics["graph"]``.
     """
     if not plan.applicable:
         raise NonApplicable("plan %s is not applicable" % plan.strategy,
                             diagnostics=plan.diagnostics)
     config = solver_config or SolverConfig()
-    if plan.strategy == "snap":
-        bcs = build_snapped_bcs(mesh, plan, radius=snap_radius)
-    else:
-        bcs = field.bcs.copy()
+    bcs = field.bcs.copy()
     for v, (kind, payload) in plan.internal_constraints.items():
         if kind == TANGENCY:
             bcs.set_tangency(v, payload)
-        else:
+        elif kind == DIRICHLET:
             bcs.set_dirichlet(v, payload)
+        else:
+            bcs.set_free(v)
     K = assemble_stiffness(mesh)
     out = smooth_nonlinear(solve_initial(mesh, bcs, config, K=K), config, K=K)
     plan.diagnostics["graph"] = extract_graph(out)

@@ -115,8 +115,9 @@ def _rotation_angle_axis(W):
     return angle, axis / n
 
 
-def _singular_face(field, frames, triangle, h, face_id=None):
-    """SingularFace of oriented ``triangle`` with non-identity holonomy ``h``."""
+def _singular_face(field, frames, triangle, h, face_id):
+    """SingularFace of interior face ``face_id``, oriented as ``triangle``,
+    with non-identity holonomy ``h``."""
     a, b, c = triangle
     # the matching holonomy is the inverse of the field's rotation around
     # the loop; report the field rotation in world coordinates
@@ -132,22 +133,8 @@ def _singular_face(field, frames, triangle, h, face_id=None):
         index = Fraction(1, 4) if sign > 0 else Fraction(-1, 4)
     else:
         index = "other"
-    adj = field.mesh.adjacency
-    fid = face_id if face_id is not None else adj.face_id((a, b, c))
-    tets = () if fid is None else tuple(int(t) for t in adj.face_tets[fid] if t >= 0)
-    return SingularFace(fid, (a, b, c), tets, h, index, W)
-
-
-def face_singularity(field, triangle, frames=None, quality=None, face_id=None):
-    """Classify one oriented interior triangle; None when non-singular."""
-    if frames is None:
-        frames, quality = field.vertex_frames()
-    tri = np.array([triangle])
-    _check_projectable(field.coeffs, tri)
-    h = int(_holonomy(frames, tri)[0])
-    if h == 0:
-        return None
-    return _singular_face(field, frames, tuple(triangle), h, face_id)
+    tets = tuple(int(t) for t in field.mesh.adjacency.face_tets[face_id])
+    return SingularFace(face_id, (a, b, c), tets, h, index, W)
 
 
 def _valence_from_index(index):
@@ -173,7 +160,7 @@ def extract_graph(field):
         h = _holonomy(frames, chunk)
         for k in np.nonzero(h)[0] + s:
             singular[fids[k]] = _singular_face(
-                field, frames, tuple(tris[k]), int(h[k - s]), face_id=fids[k])
+                field, frames, tuple(tris[k]), int(h[k - s]), fids[k])
     tet_sing = {}
     for fid, sf in singular.items():
         for t in adj.face_tets[fid]:

@@ -10,11 +10,11 @@ from hexframe.correction import (
     SnapAssignment,
     _merge_constraint,
     apply_plan,
-    build_snapped_bcs,
     extrude_feature_curves,
     extrusion_directions,
     snap_35_curves,
     snap_until_clean,
+    snapped_rows,
 )
 from hexframe.errors import NonApplicable, WedgeMismatch
 from hexframe.meshio import read_medit
@@ -25,6 +25,7 @@ from hexframe.solver import (
     TANGENCY,
     BoundaryConditionSet,
     FrameField,
+    SolverConfig,
     build_boundary_conditions,
 )
 from hexframe.tracing import TracerConfig
@@ -144,8 +145,13 @@ class TestLimitCycleDetection:
         cfg = TracerConfig(step_size=0.05, max_length=0.12)
         plan = extrude_feature_curves(arc_box, field, tracer_config=cfg)
         assert not plan.applicable
-        reasons = {f["reason"] for f in plan.diagnostics["failures"]}
-        assert "limit_cycle" in reasons
+        failures = plan.diagnostics["failures"]
+        assert "limit_cycle" in {f["reason"] for f in failures}
+        # failures name the curve vertex in plain values, so the report
+        # reads the same under every numpy version
+        for f in failures:
+            assert type(f["vertex"]) is int
+            assert all(type(x) in (int, float, str) for x in f.values())
 
 
 def fake_35_graph(mesh, p_start, p_end):
@@ -165,74 +171,72 @@ class TestSnapTargets:
         fv = sorted(notch.feature_vertex_set())[0]
         p = notch.vertices[fv]
         graph = fake_35_graph(notch, p + 1e-3, p - 1e-3)
-        plan = snap_35_curves(notch, field, graph)
-        assert len(plan.snapped) == 1
-        a = plan.snapped[0].targets["start"][1]
-        b = plan.snapped[0].targets["end"][1]
+        snapped = snap_35_curves(notch, field, graph)
+        assert len(snapped) == 1
+        a = snapped[0].targets["start"][1]
+        b = snapped[0].targets["end"][1]
         assert a != b
-        assert len(plan.snapped[0].path) >= 2
-        assert plan.snapped[0].path[0] == a
-        assert plan.snapped[0].path[-1] == b
+        assert len(snapped[0].path) >= 2
+        assert snapped[0].path[0] == a
+        assert snapped[0].path[-1] == b
 
     def test_no_35_chains_empty_plan(self, notch):
         field = constant_field(notch, build_boundary_conditions(notch))
         graph = SingularityGraph([], [], [], [], {})
-        plan = snap_35_curves(notch, field, graph)
-        assert plan.snapped == []
-        assert plan.applicable
+        assert snap_35_curves(notch, field, graph) == []
+
+
+def top_face_row(mesh, lo, hi):
+    """Top-face vertices on y = 0.5 with lo < x < hi, by increasing x."""
+    row = [v for v in map(int, mesh.boundary_vertices)
+           if abs(mesh.vertices[v][2] - 1.0) < 1e-12
+           and abs(mesh.vertices[v][1] - 0.5) < 1e-12
+           and lo < mesh.vertices[v][0] < hi]
+    return sorted(row, key=lambda v: mesh.vertices[v][0])
+
+
+def straight_snap(row):
+    return [SnapAssignment(
+        0, {"start": ("surface", row[0]), "end": ("surface", row[-1])}, row)]
 
 
 class TestSnappedBoundaryConditions:
     def test_empty_plan_leaves_bcs_unchanged(self, notch):
-        plan = CorrectionPlan("snap")
-        bcs = build_snapped_bcs(notch, plan)
-        ref = build_boundary_conditions(notch)
-        assert np.array_equal(bcs.kind, ref.kind)
+        assert snapped_rows(notch, build_boundary_conditions(notch), []) == {}
 
     def test_straight_path_gets_45_degree_frames(self):
         mesh = generate_box(6, 6, 3)
         mesh.detect_features(30.0)
         # interior straight line on the top face, tangent +x, normal +z
-        row = [v for v in map(int, mesh.boundary_vertices)
-               if abs(mesh.vertices[v][2] - 1.0) < 1e-12
-               and abs(mesh.vertices[v][1] - 0.5) < 1e-12
-               and 0.1 < mesh.vertices[v][0] < 0.9]
-        row.sort(key=lambda v: mesh.vertices[v][0])
+        row = top_face_row(mesh, 0.1, 0.9)
         assert len(row) >= 3
-        plan = CorrectionPlan("snap")
-        plan.snapped = [SnapAssignment(
-            0, {"start": ("surface", row[0]), "end": ("surface", row[-1])}, row)]
-        bcs = build_snapped_bcs(mesh, plan)
+        rows = snapped_rows(mesh, build_boundary_conditions(mesh),
+                            straight_snap(row))
         c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
         Rx45 = np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
         want = fr.coeffs_from_rotation(Rx45)
         for v in row[1:-1]:
-            got = bcs.coeffs[v]
+            kind, got = rows[v]
+            assert kind == DIRICHLET
             assert np.allclose(got, want, atol=1e-9)
 
     def test_release_radius_confines_freeing(self):
         mesh = generate_box(8, 8, 3)
         mesh.detect_features(30.0)
-        row = [v for v in map(int, mesh.boundary_vertices)
-               if abs(mesh.vertices[v][2] - 1.0) < 1e-12
-               and abs(mesh.vertices[v][1] - 0.5) < 1e-12
-               and 0.2 < mesh.vertices[v][0] < 0.8]
-        row.sort(key=lambda v: mesh.vertices[v][0])
-        plan = CorrectionPlan("snap")
-        plan.snapped = [SnapAssignment(
-            0, {"start": ("surface", row[0]), "end": ("surface", row[-1])}, row)]
+        row = top_face_row(mesh, 0.2, 0.8)
         r = 0.2
-        bcs = build_snapped_bcs(mesh, plan, radius=r)
         ref = build_boundary_conditions(mesh)
+        rows = snapped_rows(mesh, ref, straight_snap(row), radius=r)
         path_pts = mesh.vertices[row]
         ref_tangency = np.flatnonzero(ref.kind == TANGENCY)
         for v in ref_tangency:
             d = np.linalg.norm(path_pts - mesh.vertices[v], axis=1).min()
             if d > 3 * r:
-                assert bcs.kind[v] == TANGENCY
-        freed = [v for v in ref_tangency if bcs.kind[v] == FREE]
+                assert v not in rows
+        freed = [v for v, (kind, _) in rows.items() if kind == FREE]
         assert freed
         for v in freed:
+            assert ref.kind[v] == TANGENCY
             d = np.linalg.norm(path_pts - mesh.vertices[v], axis=1).min()
             assert d <= r + 1e-9
 
@@ -248,6 +252,34 @@ class TestApplyPlan:
         assert err.value.diagnostics["failures"][0]["reason"] == "sheared_sheet"
         # the field is untouched on failure
         assert np.array_equal(field.coeffs, before)
+
+    def test_snap_rows_written_onto_field_bcs(self):
+        mesh = generate_box(6, 6, 3)
+        mesh.detect_features(30.0)
+        bcs = build_boundary_conditions(mesh)
+        # an extra Dirichlet row away from the path, on the bottom face
+        extra = next(v for v in map(int, mesh.boundary_vertices)
+                     if abs(mesh.vertices[v][2]) < 1e-12
+                     and bcs.kind[v] == TANGENCY)
+        bcs.set_dirichlet(extra, fr.REFERENCE_COEFFS)
+        field = constant_field(mesh, bcs)
+        plan = CorrectionPlan("snap")
+        plan.snapped = straight_snap(top_face_row(mesh, 0.1, 0.9))
+        plan.internal_constraints = snapped_rows(mesh, field.bcs, plan.snapped)
+        assert extra not in plan.internal_constraints
+        corrected = apply_plan(mesh, field, plan,
+                               SolverConfig(smoothing_sweeps=1))
+        want = field.bcs.copy()
+        for v, (kind, payload) in plan.internal_constraints.items():
+            if kind == DIRICHLET:
+                want.set_dirichlet(v, payload)
+            else:
+                assert kind == FREE
+                want.set_free(v)
+        assert corrected.bcs.kind[extra] == DIRICHLET
+        assert np.array_equal(corrected.bcs.kind, want.kind)
+        assert np.array_equal(corrected.bcs.coeffs, want.coeffs)
+        assert np.array_equal(corrected.bcs.normals, want.normals)
 
     def test_snap_until_clean_identity_without_35(self):
         mesh = generate_box(4, 4, 4)

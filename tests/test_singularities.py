@@ -12,7 +12,6 @@ from hexframe.mesh import TetMesh
 from hexframe.singularities import (
     detect_35,
     extract_graph,
-    face_singularity,
     stable_direction,
     surface_cross_indices,
 )
@@ -56,11 +55,9 @@ class TestFaceClassification:
     def test_constant_field_no_singular_faces(self, box):
         coeffs = np.tile(fr.REFERENCE_COEFFS, (len(box.vertices), 1))
         field = FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))
-        adj = box.adjacency
-        frames, quality = field.vertex_frames()
-        for fid in np.nonzero(adj.interior_mask)[0][:50]:
-            tri = tuple(adj.faces[fid])
-            assert face_singularity(field, tri, frames, quality) is None
+        graph = extract_graph(field)
+        assert graph.singular_faces == {}
+        assert graph.defects == []
 
     def test_quarter_turn_face(self, valence3_field, box):
         graph = extract_graph(valence3_field)

@@ -29,10 +29,6 @@ class CGDiverged(HexFrameError):
     """Conjugate gradient failed to reach the requested tolerance."""
 
 
-class UnprojectableVertex(HexFrameError):
-    """Coefficient vector too small to project onto the frame manifold."""
-
-
 class AmbiguousAxis(HexFrameError):
     """Composed matching is not a single-axis 90 degree rotation."""
 

@@ -292,7 +292,7 @@ def read_field(path, mesh):
         if len(vals) != 18 or not all(map(math.isfinite, vals)):
             raise ParseError("line %d: expected 18 finite numbers" % (i + 3))
         values[i] = vals
-    coeffs = values[:, :9].copy()
+    coeffs = values[:, :9]
     frames = values[:, 9:].reshape(n, 3, 3).copy()
     bad = ~fr.rotation_rows(frames)
     if bad.any():

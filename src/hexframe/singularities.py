@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import frames as fr
-from .errors import AmbiguousAxis, UnprojectableVertex
+from .errors import AmbiguousAxis
 
 QUALITY_CUTOFF = 0.5
 
@@ -19,12 +19,11 @@ QUALITY_CUTOFF = 0.5
 class SingularFace:
     """Interior triangle with non-trivial holonomy."""
 
-    __slots__ = ("face_id", "tri", "tets", "group_elem", "index", "world_rotation")
+    __slots__ = ("face_id", "tri", "group_elem", "index", "world_rotation")
 
-    def __init__(self, face_id, tri, tets, group_elem, index, world_rotation):
+    def __init__(self, face_id, tri, group_elem, index, world_rotation):
         self.face_id = face_id
         self.tri = tri
-        self.tets = tets
         self.group_elem = group_elem
         self.index = index            # Fraction(+-1, 4) or the string "other"
         self.world_rotation = world_rotation
@@ -44,7 +43,8 @@ class SingularChain:
         self.points = np.asarray(points, dtype=float)
         self.valence_start = valence_start
         self.valence_end = valence_end
-        self.endpoint_start = endpoint_start  # ("boundary", point) | ("junction", tet) | ("closed", None)
+        # ("boundary", point) | ("junction", tet) | ("defect", None) | ("closed", None)
+        self.endpoint_start = endpoint_start
         self.endpoint_end = endpoint_end
         self.is_35 = (
             isinstance(valence_start, int)
@@ -97,14 +97,6 @@ def _holonomy(frames, tris):
     return fr.octa_compose(fr.octa_compose(g1, g2), g3)
 
 
-def _check_projectable(coeffs, tris):
-    """Raise on the first near-zero coefficient vertex of ``tris``, in row order."""
-    bad = np.linalg.norm(coeffs[tris], axis=2) < 1e-9
-    if bad.any():
-        v = tris.ravel()[np.argmax(bad.ravel())]
-        raise UnprojectableVertex("vertex %d has near-zero coefficients" % v)
-
-
 def _rotation_angle_axis(W):
     cos = np.clip((np.trace(W) - 1.0) / 2.0, -1.0, 1.0)
     angle = np.arccos(cos)
@@ -133,8 +125,7 @@ def _singular_face(field, frames, triangle, h, face_id):
         index = Fraction(1, 4) if sign > 0 else Fraction(-1, 4)
     else:
         index = "other"
-    tets = tuple(int(t) for t in field.mesh.adjacency.face_tets[face_id])
-    return SingularFace(face_id, (a, b, c), tets, h, index, W)
+    return SingularFace(face_id, (a, b, c), h, index, W)
 
 
 def _valence_from_index(index):
@@ -156,134 +147,92 @@ def extract_graph(field):
     singular = {}
     for s in range(0, len(fids), _FACE_CHUNK):
         chunk = tris[s:s + _FACE_CHUNK]
-        _check_projectable(field.coeffs, chunk)
         h = _holonomy(frames, chunk)
         for k in np.nonzero(h)[0] + s:
             singular[fids[k]] = _singular_face(
                 field, frames, tuple(tris[k]), int(h[k - s]), fids[k])
     tet_sing = {}
-    for fid, sf in singular.items():
+    for fid in singular:
         for t in adj.face_tets[fid]:
-            if t >= 0:
-                tet_sing.setdefault(int(t), []).append(fid)
-    junction_tets = sorted(t for t, fs in tet_sing.items() if len(fs) >= 3)
+            tet_sing.setdefault(int(t), []).append(fid)
+    junction_set = {t for t, fs in tet_sing.items() if len(fs) >= 3}
     centroids = mesh.vertices[mesh.tets].mean(axis=1)
-
-    def boundary_point(tet, near):
-        # centroid of the tet's boundary face closest to the chain end
-        best = None
-        for li in range(4):
-            fid = adj.tet_faces[tet, li]
-            if adj.interior_mask[fid]:
-                continue
-            pt = mesh.vertices[adj.faces[fid]].mean(axis=0)
-            d = np.linalg.norm(pt - near)
-            if best is None or d < best[0]:
-                best = (d, pt, fid)
-        return best
-
-    visited = set()
-    raw_chains = []
-    junction_set = set(junction_tets)
+    chains, boundary_nodes, visited = [], [], set()
 
     def face_centroid(fid):
         return mesh.vertices[adj.faces[fid]].mean(axis=0)
 
-    def walk(start_fid, start_tet):
-        """Walk a chain from a face into a tet until an endpoint."""
-        tets = []
-        faces = [start_fid]
-        tet = start_tet
-        fid = start_fid
+    def across(fid, tet):
+        pair = adj.face_tets[fid]
+        return int(pair[0]) if int(pair[1]) == tet else int(pair[1])
+
+    def terminal(tet, fid):
+        """End descriptor and point of a chain ending in ``tet``, entered
+        through ``fid``: the junction's centroid, the centroid of the tet's
+        boundary face nearest to ``fid`` (first on ties), or a defect at the
+        tet centroid."""
+        if tet in junction_set:
+            return ("junction", tet), centroids[tet]
+        near = face_centroid(fid)
+        pts = [face_centroid(f) for f in adj.tet_faces[tet] if not adj.interior_mask[f]]
+        if pts:
+            pt = min(pts, key=lambda p: np.linalg.norm(p - near))
+            return ("boundary", pt), pt
+        return ("defect", None), centroids[tet]
+
+    def walk(fid, tet):
+        """Tets, faces and terminal of the chain from face ``fid`` into
+        ``tet``; a closed loop stops before re-entering ``fid``."""
+        tets, faces = [], [fid]
         while True:
             tets.append(tet)
-            if tet in junction_set:
-                return tets, faces, ("junction", tet)
-            sfs = tet_sing.get(tet, [])
-            nxt = [f for f in sfs if f != fid]
-            if len(nxt) == 0:
-                bp = boundary_point(tet, face_centroid(fid))
-                if bp is not None:
-                    return tets, faces, ("boundary", bp[1])
-                return tets, faces, ("defect", None)
-            fid = nxt[0]
-            faces.append(fid)
-            if fid == faces[0] and len(faces) > 1:
-                return tets, faces, ("closed", None)
-            pair = adj.face_tets[fid]
-            tet = int(pair[0]) if int(pair[1]) == tet else int(pair[1])
+            nxt = [f for f in tet_sing[tet] if f != faces[-1]]
+            if tet in junction_set or not nxt:
+                return tets, faces, terminal(tet, faces[-1])
+            if nxt[0] == fid:
+                return tets, faces, (("closed", None), face_centroid(fid))
+            faces.append(nxt[0])
+            tet = across(nxt[0], tet)
 
-    chain_id = 0
-    chains = []
-    boundary_nodes = []
-    # seed at chain terminals first (tets with exactly one or >=3 singular faces)
-    seeds = []
-    for t in sorted(tet_sing):
-        k = len(tet_sing[t])
-        if k == 1 or t in junction_set:
-            for f in sorted(tet_sing[t]):
-                seeds.append((t, f))
-    for t, f in seeds:
-        if f in visited:
-            continue
-        # start from terminal tet t through face f
-        pair = adj.face_tets[f]
-        other = int(pair[0]) if int(pair[1]) == t else int(pair[1])
-        visited.add(f)
-        tets_fwd, faces_fwd, end_fwd = walk(f, other)
-        for ff in faces_fwd:
-            visited.add(ff)
-        if t in junction_set:
-            start_pt = centroids[t]
-            start_desc = ("junction", t)
-        else:
-            bp = boundary_point(t, face_centroid(f))
-            if bp is not None:
-                start_desc = ("boundary", bp[1])
-                start_pt = bp[1]
-            else:
-                start_desc = ("defect", None)
-                start_pt = centroids[t]
-        raw_chains.append(([t] + tets_fwd, faces_fwd, start_desc, end_fwd, start_pt))
-    # remaining faces belong to closed loops
-    for fid in sorted(singular):
-        if fid in visited:
-            continue
-        pair = adj.face_tets[fid]
-        visited.add(fid)
-        tets_fwd, faces_fwd, end = walk(fid, int(pair[0]))
-        for ff in faces_fwd:
-            visited.add(ff)
-        raw_chains.append((tets_fwd, faces_fwd, ("closed", None), ("closed", None),
-                           face_centroid(fid)))
-
-    for tets, faces, start_desc, end_desc, start_pt in raw_chains:
-        if start_desc[0] == "closed" and len(faces) > 1 and faces[-1] == faces[0]:
-            faces = faces[:-1]
+    def add_chain(tets, faces, head, tail):
+        """Append the chain between the ``(descriptor, point)`` terminals
+        ``head`` and ``tail``, its boundary nodes and, for a dangling chain,
+        its defect.  A closed loop returns to its first face; a defect end
+        adds no point."""
+        (start, first), (end, last) = head, tail
+        visited.update(faces)
+        pts = [face_centroid(f) for f in faces]
+        if start[0] != "closed":
+            pts.insert(0, first)
+        if end[0] != "defect":
+            pts.append(last)
+        chain_id = len(chains)
         sfaces = [singular[f] for f in faces]
-        if start_desc[0] == "closed":
-            pts = [face_centroid(f) for f in faces] + [face_centroid(faces[0])]
-        else:
-            pts = [start_pt] + [face_centroid(f) for f in faces]
-        if end_desc[0] == "junction":
-            pts.append(centroids[end_desc[1]])
-        elif end_desc[0] == "boundary":
-            pts.append(end_desc[1])
         # the face index is loop-orientation invariant, so the endpoint
         # valences read directly off the first and last faces
-        v_start = _valence_from_index(sfaces[0].index)
-        v_end = _valence_from_index(sfaces[-1].index)
-        if start_desc[0] == "defect" or end_desc[0] == "defect":
+        chains.append(SingularChain(
+            chain_id, tets, sfaces, pts, _valence_from_index(sfaces[0].index),
+            _valence_from_index(sfaces[-1].index), start, end))
+        if "defect" in (start[0], end[0]):
             defects.append(("dangling_chain", tuple(tets)))
-        ch = SingularChain(chain_id, tets, sfaces, pts, v_start, v_end,
-                           start_desc, end_desc)
-        chains.append(ch)
-        if start_desc[0] == "boundary":
-            boundary_nodes.append((chain_id, "start", start_desc[1]))
-        if end_desc[0] == "boundary":
-            boundary_nodes.append((chain_id, "end", end_desc[1]))
-        chain_id += 1
-    return SingularityGraph(chains, junction_tets, boundary_nodes, defects, singular)
+        for which, desc in (("start", start), ("end", end)):
+            if desc[0] == "boundary":
+                boundary_nodes.append((chain_id, which, desc[1]))
+
+    # chains leave their terminal tets (one singular face, or a junction) first
+    for t in sorted(tet_sing):
+        if len(tet_sing[t]) != 2:
+            for f in sorted(tet_sing[t]):
+                if f not in visited:
+                    tets, faces, end = walk(f, across(f, t))
+                    add_chain([t] + tets, faces, terminal(t, f), end)
+    # the faces left over form closed loops
+    for f in sorted(singular):
+        if f not in visited:
+            tets, faces, end = walk(f, int(adj.face_tets[f, 0]))
+            add_chain(tets, faces, end, end)
+    return SingularityGraph(chains, sorted(junction_set), boundary_nodes, defects,
+                            singular)
 
 
 def detect_35(graph):

@@ -153,11 +153,16 @@ def assemble_stiffness(mesh):
 
 
 class FrameField:
-    """Per-vertex 9-coefficient field over a TetMesh with its BC set."""
+    """Per-vertex 9-coefficient field over a TetMesh with its BC set.
+
+    The field keeps a read-only copy of ``coeffs``, so the frames that
+    ``vertex_frames`` caches always belong to its coefficients.
+    """
 
     def __init__(self, mesh, coeffs, bcs, config=None):
         self.mesh = mesh
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.coeffs.flags.writeable = False
         self.bcs = bcs
         self.config = config or SolverConfig()
         self._frames = None
@@ -210,7 +215,7 @@ def _build_reduced_system(bcs):
     return A, b.ravel(), tang, offsets[tang], H
 
 
-def solve_initial(mesh, bcs, config=None, K=None, warm_coeffs=None):
+def solve_initial(mesh, bcs, config=None, K=None):
     """Laplacian initialization of the 9 coefficient channels.
 
     Dirichlet vertices are eliminated, tangency vertices reduced to two
@@ -233,11 +238,7 @@ def solve_initial(mesh, bcs, config=None, K=None, warm_coeffs=None):
     diag[diag <= 0] = 1.0
     precond = spla.LinearOperator(M.shape, matvec=lambda x: x / diag)
     maxiter = 10 * nu
-    x0 = None
-    if warm_coeffs is not None:
-        # the columns of A are orthonormal, so A^T inverts x = A u + b
-        x0 = A.T @ (np.ravel(warm_coeffs) - b)
-    u, info = spla.cg(M, rhs, x0=x0, rtol=CG_TOLERANCE, atol=0.0,
+    u, info = spla.cg(M, rhs, rtol=CG_TOLERANCE, atol=0.0,
                       maxiter=maxiter, M=precond)
     if info > 0:
         res = np.linalg.norm(M @ u - rhs) / max(np.linalg.norm(rhs), 1e-300)

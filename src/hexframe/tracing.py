@@ -87,10 +87,14 @@ def _frame_in_tet(field, tet, point):
                   0.0, 1.0)
     vids = field.mesh.tets[tet]
     c = lam @ field.coeffs[vids]
+    nc = np.linalg.norm(c)
+    if nc <= 1e-9:
+        # as vertex_frames: the identity frame with quality 0
+        return np.eye(3), 0.0, tet
     frames, _ = field.vertex_frames()
     warm = frames[vids[int(np.argmax(lam))]]
     R, pc = fr.project_to_octahedral(c, warm_start=warm)
-    return R, float((c / np.linalg.norm(c)) @ pc), tet
+    return R, float((c / nc) @ pc), tet
 
 
 def interpolate_frame(field, point, tet_hint=None, boxes=None):

@@ -1,10 +1,12 @@
-"""Reference loops for singularity classification.
+"""Reference loops for singularity classification and chain assembly.
 
 One face or one surface corner at a time, as ``hexframe.singularities``
 computed them before it classified whole arrays: the per-face holonomy from
 three scalar octahedral matchings, the hot-face scan, and the surface cross
-indices with the per-vertex fan walk.  The tests require the array code to
-reproduce these results exactly.
+indices with the per-vertex fan walk.  ``assemble_chains`` is the chain
+assembly as it was before its walk had one end rule: separate start and end
+rules, and closed loops trimmed after the walk.  The tests require the
+library code to reproduce these results exactly.
 """
 
 from fractions import Fraction
@@ -12,7 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 import hexframe.frames as fr
-from hexframe.singularities import QUALITY_CUTOFF
+from hexframe.singularities import (
+    QUALITY_CUTOFF,
+    SingularChain,
+    SingularityGraph,
+    _valence_from_index,
+)
 
 
 def matching(Ra, Rb):
@@ -134,3 +141,131 @@ def surface_cross_indices(field):
         if q:
             per_vertex[vtx] = q
     return per_triangle, per_vertex, Fraction(sum(per_vertex.values()), 4)
+
+
+def assemble_chains(mesh, singular, defects):
+    """``SingularityGraph`` of the ``{face_id: SingularFace}`` map
+    ``singular``; dangling-chain defects follow a copy of ``defects``."""
+    adj = mesh.adjacency
+    defects = list(defects)
+    tet_sing = {}
+    for fid, sf in singular.items():
+        for t in adj.face_tets[fid]:
+            if t >= 0:
+                tet_sing.setdefault(int(t), []).append(fid)
+    junction_tets = sorted(t for t, fs in tet_sing.items() if len(fs) >= 3)
+    centroids = mesh.vertices[mesh.tets].mean(axis=1)
+
+    def boundary_point(tet, near):
+        # centroid of the tet's boundary face closest to the chain end
+        best = None
+        for li in range(4):
+            fid = adj.tet_faces[tet, li]
+            if adj.interior_mask[fid]:
+                continue
+            pt = mesh.vertices[adj.faces[fid]].mean(axis=0)
+            d = np.linalg.norm(pt - near)
+            if best is None or d < best[0]:
+                best = (d, pt, fid)
+        return best
+
+    visited = set()
+    raw_chains = []
+    junction_set = set(junction_tets)
+
+    def face_centroid(fid):
+        return mesh.vertices[adj.faces[fid]].mean(axis=0)
+
+    def walk(start_fid, start_tet):
+        """Walk a chain from a face into a tet until an endpoint."""
+        tets = []
+        faces = [start_fid]
+        tet = start_tet
+        fid = start_fid
+        while True:
+            tets.append(tet)
+            if tet in junction_set:
+                return tets, faces, ("junction", tet)
+            sfs = tet_sing.get(tet, [])
+            nxt = [f for f in sfs if f != fid]
+            if len(nxt) == 0:
+                bp = boundary_point(tet, face_centroid(fid))
+                if bp is not None:
+                    return tets, faces, ("boundary", bp[1])
+                return tets, faces, ("defect", None)
+            fid = nxt[0]
+            faces.append(fid)
+            if fid == faces[0] and len(faces) > 1:
+                return tets, faces, ("closed", None)
+            pair = adj.face_tets[fid]
+            tet = int(pair[0]) if int(pair[1]) == tet else int(pair[1])
+
+    chain_id = 0
+    chains = []
+    boundary_nodes = []
+    # seed at chain terminals first (tets with exactly one or >=3 singular faces)
+    seeds = []
+    for t in sorted(tet_sing):
+        k = len(tet_sing[t])
+        if k == 1 or t in junction_set:
+            for f in sorted(tet_sing[t]):
+                seeds.append((t, f))
+    for t, f in seeds:
+        if f in visited:
+            continue
+        # start from terminal tet t through face f
+        pair = adj.face_tets[f]
+        other = int(pair[0]) if int(pair[1]) == t else int(pair[1])
+        visited.add(f)
+        tets_fwd, faces_fwd, end_fwd = walk(f, other)
+        for ff in faces_fwd:
+            visited.add(ff)
+        if t in junction_set:
+            start_pt = centroids[t]
+            start_desc = ("junction", t)
+        else:
+            bp = boundary_point(t, face_centroid(f))
+            if bp is not None:
+                start_desc = ("boundary", bp[1])
+                start_pt = bp[1]
+            else:
+                start_desc = ("defect", None)
+                start_pt = centroids[t]
+        raw_chains.append(([t] + tets_fwd, faces_fwd, start_desc, end_fwd, start_pt))
+    # remaining faces belong to closed loops
+    for fid in sorted(singular):
+        if fid in visited:
+            continue
+        pair = adj.face_tets[fid]
+        visited.add(fid)
+        tets_fwd, faces_fwd, end = walk(fid, int(pair[0]))
+        for ff in faces_fwd:
+            visited.add(ff)
+        raw_chains.append((tets_fwd, faces_fwd, ("closed", None), ("closed", None),
+                           face_centroid(fid)))
+
+    for tets, faces, start_desc, end_desc, start_pt in raw_chains:
+        if start_desc[0] == "closed" and len(faces) > 1 and faces[-1] == faces[0]:
+            faces = faces[:-1]
+        sfaces = [singular[f] for f in faces]
+        if start_desc[0] == "closed":
+            pts = [face_centroid(f) for f in faces] + [face_centroid(faces[0])]
+        else:
+            pts = [start_pt] + [face_centroid(f) for f in faces]
+        if end_desc[0] == "junction":
+            pts.append(centroids[end_desc[1]])
+        elif end_desc[0] == "boundary":
+            pts.append(end_desc[1])
+        v_start = _valence_from_index(sfaces[0].index)
+        v_end = _valence_from_index(sfaces[-1].index)
+        if start_desc[0] == "defect" or end_desc[0] == "defect":
+            defects.append(("dangling_chain", tuple(tets)))
+        ch = SingularChain(chain_id, tets, sfaces, pts, v_start, v_end,
+                           start_desc, end_desc)
+        chains.append(ch)
+        if start_desc[0] == "boundary":
+            boundary_nodes.append((chain_id, "start", start_desc[1]))
+        if end_desc[0] == "boundary":
+            boundary_nodes.append((chain_id, "end", end_desc[1]))
+        chain_id += 1
+    return SingularityGraph(chains, junction_tets, boundary_nodes, defects, singular)

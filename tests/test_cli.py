@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import hexframe
+import hexframe.frames as fr
 from hexframe.boxgen import generate_box
 from hexframe.cli import main
-from hexframe.meshio import read_vtk_polylines, write_medit
+from hexframe.meshio import read_vtk_polylines, write_field, write_medit
+from hexframe.solver import BoundaryConditionSet, FrameField
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +122,22 @@ class TestTrace:
         code = run(["trace", "--mesh", cube_path, "--out", str(tmp_path),
                     "--seed", "5,5,5", "--dir", "1,0,0", "--sweeps", "3"])
         assert code == 3
+
+    def test_zero_field_ends_in_singular_region(self, tmp_path, capsys):
+        # interior rows of norm 0 interpolate to a zero vector at the seed
+        mesh = generate_box(4, 4, 4)
+        mesh.detect_features(30.0)
+        coeffs = np.tile(fr.REFERENCE_COEFFS, (len(mesh.vertices), 1))
+        interior = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_vertices)
+        coeffs[interior] = 0.0
+        mesh_path, field_path = str(tmp_path / "box.mesh"), str(tmp_path / "field.txt")
+        write_medit(mesh, mesh_path)
+        write_field(FrameField(mesh, coeffs, BoundaryConditionSet(len(coeffs))),
+                    field_path)
+        out = str(tmp_path / "tr")
+        assert run(["trace", "--mesh", mesh_path, "--field", field_path,
+                    "--out", out, "--seed", "0.5,0.5,0.5", "--dir", "1,0,0"]) == 0
+        assert capsys.readouterr().out.startswith("HitSingularRegion")
 
 
 class TestReport:

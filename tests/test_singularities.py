@@ -7,7 +7,6 @@ import hexframe.frames as fr
 import hexframe.singularities as sing
 import singularity_oracle as oracle
 from hexframe.boxgen import generate_box
-from hexframe.errors import UnprojectableVertex
 from hexframe.mesh import TetMesh
 from hexframe.singularities import (
     detect_35,
@@ -257,12 +256,65 @@ def test_parity_fields_exercise_classification(rotated_box_field, rotated_box_ho
     assert any(d[0] == "hot_face" for d in extract_graph(rotated_box_hot_field).defects)
 
 
-def test_near_zero_coefficient_on_non_hot_face_raises(box):
+def test_field_coefficients_are_read_only(box):
     coeffs = np.tile(fr.REFERENCE_COEFFS, (len(box.vertices), 1))
     field = FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))
-    field.vertex_frames()
-    # frames projected before the coefficient vanished keep the face cool
-    v = np.setdiff1d(np.arange(len(box.vertices)), box.boundary_vertices)[0]
-    field.coeffs[v] = 0.0
-    with pytest.raises(UnprojectableVertex, match="vertex %d " % v):
-        extract_graph(field)
+    frames, _ = field.vertex_frames()
+    # the field keeps its own copy, so its cached frames cannot go stale
+    coeffs[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        field.coeffs[0] = 0.0
+    assert np.array_equal(field.coeffs[0], fr.REFERENCE_COEFFS)
+    assert field.vertex_frames()[0] is frames
+
+
+def smooth_random_field(mesh, seed):
+    """Frames ``axis_angle_rotation(w(x))`` with ``w`` a sum of four sines
+    of seeded wave vectors; every fourth seed zeroes ten vertices."""
+    rng = np.random.default_rng(seed)
+    waves = rng.normal(scale=4.0, size=(4, 3))
+    amplitudes = rng.normal(size=(4, 3))
+    phases = rng.uniform(0.0, 2.0 * np.pi, 4)
+    w = np.sin(mesh.vertices @ waves.T + phases) @ amplitudes
+    coeffs = fr.coeffs_from_rotation(fr.axis_angle_rotation(w))
+    if seed % 4 == 1:
+        coeffs[rng.choice(len(coeffs), 10, replace=False)] = 0.0
+    return FrameField(mesh, coeffs, BoundaryConditionSet(len(coeffs)))
+
+
+def _same_end(a, b):
+    return a[0] == b[0] and np.array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("seed", [1, 3, 9])
+def test_chain_assembly_matches_reference(seed):
+    """``extract_graph`` assembles the chains, ends, boundary nodes and
+    defects of the reference walk exactly."""
+    field = smooth_random_field(generate_box(6, 6, 6), seed)
+    graph = extract_graph(field)
+    ref = oracle.assemble_chains(
+        field.mesh, graph.singular_faces,
+        [d for d in graph.defects if d[0] == "hot_face"])
+    assert len(graph.chains) == len(ref.chains)
+    for ch, rc in zip(graph.chains, ref.chains):
+        assert ch.chain_id == rc.chain_id
+        assert ch.tets == rc.tets
+        assert [f.face_id for f in ch.faces] == [f.face_id for f in rc.faces]
+        assert np.array_equal(ch.points, rc.points)
+        assert _same_end(ch.endpoint_start, rc.endpoint_start)
+        assert _same_end(ch.endpoint_end, rc.endpoint_end)
+        assert (ch.valence_start, ch.valence_end) == (rc.valence_start, rc.valence_end)
+    assert graph.junction_tets == ref.junction_tets
+    assert len(graph.boundary_nodes) == len(ref.boundary_nodes)
+    for a, b in zip(graph.boundary_nodes, ref.boundary_nodes):
+        assert a[:2] == b[:2] and np.array_equal(a[2], b[2])
+    assert graph.defects == ref.defects
+
+
+def test_parity_seeds_reach_every_end_kind():
+    kinds = set()
+    for seed in (1, 3, 9):
+        graph = extract_graph(smooth_random_field(generate_box(6, 6, 6), seed))
+        kinds |= {ch.endpoint_start[0] for ch in graph.chains}
+        kinds |= {ch.endpoint_end[0] for ch in graph.chains}
+    assert kinds == {"closed", "junction", "defect", "boundary"}

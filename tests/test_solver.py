@@ -111,14 +111,6 @@ class TestInitialSolve:
             assert energy >= base - 1e-9
 
 
-    def test_warm_start_reproduces_cold_solve(self):
-        mesh = generate_box(4, 4, 4, bulge=0.3)
-        mesh.detect_features(30.0)
-        bcs = build_boundary_conditions(mesh)
-        cold = solve_initial(mesh, bcs)
-        warm = solve_initial(mesh, bcs, warm_coeffs=cold.coeffs)
-        assert np.abs(warm.coeffs - cold.coeffs).max() < 1e-6
-
     def test_reduced_system_matches_vertex_loop(self):
         mesh = generate_box(4, 4, 4, bulge=0.3)
         mesh.detect_features(30.0)
@@ -187,10 +179,11 @@ class TestSmoothing:
         K = assemble_stiffness(cube)
         field = solve_initial(cube, bcs, K=K)
         rng = np.random.default_rng(5)
-        field.coeffs += 0.05 * rng.normal(size=field.coeffs.shape)
+        coeffs = field.coeffs + 0.05 * rng.normal(size=field.coeffs.shape)
         # re-pin constrained vertices
         dirichlet = bcs.kind == DIRICHLET
-        field.coeffs[dirichlet] = bcs.coeffs[dirichlet]
+        coeffs[dirichlet] = bcs.coeffs[dirichlet]
+        field = FrameField(cube, coeffs, bcs)
         cfg = SolverConfig(projection_relaxation=0.0, smoothing_sweeps=1,
                           convergence_delta=0.0)
         energies = [field.energy(K)]

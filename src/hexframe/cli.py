@@ -64,14 +64,14 @@ def _build_parser():
                    choices=["extrude-curve", "extrude-node", "snap"])
     p.add_argument("--snap-radius", type=float, default=0.0,
                    help="tangency release radius (0: 3 mean edge lengths)")
-    p.add_argument("--step", type=float, default=0.0,
+    p.add_argument("--step", type=_step_size, default=0.0,
                    help="streamline step size (0: half mean edge length)")
 
     p = common(sub.add_parser("trace", help="trace one streamline"))
     p.add_argument("--seed", required=True, help="seed point x,y,z")
     p.add_argument("--dir", required=True, dest="direction",
                    help="initial direction dx,dy,dz")
-    p.add_argument("--step", type=float, default=0.0,
+    p.add_argument("--step", type=_step_size, default=0.0,
                    help="streamline step size (0: half mean edge length)")
 
     p = sub.add_parser("report", help="print the report of a previous run")
@@ -80,14 +80,20 @@ def _build_parser():
     return parser
 
 
+def _step_size(text):
+    if not 0.0 <= float(text) < np.inf:
+        raise argparse.ArgumentTypeError("expects a finite step >= 0, got %r" % text)
+    return float(text)
+
+
 def _parse_triple(text, flag):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise SystemExit2("%s expects x,y,z, got %r" % (flag, text))
     try:
-        return np.array([float(x) for x in parts])
+        triple = np.array([float(x) for x in text.split(",")])
     except ValueError:
-        raise SystemExit2("%s expects numbers, got %r" % (flag, text))
+        triple = None
+    if triple is None or len(triple) != 3 or not np.isfinite(triple).all():
+        raise SystemExit2("%s expects finite numbers x,y,z, got %r" % (flag, text))
+    return triple
 
 
 class SystemExit2(Exception):
@@ -230,9 +236,11 @@ def _cmd_correct(args, log):
 
 
 def _cmd_trace(args, log):
-    mesh, field, _ = _load_or_solve(args, log)
     seed = _parse_triple(args.seed, "--seed")
     direction = _parse_triple(args.direction, "--dir")
+    if not direction.any():
+        raise SystemExit2("--dir must not be zero")
+    mesh, field, _ = _load_or_solve(args, log)
     streamline = trace(field, seed, direction, TracerConfig(step_size=args.step))
     _make_out_dir(args.out)
     write_vtk_graph([streamline], os.path.join(args.out, "trace.vtk"))

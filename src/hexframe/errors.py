@@ -41,6 +41,10 @@ class SeedOutside(OutsideMesh):
     """Streamline seed point lies outside the mesh."""
 
 
+class WalkFailed(HexFrameError):
+    """A straight walk crossed more faces than the mesh has tets."""
+
+
 class NoBoundaryPath(HexFrameError):
     """Snap endpoints lie on disconnected boundary components."""
 

@@ -11,13 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames as fr
-from .errors import OutsideMesh, SeedOutside
+from .errors import OutsideMesh, SeedOutside, WalkFailed
 
 
 # a streamline stops at a sample below this projection quality, or where
 # the carried axis turns by more than 60 degrees
 SINGULAR_QUALITY_CUTOFF = 0.5
 DIRECTION_DOT_MIN = 0.5
+# barycentric slack of the inside test
+TOL = 1e-10
 
 
 @dataclass
@@ -45,41 +47,43 @@ def _barycentric(mesh, tet, p):
     return np.concatenate([[1.0 - lam.sum()], lam])
 
 
-def tet_boxes(mesh, tol=1e-10):
-    """Per-tet bounding boxes ``(lo, hi)`` padded by ``tol``, for ``locate``."""
-    verts = mesh.vertices[mesh.tets]
-    return verts.min(axis=1) - tol, verts.max(axis=1) + tol
-
-
-def locate(mesh, point, hint=None, tol=1e-10, boxes=None):
-    """Tet containing ``point`` by adjacency walk, scanning as fallback.
-
-    ``boxes`` are the ``tet_boxes(mesh, tol)`` of the scan, for callers that
-    locate many points.
-    """
+def locate(mesh, point):
+    """Tet containing ``point`` by a scan of all tets; None outside."""
     point = np.asarray(point, dtype=float)
-    adj = mesh.adjacency
-    if hint is not None:
-        tet = int(hint)
-        for _ in range(4 * len(mesh.tets)):
-            lam = _barycentric(mesh, tet, point)
-            worst = int(np.argmin(lam))
-            if lam[worst] >= -tol:
-                return tet
-            fid = adj.tet_faces[tet, worst]
-            pair = adj.face_tets[fid]
-            nxt = int(pair[0]) if int(pair[1]) == tet else int(pair[1])
-            if nxt < 0:
-                break
-            tet = nxt
-    # exhaustive fallback
-    lo, hi = boxes if boxes is not None else tet_boxes(mesh, tol)
-    cand = np.nonzero(((point >= lo) & (point <= hi)).all(axis=1))[0]
-    for tet in cand:
-        lam = _barycentric(mesh, int(tet), point)
-        if lam.min() >= -tol:
+    verts = mesh.vertices[mesh.tets]
+    near = (point >= verts.min(axis=1) - TOL) & (point <= verts.max(axis=1) + TOL)
+    for tet in np.nonzero(near.all(axis=1))[0]:
+        if _barycentric(mesh, int(tet), point).min() >= -TOL:
             return int(tet)
     return None
+
+
+def _walk(mesh, tet, p, q):
+    """Straight walk along the segment p -> q from ``tet``, a tet holding p
+    (Devillers, Pion and Teillaud 2002).
+
+    Each tet is left through the face the segment crosses first.  Returns
+    ``(tet, 1.0)`` with ``tet`` holding q, or ``(None, s)`` when the segment
+    leaves the mesh through a boundary face at ``p + s * (q - p)``.  Raises
+    ``WalkFailed`` when ``len(mesh.tets)`` crossings do not end it.
+    """
+    adj = mesh.adjacency
+    for _ in range(len(mesh.tets)):
+        lq = _barycentric(mesh, tet, q)
+        if lq.min() >= -TOL:
+            return tet, 1.0
+        lp = _barycentric(mesh, tet, p)
+        # where the segment reaches -TOL on each face that q lies beyond
+        drop = lp - lq
+        s = np.divide(lp + TOL, drop, out=np.zeros(4), where=drop > 0)
+        s[lq >= -TOL] = np.inf
+        face = int(np.argmin(s))
+        pair = adj.face_tets[adj.tet_faces[tet, face]]
+        nxt = int(pair[0]) if int(pair[1]) == tet else int(pair[1])
+        if nxt < 0:
+            return None, max(float(s[face]), 0.0)
+        tet = nxt
+    raise WalkFailed("walk from %s to %s crossed %d tets" % (p, q, len(mesh.tets)))
 
 
 def _frame_in_tet(field, tet, point):
@@ -97,46 +101,33 @@ def _frame_in_tet(field, tet, point):
     return R, float((c / nc) @ pc), tet
 
 
-def interpolate_frame(field, point, tet_hint=None, boxes=None):
+def interpolate_frame(field, point):
     """Projected frame at an interior point.
 
     Linearly interpolates the nine coefficients over the containing tet and
-    projects the result.  Returns ``(rotation, quality, tet)``; ``boxes``
-    is passed on to ``locate``.
+    projects the result.  Returns ``(rotation, quality, tet)``.
     """
-    tet = locate(field.mesh, point, hint=tet_hint, boxes=boxes)
+    tet = locate(field.mesh, point)
     if tet is None:
         raise OutsideMesh("point %s is outside the mesh" % np.asarray(point))
     return _frame_in_tet(field, tet, point)
 
 
 class _MeshSampler:
-    """Frame sampler of a mesh field: ``sample`` is None outside the mesh."""
+    """Frame sampler of a mesh field: ``sample`` is None outside the mesh.
+    Its hint ``(tet, point)`` starts walks to later points; with no hint,
+    the seed scan finds the point."""
 
     def __init__(self, field):
         self.field = field
-        self.boxes = tet_boxes(field.mesh)
-
-    def locate(self, point, hint=None):
-        return locate(self.field.mesh, point, hint=hint, boxes=self.boxes)
 
     def sample(self, point, hint):
-        tet = self.locate(point, hint)
-        return None if tet is None else _frame_in_tet(self.field, tet, point)
-
-
-def _clip_to_boundary(sampler, p, d, h, hint):
-    """Last inside point along the segment p -> p + h*d (bisection); each
-    point is located from the last inside tet, starting at ``hint``."""
-    lo, hi = 0.0, h
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        tet = sampler.locate(p + mid * d, hint)
+        mesh = self.field.mesh
+        tet = locate(mesh, point) if hint is None else _walk(mesh, *hint, point)[0]
         if tet is None:
-            hi = mid
-        else:
-            lo, hint = mid, tet
-    return p + lo * d
+            return None
+        R, q, tet = _frame_in_tet(self.field, tet, point)
+        return R, q, (tet, point)
 
 
 def _axis_at(sampler, point, hint, ref, check):
@@ -150,9 +141,7 @@ def _axis_at(sampler, point, hint, ref, check):
     got = sampler.sample(point, hint)
     if got is None:
         return "ExitedBoundary", None, hint
-    R, q, tet = got
-    if tet is not None:
-        hint = tet
+    R, q, hint = got
     if q < SINGULAR_QUALITY_CUTOFF:
         return "HitSingularRegion", None, hint
     v = fr.closest_direction(ref, R)
@@ -181,11 +170,10 @@ def trace(field, seed, direction, config=None):
         max_len = 20.0 * mesh.bounding_box_diagonal()
 
     p = np.asarray(seed, dtype=float)
-    hint = None
-    got = sampler.sample(p, hint)
+    got = sampler.sample(p, None)
     if got is None:
         raise SeedOutside("seed %s is outside the mesh" % p)
-    R0, q0, hint = got
+    R0, q0, start = got
     if q0 < SINGULAR_QUALITY_CUTOFF:
         return Streamline([p], np.zeros((0, 3)), "HitSingularRegion", 0.0)
     d = fr.closest_direction(np.asarray(direction, dtype=float), R0)
@@ -201,17 +189,17 @@ def trace(field, seed, direction, config=None):
         vs = []
         for frac in (0.0, 0.5, 0.5, 1.0):
             base = vs[-1] if vs else d
-            stop, v, hint = _axis_at(sampler, p + frac * h * base, hint,
-                                     base, base)
+            stop, v, _ = _axis_at(sampler, p + frac * h * base, start, base, base)
             if stop:
                 break
             vs.append(v)
         else:
             step = (h / 6.0) * (vs[0] + 2.0 * vs[1] + 2.0 * vs[2] + vs[3])
-            stop, v, hint = _axis_at(sampler, p + step, hint, vs[3], d)
+            stop, v, hint = _axis_at(sampler, p + step, start, vs[3], d)
         if stop == "ExitedBoundary":
-            p_end = _clip_to_boundary(sampler, p, d if step is None else step / h,
-                                      h, hint)
+            # a mesh field: end where the step's segment leaves the mesh
+            q = p + (h * d if step is None else step)
+            p_end = p + _walk(mesh, *start, q)[1] * (q - p)
             if np.linalg.norm(p_end - p) > 1e-14:
                 length += np.linalg.norm(p_end - p)
                 points.append(p_end)
@@ -220,7 +208,7 @@ def trace(field, seed, direction, config=None):
             termination = stop
             break
         length += np.linalg.norm(step)
-        p = p + step
+        p, start = p + step, hint
         d = v
         points.append(p.copy())
         directions.append(d.copy())

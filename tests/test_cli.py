@@ -42,6 +42,23 @@ class TestUsage:
                     "--seed", "0.5,0.5", "--dir", "1,0,0", "--sweeps", "3"])
         assert code == 64
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--dir", "0,0,0"), ("--dir", "nan,0,0"), ("--seed", "nan,0.5,0.5"),
+        ("--seed", "0.5,inf,0.5"), ("--step", "nan"), ("--step", "inf"),
+        ("--step", "-0.1")])
+    def test_bad_trace_value_exits_64(self, cube_path, tmp_path, flag, value):
+        values = {"--seed": "0.5,0.5,0.5", "--dir": "1,0,0", "--step": "0"}
+        values[flag] = value
+        argv = ["trace", "--mesh", cube_path, "--out", str(tmp_path),
+                "--sweeps", "3"] + ["%s=%s" % kv for kv in values.items()]
+        assert run(argv) == 64
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_correct_step_exits_64(self, cube_path, tmp_path, value):
+        assert run(["correct", "--mesh", cube_path, "--out", str(tmp_path),
+                    "--strategy", "extrude-curve", "--step=" + value]) == 64
+
 
 class TestSolve:
     def test_cube_solve_writes_artifacts(self, cube_path, tmp_path, capsys):

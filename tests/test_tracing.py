@@ -1,11 +1,30 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import hexframe.frames as fr
+import hexframe.tracing as tracing
 from hexframe.boxgen import generate_box
-from hexframe.errors import SeedOutside
-from hexframe.solver import BoundaryConditionSet, FrameField
-from hexframe.tracing import TracerConfig, interpolate_frame, locate, tet_boxes, trace
+from hexframe.correction import extrude_feature_curves, extrude_singular_nodes
+from hexframe.errors import SeedOutside, WalkFailed
+from hexframe.meshio import read_medit
+from hexframe.singularities import extract_graph
+from hexframe.solver import BoundaryConditionSet, FrameField, SolverConfig, compute_field
+from hexframe.tracing import (
+    TOL,
+    TracerConfig,
+    _barycentric,
+    _walk,
+    interpolate_frame,
+    locate,
+    trace,
+)
+
+import tracing_oracle
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def rot_z(a):
@@ -39,18 +58,32 @@ class TestLocate:
 
     def test_walk_matches_scan(self, box):
         rng = np.random.default_rng(3)
-        boxes = tet_boxes(box)
+        start = box.vertices[box.tets[0]].mean(axis=0)
         for _ in range(25):
             p = rng.uniform(0.05, 0.95, size=3)
-            t_walk = locate(box, p, hint=0)
+            t_walk, s = _walk(box, 0, start, p)
             t_scan = locate(box, p)
-            assert locate(box, p, boxes=boxes) == t_scan
-            lam = np.linalg.norm(
-                box.vertices[box.tets[t_walk]].mean(axis=0)
-                - box.vertices[box.tets[t_scan]].mean(axis=0)
-            )
-            # both must contain the point (possibly distinct tets on a face)
-            assert t_walk is not None and t_scan is not None
+            assert s == 1.0 and t_walk is not None and t_scan is not None
+            # both contain the point (possibly distinct tets on a face)
+            for tet in (t_walk, t_scan):
+                assert _barycentric(box, tet, p).min() >= -TOL
+
+    def test_walk_exit_parameter_on_boundary(self, box):
+        p = np.array([0.5, 0.5, 0.5])
+        tet = locate(box, p)
+        got, s = _walk(box, tet, p, np.array([2.0, 0.6, 0.4]))
+        assert got is None
+        assert abs(p[0] + s * 1.5 - 1.0) < 1e-9
+
+    def test_walk_raises_instead_of_cycling(self, box):
+        # every face leads back to tet 0: the walk must not return a tet
+        adj = SimpleNamespace(tet_faces=box.adjacency.tet_faces,
+                              face_tets=np.zeros_like(box.adjacency.face_tets))
+        looped = SimpleNamespace(vertices=box.vertices, tets=box.tets,
+                                 adjacency=adj)
+        start = box.vertices[box.tets[0]].mean(axis=0)
+        with pytest.raises(WalkFailed):
+            _walk(looped, 0, start, np.array([0.9, 0.9, 0.9]))
 
 
 class TestInterpolation:
@@ -89,6 +122,35 @@ class TestStraightTraces:
     def test_seed_outside(self, constant_field):
         with pytest.raises(SeedOutside):
             trace(constant_field, [3.0, 0.5, 0.5], [1, 0, 0])
+
+    def test_one_scan_per_trace(self, constant_field, monkeypatch):
+        calls = []
+
+        def counted(mesh, point):
+            calls.append(point)
+            return locate(mesh, point)
+
+        monkeypatch.setattr(tracing, "locate", counted)
+        sl = trace(constant_field, [0.1, 0.52, 0.48], [1.0, 0.1, 0.05],
+                   TracerConfig(step_size=0.05))
+        assert sl.termination == "ExitedBoundary" and len(sl.points) > 10
+        assert len(calls) == 1
+
+    def test_stops_at_near_wall_of_gap(self):
+        # a step long enough to jump the groove: its end point lies in the
+        # material beyond, but the segment to it leaves the mesh first
+        mesh = read_medit(os.path.join(FIXTURES, "groove_box.mesh"))
+        c = fr.coeffs_from_rotation(fr.axis_angle_rotation([0, 0, np.pi / 4]))
+        field = FrameField(mesh, np.tile(c, (len(mesh.vertices), 1)),
+                           BoundaryConditionSet(len(mesh.vertices)))
+        u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        seed = np.array([1.0, 0.05, 0.8]) - 1.3 * u
+        sl = trace(field, seed, u, TracerConfig(step_size=1.15))
+        assert sl.termination == "ExitedBoundary"
+        assert len(sl.points) == 2
+        assert np.allclose(sl.points[-1], [0.5466, 0.5034, 0.8], atol=1e-3)
+        assert abs(sl.length - 0.6588) < 1e-3
+        assert locate(mesh, sl.points[-1]) is not None
 
 
 class TestReversal:
@@ -151,3 +213,45 @@ class TestSingularTermination:
         sl = trace(field, [0.1, 0.5, 0.5], [1, 0, 0], cfg)
         assert sl.termination == "HitSingularRegion"
         assert sl.points[-1][0] < 0.75
+
+
+@pytest.fixture(scope="module", params=["notch", "arc_box"])
+def solved5(request):
+    mesh = read_medit(os.path.join(FIXTURES, request.param + ".mesh"))
+    field = compute_field(mesh, SolverConfig(smoothing_sweeps=5))
+    return mesh, field, extract_graph(field)
+
+
+class TestOracleParity:
+    """Plans traced with walks against ``tracing_oracle``: the greedy walk
+    with a box-scan fallback and the exit bisection."""
+
+    @pytest.mark.parametrize("strategy", ["curve", "node"])
+    def test_plans_match_reference(self, solved5, strategy, monkeypatch):
+        import hexframe.correction as correction
+
+        mesh, field, graph = solved5
+
+        def plan():
+            if strategy == "curve":
+                return extrude_feature_curves(mesh, field)
+            return extrude_singular_nodes(mesh, field, graph)
+
+        got = plan()
+        monkeypatch.setattr(correction, "trace", tracing_oracle.trace)
+        want = plan()
+        assert got.applicable == want.applicable
+        assert got.diagnostics["failures"] == want.diagnostics["failures"]
+        lines = got.diagnostics["streamlines"]
+        ref = want.diagnostics["streamlines"]
+        assert [sl.termination for sl in lines] == [sl.termination for sl in ref]
+        assert [len(sl.points) for sl in lines] == [len(sl.points) for sl in ref]
+        for sl, rl in zip(lines, ref):
+            assert np.abs(sl.points - rl.points).max() <= 1e-15
+            assert abs(sl.length - rl.length) <= 1e-15
+        rows, ref_rows = got.internal_constraints, want.internal_constraints
+        assert rows.keys() == ref_rows.keys()
+        for v, (kind, payload) in rows.items():
+            assert kind == ref_rows[v][0]
+            if strategy == "curve":
+                assert np.asarray(payload).tobytes() == np.asarray(ref_rows[v][1]).tobytes()

@@ -46,9 +46,11 @@ def _build_parser():
         p.add_argument("--out", default=".", help="artifact directory")
         p.add_argument("--angle-threshold", type=float, default=30.0,
                        help="feature detection dihedral threshold (degrees)")
-        p.add_argument("--lambda", dest="relaxation", type=float, default=0.95,
+        p.add_argument("--lambda", dest="relaxation", default=0.95,
+                       type=_checked(float, np.isfinite, "a finite number"),
                        help="projection relaxation of the smoothing sweeps")
-        p.add_argument("--sweeps", type=int, default=50,
+        p.add_argument("--sweeps", default=50,
+                       type=_checked(int, lambda n: n >= 0, "a count >= 0"),
                        help="maximum nonlinear smoothing sweeps")
         p.add_argument("--field", default=None,
                        help="reuse a previously written field.txt")
@@ -80,10 +82,17 @@ def _build_parser():
     return parser
 
 
-def _step_size(text):
-    if not 0.0 <= float(text) < np.inf:
-        raise argparse.ArgumentTypeError("expects a finite step >= 0, got %r" % text)
-    return float(text)
+def _checked(cast, ok, what):
+    """An argparse type: ``cast(text)`` where ``ok`` holds for it."""
+    def parse(text):
+        if not ok(cast(text)):
+            raise argparse.ArgumentTypeError("expects %s, got %r" % (what, text))
+        return cast(text)
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_step_size = _checked(float, lambda h: 0.0 <= h < np.inf, "a finite step >= 0")
 
 
 def _parse_triple(text, flag):
@@ -122,6 +131,7 @@ def _report_pairs(mesh, field, graph, extra=()):
         ("dirichlet_energy", "%.12g" % field.report.get("dirichlet_energy", 0.0)),
         ("cg_info", field.report.get("cg_info", 0)),
         ("smoothing_sweeps", field.report.get("smoothing_sweeps", 0)),
+        ("smoothing_steps", field.report.get("smoothing_steps", 0)),
         ("smoothing_converged", field.report.get("smoothing_converged", "")),
         ("smoothing_last_delta",
          "%.6g" % field.report.get("smoothing_last_delta", 0.0)),

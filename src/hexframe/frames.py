@@ -422,11 +422,12 @@ def _project(Q, warm):
     enough = np.sqrt(row_dots(Q, Q)) * (1.0 - 1e-9)
     tries = np.full(n, 3)
     if warm is not None:
+        # a NaN warm row scores NaN, is never used, and keeps the cold rule
         used = row_dots(Q, frame_coeffs(warm)) >= scores[np.arange(n), order[:, 0]]
         starts[used, 1:] = starts[used, :2]
         starts[used, 0] = warm[used]
         enough[used] = -np.inf
-        tries = np.where(used, 2, 1)
+        tries = np.where(used, 2, np.where(np.isnan(warm).any(axis=(1, 2)), 3, 1))
     R, C, F, ok = _ascent(Q, starts[:, 0])
     todo = np.arange(n)
     for j in (1, 2):
@@ -448,9 +449,11 @@ def project_to_octahedral(Q, warm_start=None):
     2nd and 3rd best seeds.  A warm start (a rotation, or one per row) is used
     where it scores at least as well as the best seed, which then backs up a
     warm ascent that does not end at a maximum; where it scores worse, the
-    best seed alone is ascended.  Returns ``(R, coeffs)``: the frame's
-    rotation, whose columns are its axes, and its coefficient vector, (n, 3,
-    3) and (n, 9) for a stack.  A stack gives the same bits as its rows.
+    best seed alone is ascended.  A warm row holding a NaN means no warm
+    start there: that row is projected as a cold one.  Returns ``(R,
+    coeffs)``: the frame's rotation, whose columns are its axes, and its
+    coefficient vector, (n, 3, 3) and (n, 9) for a stack.  A stack gives the
+    same bits as its rows.
     """
     Q = np.ascontiguousarray(Q, dtype=float)
     rows = Q.reshape(-1, 9)

@@ -255,14 +255,12 @@ def read_vtk_polylines(path):
 def write_field(field, path):
     """ASCII field dump: 9 coefficients plus the projected rotation per vertex."""
     frames, _ = field.vertex_frames()
+    rows = np.hstack([field.coeffs, frames.reshape(-1, 9)]).tolist()
+    line = " ".join(["%.17g"] * 9) + "  " + " ".join(["%.17g"] * 9) + "\n"
     try:
         with open(path, "w") as fh:
-            fh.write("HexFrameField 1\n%d\n" % len(field.coeffs))
-            for c, R in zip(field.coeffs, frames):
-                fh.write(" ".join("%.17g" % x for x in c))
-                fh.write("  ")
-                fh.write(" ".join("%.17g" % x for x in R.ravel()))
-                fh.write("\n")
+            fh.write("HexFrameField 1\n%d\n" % len(rows))
+            fh.writelines(line % tuple(row) for row in rows)
     except OSError as exc:
         raise IoError(str(exc)) from exc
 

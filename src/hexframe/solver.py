@@ -264,22 +264,17 @@ def _on_circle(H, cs):
     return H[:, 0] + cs[:, :1] * H[:, 1] + cs[:, 1:] * H[:, 2]
 
 
-def _sweep_levels(K, bcs):
-    """The moving vertices of a Gauss-Seidel sweep, grouped by level.
+def _sweep_steps(W, move):
+    """The wavefront step of each moving vertex, sweep after sweep.
 
-    A vertex moves when it is not Dirichlet and its neighbour weights ``-K``
-    have a positive sum.  Its level is one more than the highest level among
-    its lower-numbered moving neighbours, so no two vertices of a level are
-    neighbours, and updating a level at once reads what a vertex-order sweep
-    reads.  Returns, per level, the vertices, their rows of the normalised
-    weights (CSR), which of them are tangency vertices, and those vertices'
-    (h0, h1, h2) bases.
+    Vertex v's update in sweep s runs one step after the latest of its own
+    sweep-(s-1) update, its lower-numbered moving neighbours' sweep-s ones
+    and its higher-numbered ones' sweep-(s-1) ones: Anderson and Saad's
+    level scheduling (1989), continued across sweeps.  No two neighbours
+    share a step, so a step's updates read what vertex-order sweeps read.
     """
-    W = (sp.diags(K.diagonal()) - K).tocsr()
-    wsum = np.asarray(W.sum(axis=1)).ravel()
-    move = np.flatnonzero((bcs.kind != DIRICHLET) & (wsum > 0))
-    W = (sp.diags(1.0 / wsum[move]) @ W[move]).tocsr()
     lower = sp.tril(W[:, move], k=-1, format="csr")
+    upper = sp.triu(W[:, move], k=1, format="csr")
     rows = np.flatnonzero(np.diff(lower.indptr))
     level = np.zeros(len(move), dtype=np.int64)
     while True:
@@ -289,25 +284,52 @@ def _sweep_levels(K, bcs):
         if np.array_equal(new, level):
             break
         level = new
+    # a level's rows depend on lower levels only
     order = np.argsort(level, kind="stable")
-    out = []
-    for group in np.split(order, np.cumsum(np.bincount(level)))[:-1]:
-        v = move[group]
-        tg = bcs.kind[v] == TANGENCY
-        H = np.stack(fr.tangency_basis(bcs.normals[v[tg]]), axis=1)
-        out.append((v, W[group], tg, H))
-    return out
+    groups = [(g, lower[g]) for g in
+              np.split(order, np.cumsum(np.bincount(level)))[1:-1]]
+    up = np.flatnonzero(np.diff(upper.indptr))
+    steps = level + 1
+    while True:
+        yield steps
+        last = steps.copy()
+        last[up] = np.maximum(last[up], np.maximum.reduceat(
+            steps[upper.indices], upper.indptr[up]))
+        steps = last + 1
+        for g, L in groups:
+            steps[g] = np.maximum(last[g], np.maximum.reduceat(
+                steps[L.indices], L.indptr[:-1])) + 1
+
+
+class _Sweep:
+    """A sweep in flight: its moving rows in step order, its max change so
+    far and what its rows held before it moved them."""
+
+    def __init__(self, steps, now):
+        self.order = np.argsort(steps, kind="stable")
+        self.steps = steps[self.order]
+        # a sweep without rows runs and ends at the current step
+        self.first, self.last = self.steps[[0, -1]] if len(steps) else (now, now)
+        self.delta, self.before = 0.0, np.empty((len(steps), 9))
+
+    def rows(self, lo, hi):
+        """The rows that run at steps lo to hi-1."""
+        a, b = np.searchsorted(self.steps, (lo, hi))
+        return self.order[a:b]
 
 
 def smooth_nonlinear(field, config=None, K=None):
     """Projected nonlinear Gauss-Seidel smoothing toward the frame manifold.
 
-    Each moving vertex moves to the stiffness-weighted neighbor average; a
-    free vertex blends it with its manifold projection (relaxation lambda),
-    and a tangency vertex takes the nearest point of its constraint circle.
-    Sweeps run in vertex order for determinism, one dependency level of
-    ``_sweep_levels`` at a time, and each free vertex's projection is
-    warm-started from its frame of the last sweep.
+    Each moving vertex (not Dirichlet, with a positive neighbour weight
+    sum) moves to the stiffness-weighted neighbor average; a free vertex
+    blends it with its manifold projection (relaxation lambda), and a
+    tangency vertex takes the nearest point of its constraint circle.  The
+    bits are those of sweeps in vertex order, run as one wavefront across
+    sweeps (``_sweep_steps``): one sparse product, circle projection and
+    ``project_to_octahedral`` call per step, warm-started from each
+    vertex's last frame (NaN, so cold, in the first sweep).  The first
+    sweep whose max change is below ``convergence_delta`` is the result.
     """
     config = config or field.config
     if K is None:
@@ -315,30 +337,55 @@ def smooth_nonlinear(field, config=None, K=None):
     coeffs = field.coeffs.copy()
     lam = config.projection_relaxation
     bcs = field.bcs
-    levels = _sweep_levels(K, bcs)
-    frames = np.empty((len(coeffs), 3, 3))
-    sweeps_done = 0
-    max_delta = np.inf
-    for sweep in range(config.smoothing_sweeps):
-        max_delta = 0.0
-        for v, W, tg, H in levels:
-            new = W @ coeffs
-            new[tg] = _on_circle(
-                H, (H[:, 1:] @ (new[tg] - H[:, 0])[:, :, None])[..., 0])
-            if lam != 0.0:
-                free, avg = v[~tg], new[~tg]
-                frames[free], pc = fr.project_to_octahedral(
-                    avg, warm_start=frames[free] if sweep else None)
-                new[~tg] = (1.0 - lam) * avg + lam * pc
-            max_delta = max(max_delta, np.abs(new - coeffs[v]).max())
-            coeffs[v] = new
-        sweeps_done = sweep + 1
-        if max_delta < config.convergence_delta:
-            break
+    W = (sp.diags(K.diagonal()) - K).tocsr()
+    wsum = np.asarray(W.sum(axis=1)).ravel()
+    move = np.flatnonzero((bcs.kind != DIRICHLET) & (wsum > 0))
+    W = (sp.diags(1.0 / wsum[move]) @ W[move]).tocsr()
+    tang = bcs.kind[move] == TANGENCY
+    H = np.zeros((len(move), 3, 9))
+    H[tang] = np.stack(fr.tangency_basis(bcs.normals[move[tang]]), axis=1)
+    frames = np.full((len(coeffs), 3, 3), np.nan)
+    schedule = _sweep_steps(W, move)
+    flight, started, done, step = [], 0, 0, 0
+    max_delta, converged = np.inf, False
+    while done < config.smoothing_sweeps and not converged:
+        step += 1
+        while started < config.smoothing_sweeps and (
+                not flight or flight[-1].first <= step):
+            flight.append(_Sweep(next(schedule), step))
+            started += 1
+        pieces = [(sweep, sweep.rows(step, step + 1)) for sweep in flight]
+        rows = np.concatenate([p for _, p in pieces])
+        v, tg = move[rows], tang[rows]
+        new = W[rows] @ coeffs
+        h = H[rows[tg]]
+        new[tg] = _on_circle(
+            h, (h[:, 1:] @ (new[tg] - h[:, 0])[:, :, None])[..., 0])
+        if lam != 0.0:
+            free, avg = v[~tg], new[~tg]
+            frames[free], pc = fr.project_to_octahedral(
+                avg, warm_start=frames[free])
+            new[~tg] = (1.0 - lam) * avg + lam * pc
+        old, at = coeffs[v], 0
+        change = np.abs(new - old).max(axis=1)
+        for sweep, p in pieces:
+            sweep.delta = change[at:at + len(p)].max(initial=sweep.delta)
+            sweep.before[p] = old[at:at + len(p)]
+            at += len(p)
+        coeffs[v] = new
+        while flight and flight[0].last <= step and not converged:
+            sweep = flight.pop(0)
+            done, max_delta = done + 1, sweep.delta
+            converged = max_delta < config.convergence_delta
+            if flight and converged:
+                # undo the rows of the next sweep that already ran
+                ran = flight[0].rows(0, step + 1)
+                coeffs[move[ran]] = flight[0].before[ran]
     out = FrameField(field.mesh, coeffs, bcs, config)
     out.report = dict(field.report)
-    out.report["smoothing_sweeps"] = sweeps_done
-    out.report["smoothing_converged"] = bool(max_delta < config.convergence_delta)
+    out.report["smoothing_sweeps"] = done
+    out.report["smoothing_steps"] = step
+    out.report["smoothing_converged"] = bool(converged)
     out.report["smoothing_last_delta"] = float(max_delta)
     out.report["dirichlet_energy"] = out.energy(K)
     return out

@@ -184,12 +184,14 @@ def trace(field, seed, direction, config=None):
     termination = "MaxLength"
     while length < max_len:
         # RK4 stages take the axis closest to the previous stage's; the end
-        # point takes the axis closest to the last stage, checked against d
+        # point takes the axis closest to the last stage, checked against d.
+        # Stage 0 is p, whose sample (the seed's or the last end point's)
+        # gave d, so its axis closest to d is d itself.
         step = None
-        vs = []
-        for frac in (0.0, 0.5, 0.5, 1.0):
-            base = vs[-1] if vs else d
-            stop, v, _ = _axis_at(sampler, p + frac * h * base, start, base, base)
+        vs = [d]
+        for frac in (0.5, 0.5, 1.0):
+            stop, v, _ = _axis_at(sampler, p + frac * h * vs[-1], start,
+                                  vs[-1], vs[-1])
             if stop:
                 break
             vs.append(v)

@@ -1,15 +1,18 @@
-"""Vertex-order reference for the level-scheduled smoother.
+"""References for the pipelined smoother.
 
 ``smooth_coeffs`` is the per-vertex Gauss-Seidel loop that
-``solver.smooth_nonlinear`` once ran, kept to check that updating one
-dependency level at a time reads what the vertex-order sweep reads.  Only
-tests import this module.
+``solver.smooth_nonlinear`` once ran, kept to check that a batched update
+reads what the vertex-order sweep reads.  ``smooth_levels`` is the sweep
+that ran one dependency level at a time, one projection call per level;
+the cross-sweep wavefront must give its bits.  Only tests import this
+module.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from hexframe import frames as fr
-from hexframe.solver import DIRICHLET, TANGENCY, TANGENCY_RADIUS
+from hexframe.solver import DIRICHLET, TANGENCY, TANGENCY_RADIUS, _on_circle
 
 
 def smooth_coeffs(field, K, sweeps, lam):
@@ -60,3 +63,67 @@ def smooth_coeffs(field, K, sweeps, lam):
             max_delta = max(max_delta, np.max(np.abs(new - coeffs[v])))
             coeffs[v] = new
     return coeffs, max_delta
+
+
+def _sweep_levels(K, bcs):
+    """The moving vertices of a Gauss-Seidel sweep, grouped by level.
+
+    A vertex moves when it is not Dirichlet and its neighbour weights ``-K``
+    have a positive sum.  Its level is one more than the highest level among
+    its lower-numbered moving neighbours, so no two vertices of a level are
+    neighbours, and updating a level at once reads what a vertex-order sweep
+    reads.  Returns, per level, the vertices, their rows of the normalised
+    weights (CSR), which of them are tangency vertices, and those vertices'
+    (h0, h1, h2) bases.
+    """
+    W = (sp.diags(K.diagonal()) - K).tocsr()
+    wsum = np.asarray(W.sum(axis=1)).ravel()
+    move = np.flatnonzero((bcs.kind != DIRICHLET) & (wsum > 0))
+    W = (sp.diags(1.0 / wsum[move]) @ W[move]).tocsr()
+    lower = sp.tril(W[:, move], k=-1, format="csr")
+    rows = np.flatnonzero(np.diff(lower.indptr))
+    level = np.zeros(len(move), dtype=np.int64)
+    while True:
+        new = np.zeros_like(level)
+        new[rows] = np.maximum.reduceat(level[lower.indices],
+                                        lower.indptr[rows]) + 1
+        if np.array_equal(new, level):
+            break
+        level = new
+    order = np.argsort(level, kind="stable")
+    out = []
+    for group in np.split(order, np.cumsum(np.bincount(level)))[:-1]:
+        v = move[group]
+        tg = bcs.kind[v] == TANGENCY
+        H = np.stack(fr.tangency_basis(bcs.normals[v[tg]]), axis=1)
+        out.append((v, W[group], tg, H))
+    return out
+
+
+def smooth_levels(field, config, K):
+    """The level-scheduled smoother: coefficients, sweeps run and the last
+    sweep's max coefficient change, with ``config``'s sweep budget, stop
+    test and relaxation."""
+    coeffs = field.coeffs.copy()
+    lam = config.projection_relaxation
+    levels = _sweep_levels(K, field.bcs)
+    frames = np.empty((len(coeffs), 3, 3))
+    sweeps_done = 0
+    max_delta = np.inf
+    for sweep in range(config.smoothing_sweeps):
+        max_delta = 0.0
+        for v, W, tg, H in levels:
+            new = W @ coeffs
+            new[tg] = _on_circle(
+                H, (H[:, 1:] @ (new[tg] - H[:, 0])[:, :, None])[..., 0])
+            if lam != 0.0:
+                free, avg = v[~tg], new[~tg]
+                frames[free], pc = fr.project_to_octahedral(
+                    avg, warm_start=frames[free] if sweep else None)
+                new[~tg] = (1.0 - lam) * avg + lam * pc
+            max_delta = max(max_delta, np.abs(new - coeffs[v]).max())
+            coeffs[v] = new
+        sweeps_done = sweep + 1
+        if max_delta < config.convergence_delta:
+            break
+    return coeffs, sweeps_done, max_delta

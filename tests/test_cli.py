@@ -59,6 +59,21 @@ class TestUsage:
         assert run(["correct", "--mesh", cube_path, "--out", str(tmp_path),
                     "--strategy", "extrude-curve", "--step=" + value]) == 64
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "nan"), ("--lambda", "inf"), ("--lambda", "-inf"),
+        ("--sweeps", "-3"), ("--sweeps", "2.5")])
+    def test_bad_solver_value_exits_64(self, cube_path, tmp_path, monkeypatch,
+                                       flag, value):
+        import hexframe.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the usage check")
+
+        monkeypatch.setattr(cli, "compute_field", no_solve)
+        assert run(["solve", "--mesh", cube_path, "--out", str(tmp_path),
+                    "%s=%s" % (flag, value)]) == 64
+        assert not (tmp_path / "report.txt").exists()
+
 
 class TestSolve:
     def test_cube_solve_writes_artifacts(self, cube_path, tmp_path, capsys):
@@ -74,6 +89,9 @@ class TestSolve:
         assert report["chains"] == "0"
         assert report["chains_35"] == "0"
         assert report["cg_info"] == "0"
+        assert int(report["smoothing_steps"]) > int(report["smoothing_sweeps"]) > 0
+        keys = list(report)
+        assert keys.index("smoothing_steps") == keys.index("smoothing_sweeps") + 1
         assert float(report["smoothing_last_delta"]) > 0.0
         assert report["smoothing_last_delta"] == "%.6g" % float(
             report["smoothing_last_delta"])

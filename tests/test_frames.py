@@ -252,6 +252,23 @@ class TestProjection:
             R, c = fr.project_to_octahedral(q, warm_start=warm[i])
             assert np.array_equal(R, warm_R[i]) and np.array_equal(c, warm_C[i])
 
+    def test_mixed_warm_stack_matches_rows(self):
+        # one smoothing step projects first-sweep rows, with no warm frame
+        # (NaN), next to later rows warm-started near or far from the answer
+        rng = np.random.default_rng(23)
+        Q = rng.normal(size=(90, 9))
+        cold_R, cold_C = fr.project_to_octahedral(Q)
+        warm = np.array([random_rotation(rng) for _ in range(90)])
+        warm[1::3] = cold_R[1::3] @ fr.axis_angle_rotation(
+            0.05 * rng.normal(size=(30, 3)))
+        warm[::3] = np.nan
+        R, C = fr.project_to_octahedral(Q, warm_start=warm)
+        for i, q in enumerate(Q):
+            want_R, want_C = fr.project_to_octahedral(q, warm_start=warm[i])
+            assert np.array_equal(R[i], want_R) and np.array_equal(C[i], want_C)
+        assert np.array_equal(R[::3], cold_R[::3])
+        assert np.array_equal(C[::3], cold_C[::3])
+
 
 def rotated_box_field(seed):
     """CG field of the bulged 12^3 box turned by the rotation that the

@@ -194,6 +194,26 @@ class TestFieldErrors:
         assert counters[0] == counters[1]
         assert counters[0][0] == 0 and counters[0][2]
 
+    def test_field_bytes_match_per_value_writer(self, tmp_path):
+        # reference: the writer that formatted and joined each value alone
+        mesh = generate_box(3, 3, 3)
+        mesh.detect_features(30.0)
+        rng = np.random.default_rng(7)
+        coeffs = rng.normal(size=(len(mesh.vertices), 9))
+        coeffs *= 10.0 ** rng.integers(-20, 20, size=coeffs.shape)
+        coeffs[0] = -0.0
+        coeffs[1] = fr.REFERENCE_COEFFS
+        coeffs[2, ::2] = [np.pi, -1e-310, 5e-324, 1.0 / 3.0, -2.0 ** 60]
+        field = FrameField(mesh, coeffs, build_boundary_conditions(mesh))
+        frames, _ = field.vertex_frames()
+        want = "HexFrameField 1\n%d\n" % len(coeffs) + "".join(
+            " ".join("%.17g" % x for x in c) + "  "
+            + " ".join("%.17g" % x for x in R.ravel()) + "\n"
+            for c, R in zip(field.coeffs, frames))
+        path = tmp_path / "field.txt"
+        write_field(field, str(path))
+        assert path.read_bytes() == want.encode()
+
 
 def _mutate(text, data):
     """Truncate ``text`` at a drawn token or replace that token."""

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import hexframe.frames as fr
+import hexframe.solver as solver
 import solver_oracle
 from hexframe.boxgen import generate_box
 from hexframe.correction import CorrectionPlan, apply_plan
@@ -210,13 +211,13 @@ def graph_counters(field):
 
 
 def cg_field(name):
-    """CG field and stiffness of the notch fixture or of a 4^3 box."""
-    if name == "notch":
-        mesh = read_medit(os.path.join(os.path.dirname(__file__), "..",
-                                       "fixtures", "notch.mesh"))
-    else:
+    """CG field and stiffness of a fixture or, for "box", of a 4^3 box."""
+    if name == "box":
         mesh = generate_box(4, 4, 4)
         mesh.detect_features(30.0)
+    else:
+        mesh = read_medit(os.path.join(os.path.dirname(__file__), "..",
+                                       "fixtures", name + ".mesh"))
     K = assemble_stiffness(mesh)
     return solve_initial(mesh, build_boundary_conditions(mesh), K=K), K
 
@@ -245,6 +246,65 @@ class TestLevelSchedule:
         assert np.abs(out.coeffs - want).max() < 1e-6
         loop = FrameField(field.mesh, want, field.bcs, cfg)
         assert graph_counters(out) == graph_counters(loop)
+
+
+class TestWavefront:
+    """The cross-sweep wavefront gives the bits of the level-by-level sweeps
+    of ``solver_oracle.smooth_levels``, and stops at the same sweep."""
+
+    @pytest.mark.parametrize("name, lam, sweeps, delta, steps", [
+        ("notch", 0.95, 5, 0.0, 90),
+        ("groove_box", 0.95, 5, 0.0, 102),
+        ("box", 0.0, 5, 0.0, None),
+        # stops at sweep 6 of 50 with later sweeps' rows already run
+        ("arc_box", 0.95, 50, 3e-3, None),
+    ])
+    def test_matches_level_schedule(self, name, lam, sweeps, delta, steps):
+        field, K = cg_field(name)
+        cfg = SolverConfig(smoothing_sweeps=sweeps, projection_relaxation=lam,
+                           convergence_delta=delta)
+        out = smooth_nonlinear(field, cfg, K=K)
+        want, done, last = solver_oracle.smooth_levels(field, cfg, K)
+        assert np.array_equal(out.coeffs, want)
+        assert out.report["smoothing_sweeps"] == done
+        assert out.report["smoothing_last_delta"] == last
+        assert out.report["smoothing_converged"] == (last < delta)
+        if steps is not None:
+            assert out.report["smoothing_steps"] == steps
+        if delta:
+            assert done == 6
+
+    def test_few_sweeps_in_flight(self, monkeypatch):
+        # each sweep's steps come when the sweep before it starts, so rows
+        # and snapshots are held for the sweeps in flight, never for all
+        made = []
+
+        class Counted(solver._Sweep):
+            def __init__(self, steps, now):
+                super().__init__(steps, now)
+                made.append((now, self.last))
+
+        monkeypatch.setattr(solver, "_Sweep", Counted)
+        field, K = cg_field("box")
+        cfg = SolverConfig(smoothing_sweeps=30, projection_relaxation=0.0,
+                           convergence_delta=0.0)
+        steps = smooth_nonlinear(field, cfg, K=K).report["smoothing_steps"]
+        assert len(made) == 30
+        assert max(sum(now <= t <= last for now, last in made)
+                   for t in range(1, steps + 1)) == 6
+
+    def test_no_moving_vertex(self, cube):
+        field = solve_initial(cube, build_boundary_conditions(cube))
+        bcs = field.bcs.copy()
+        bcs.kind[:] = DIRICHLET
+        bcs.coeffs[:] = field.coeffs
+        field = FrameField(cube, field.coeffs, bcs)
+        out = smooth_nonlinear(field)
+        want, done, last = solver_oracle.smooth_levels(
+            field, field.config, assemble_stiffness(cube))
+        assert np.array_equal(out.coeffs, want)
+        assert (out.report["smoothing_sweeps"], out.report["smoothing_last_delta"],
+                out.report["smoothing_converged"]) == (done, last, True) == (1, 0.0, True)
 
 
 def constrained(mesh, rows, config=None):

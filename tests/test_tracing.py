@@ -136,6 +136,22 @@ class TestStraightTraces:
         assert sl.termination == "ExitedBoundary" and len(sl.points) > 10
         assert len(calls) == 1
 
+    def test_four_samples_per_step(self, constant_field, monkeypatch):
+        # the seed's sample, then 3 RK4 stages and the end point per step:
+        # stage 0 is the seed or the last end point, sampled already
+        calls = []
+
+        def counted(field, tet, point):
+            calls.append(point)
+            return frame_in_tet(field, tet, point)
+
+        frame_in_tet = tracing._frame_in_tet
+        monkeypatch.setattr(tracing, "_frame_in_tet", counted)
+        cfg = TracerConfig(step_size=0.05, max_length=0.28)
+        sl = trace(constant_field, [0.1, 0.5, 0.5], [1, 0, 0], cfg)
+        assert sl.termination == "MaxLength" and len(sl.points) == 7
+        assert len(calls) == 1 + 4 * 6
+
     def test_stops_at_near_wall_of_gap(self):
         # a step long enough to jump the groove: its end point lies in the
         # material beyond, but the segment to it leaves the mesh first

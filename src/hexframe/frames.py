@@ -329,10 +329,10 @@ def _peaks(H, tol):
     return (M[:, 0, 0] > 0) & (cof[:, 2, 2] > 0) & (det > 0)
 
 
-def _step(Q, R, C, F, step, g, gn, H, flat):
+def _step(Q, R, C, F, step, g, gn, H, flat, peak):
     """One ascent step of the rows that are not ``flat``, in place: a Newton
-    step where it does not fall, else a line-searched gradient step.
-    Returns the rows where no step rose."""
+    step where it does not fall, else, off a ``peak``, a line-searched
+    gradient step.  Returns the rows off a peak where no step rose."""
     # Newton; quadratic convergence near the maximum, where the Hessian is
     # negative definite
     cof, det = _cofactors(H)
@@ -354,7 +354,7 @@ def _step(Q, R, C, F, step, g, gn, H, flat):
         R[newton], C[newton], F[newton] = Rn[up], Cn[up], Fn[up]
     # the line search: the step size halved 0-3 times, then, where none
     # rose, every further halving above 1e-14; the first rise wins
-    left = np.flatnonzero(~(flat | newton))
+    left = np.flatnonzero(~(flat | peak | newton))
     for factors in _HALVINGS:
         if not len(left):
             break
@@ -377,7 +377,11 @@ def _ascent(Q, R):
     """Ascent of each row's ``q @ frame_coeffs(R)`` from its rotation ``R``
     (n, 3, 3); returns ``(R, c, f, ok)`` where ``ok`` says that a row stopped
     at a maximum.  A row leaves the working set, whose arrays are kept
-    compact, once its gradient vanishes or no step rises."""
+    compact, once its gradient vanishes (norm below 1e-10), once no step
+    rises, or at a resolved peak: gradient norm below 1e-7 and a negative
+    definite Hessian, where it takes its Newton step if that does not fall
+    and no line search.  Newton converges quadratically there, so one more
+    iteration would only show the objective's last bits."""
     n = len(Q)
     out = np.empty((n, 3, 3)), np.empty((n, 9)), np.empty(n), np.zeros(n, dtype=bool)
     R = np.array(R, dtype=float)
@@ -393,10 +397,14 @@ def _ascent(Q, R):
         g, H = gH[:, :3], gH[:, 3:].reshape(-1, 3, 3)
         gn = np.sqrt(row_dots(g, g))
         stop = gn < 1e-10
+        peak = gn < 1e-7
+        if np.count_nonzero(peak):
+            peak[peak] = _peaks(H[peak], tol[peak])
         if np.count_nonzero(stop) < len(idx):
-            stop[_step(Q, R, C, F, step, g, gn, H, stop)] = True
+            stop[_step(Q, R, C, F, step, g, gn, H, stop, peak)] = True
+        stop |= peak
         if np.count_nonzero(stop):
-            ok = (gn[stop] < 1e-7) & _peaks(H[stop], tol[stop])
+            ok = peak[stop]
             if len(ok) == n:
                 return R, C, F, ok
             i = idx[stop]
@@ -445,23 +453,33 @@ def project_to_octahedral(Q, warm_start=None):
 
     Maximizes the inner product with exact-frame vectors by Newton-accelerated
     ascent in the Lie algebra, started from the best of a fixed seed cover of
-    the rotation group.  A row whose ascent is not tight also ascends from the
-    2nd and 3rd best seeds.  A warm start (a rotation, or one per row) is used
-    where it scores at least as well as the best seed, which then backs up a
-    warm ascent that does not end at a maximum; where it scores worse, the
-    best seed alone is ascended.  A warm row holding a NaN means no warm
-    start there: that row is projected as a cold one.  Returns ``(R,
-    coeffs)``: the frame's rotation, whose columns are its axes, and its
-    coefficient vector, (n, 3, 3) and (n, 9) for a stack.  A stack gives the
-    same bits as its rows.
+    the rotation group.  An ascent ends at a peak once the gradient norm is
+    below 1e-7, with one last Newton step.  A row whose ascent is not tight
+    also ascends from the 2nd and 3rd best seeds.  A warm start (one
+    rotation for all rows, or one per row) is used where it scores at least
+    as well as the best seed, which then backs up a warm ascent that does
+    not end at a maximum; where it scores worse, the best seed alone is
+    ascended.  A warm row holding a NaN means no warm start there: that row
+    is projected as a cold one.  Returns ``(R, coeffs)``: the frame's
+    rotation, whose columns are its axes, and its coefficient vector, (n, 3,
+    3) and (n, 9) for a stack.  A stack gives the same bits as its rows.
+    Raises ``ValueError`` for a near-zero or non-finite row, and for a warm
+    start of another shape.
     """
     Q = np.ascontiguousarray(Q, dtype=float)
     rows = Q.reshape(-1, 9)
-    if (np.sqrt(row_dots(rows, rows)) <= 1e-12).any():
-        raise ValueError("cannot project a (near-)zero vector")
+    if not np.isfinite(rows).all() or (np.sqrt(row_dots(rows, rows)) <= 1e-12).any():
+        raise ValueError("cannot project a (near-)zero or non-finite vector")
     warm = None
     if warm_start is not None:
-        warm = np.ascontiguousarray(warm_start, dtype=float).reshape(-1, 3, 3)
+        warm = np.asarray(warm_start, dtype=float)
+        shape = Q.shape[:-1] + (3, 3)
+        if warm.shape == (3, 3):
+            warm = np.broadcast_to(warm, shape)
+        if warm.shape != shape:
+            raise ValueError("warm_start of shape %s for vectors of shape %s"
+                             % (warm.shape, Q.shape))
+        warm = np.ascontiguousarray(warm).reshape(-1, 3, 3)
     R = np.empty((len(rows), 3, 3))
     C = np.empty((len(rows), 9))
     for s in range(0, len(rows), _CHUNK):

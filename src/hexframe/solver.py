@@ -171,12 +171,12 @@ class FrameField:
 
     def vertex_frames(self):
         """Projected frame and alignment quality at every vertex; a vertex
-        whose coefficients have norm at most 1e-9 keeps the identity frame
-        and quality 0."""
+        whose coefficients have norm at most 1e-9, or not finite, keeps the
+        identity frame and quality 0."""
         if self._frames is None:
             c = self.coeffs
             nc = np.sqrt(row_dots(c, c))
-            live = nc > 1e-9
+            live = (nc > 1e-9) & (nc < np.inf)
             self._frames = np.tile(np.eye(3), (len(c), 1, 1))
             self._quality = np.zeros(len(c))
             self._frames[live], pc = fr.project_to_octahedral(c[live])

@@ -233,9 +233,59 @@ class TestProjection:
         assert abs(f[0] - 1.0 / 6.0) < 1e-12
         assert ok.tolist() == [False, True]
 
+    def test_ascent_leaves_a_saddle_in_the_peak_band(self):
+        # along z the objective is 7/12 + 5/12 cos 4t: 5e-9 past the eighth
+        # turn its gradient, 20/3 * 5e-9, is in the band where a peak stops,
+        # but this stationary point is not a peak
+        t = np.pi / 4 + 5e-9
+        assert 1e-10 < 5 / 3 * abs(np.sin(4 * t)) < 1e-7
+        _, _, f, ok = fr._ascent(fr.REFERENCE_COEFFS[None], rot_z(t)[None])
+        assert abs(f[0] - 1.0) < 1e-12 and ok.tolist() == [True]
+
+    def test_resolved_peak_ends_after_one_candidate(self, monkeypatch):
+        start = fr.axis_angle_rotation(1e-8 * np.array([0.6, -0.8, 0.0]))
+        counted = count_candidates(monkeypatch)
+        _, _, f, ok = fr._ascent(fr.REFERENCE_COEFFS[None], start[None])
+        assert counted == [1]
+        assert abs(f[0] - 1.0) < 1e-15 and ok.tolist() == [True]
+
+    def test_warm_one_row_calls_are_cheap(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        Rs = [random_rotation(rng) for _ in range(300)]
+        Q = [fr.coeffs_from_rotation(R) + 1e-3 * rng.normal(size=9) for R in Rs]
+        counted = count_candidates(monkeypatch)
+        for q, R in zip(Q, Rs):
+            fr.project_to_octahedral(q, warm_start=R)
+        assert sum(counted) / 300 <= 4.0
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             fr.project_to_octahedral(np.zeros(9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        Q = np.tile(fr.REFERENCE_COEFFS, (3, 1))
+        Q[1, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fr.project_to_octahedral(Q)
+        with pytest.raises(ValueError, match="non-finite"):
+            fr.project_to_octahedral(Q[1])
+
+    def test_one_warm_rotation_serves_a_stack(self):
+        rng = np.random.default_rng(31)
+        Q = rng.normal(size=(20, 9))
+        warm = random_rotation(rng)
+        R, C = fr.project_to_octahedral(Q, warm_start=warm)
+        want_R, want_C = fr.project_to_octahedral(
+            Q, warm_start=np.tile(warm, (20, 1, 1)))
+        assert np.array_equal(R, want_R) and np.array_equal(C, want_C)
+
+    @pytest.mark.parametrize("warm_shape", [(19, 3, 3), (1, 3, 3), (20, 9)])
+    def test_mismatched_warm_start_rejected(self, warm_shape):
+        Q = np.tile(fr.REFERENCE_COEFFS, (20, 1))
+        with pytest.raises(ValueError) as err:
+            fr.project_to_octahedral(Q, warm_start=np.zeros(warm_shape))
+        assert str(warm_shape) in str(err.value) and "(20, 9)" in str(err.value)
 
     def test_stack_matches_rows(self):
         rng = np.random.default_rng(19)
@@ -268,6 +318,20 @@ class TestProjection:
             assert np.array_equal(R[i], want_R) and np.array_equal(C[i], want_C)
         assert np.array_equal(R[::3], cold_R[::3])
         assert np.array_equal(C[::3], cold_C[::3])
+
+
+def count_candidates(monkeypatch):
+    """A list that collects the number of candidate rotations of each
+    ascent step, counted where ``axis_angle_rotation`` makes them."""
+    counted = []
+    make = fr.axis_angle_rotation
+
+    def counting(w):
+        counted.append(int(np.prod(np.shape(w)[:-1])))
+        return make(w)
+
+    monkeypatch.setattr(fr, "axis_angle_rotation", counting)
+    return counted
 
 
 def rotated_box_field(seed):

@@ -256,6 +256,16 @@ def test_parity_fields_exercise_classification(rotated_box_field, rotated_box_ho
     assert any(d[0] == "hot_face" for d in extract_graph(rotated_box_hot_field).defects)
 
 
+def test_non_finite_vertices_get_quality_zero(box):
+    coeffs = np.tile(fr.REFERENCE_COEFFS, (len(box.vertices), 1))
+    coeffs[0, 4], coeffs[1, 8] = np.nan, np.inf
+    field = FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))
+    frames, quality = field.vertex_frames()
+    assert np.array_equal(frames[:2], np.tile(np.eye(3), (2, 1, 1)))
+    assert quality[:2].tolist() == [0.0, 0.0]
+    assert quality[2:].min() >= 1.0 - 1e-9
+
+
 def test_field_coefficients_are_read_only(box):
     coeffs = np.tile(fr.REFERENCE_COEFFS, (len(box.vertices), 1))
     field = FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))

@@ -23,7 +23,6 @@ from .solver import (
     DIRICHLET,
     FREE,
     TANGENCY,
-    SolverConfig,
     assemble_stiffness,
     dirichlet_bc_on_curve,
     smooth_nonlinear,
@@ -285,11 +284,9 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
                 n = field.bcs.normals[v]
             else:
                 # feature vertices puncture the tube unless re-imposed;
-                # judge alignment by the averaged surface normal instead
-                try:
-                    n = _vertex_normal(mesh, v)
-                except ValueError:
-                    continue
+                # judge alignment by the summed patch normals instead
+                n = mesh.vertex_normal_sums[v]
+                n = n / max(np.linalg.norm(n), 1e-300)
             # pin the surface only where the curve meets it head-on
             if abs(float(n @ t)) < 0.7:
                 continue
@@ -473,7 +470,8 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None,
     tangency depend on all of them.  A surviving chain that keeps
     mapping onto already snapped vertices is re-targeted with those
     vertices excluded, widening the snapped band until the chain dies.
-    Returns (plan, corrected field); the final graph sits in
+    Every re-solve runs under ``solver_config``, by default the field's
+    own.  Returns (plan, corrected field); the final graph sits in
     plan.diagnostics["graph"].
     """
     if graph is None:
@@ -506,36 +504,27 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None,
     return combined, corrected
 
 
-def _vertex_normal(mesh, v):
-    acc = mesh.patch_normals(v).sum(axis=0)
-    nn = np.linalg.norm(acc)
-    if nn < 1e-12:
-        raise ValueError("no surface normal at vertex %d" % v)
-    return acc / nn
-
-
 def _path_frames(mesh, path):
-    """Dirichlet coefficients along a snapped path: 45-degree rotated frames."""
+    """Dirichlet coefficients along a snapped path: the proper rotations
+    (t, (n + b)/sqrt2, (b - n)/sqrt2), b = t x n, of the path tangent t and
+    the summed patch normals n made orthogonal to it."""
+    path = np.asarray(path, dtype=np.int64)
     p = mesh.vertices
-    out = {}
-    for i, v in enumerate(path):
-        lo = path[max(i - 1, 0)]
-        hi = path[min(i + 1, len(path) - 1)]
-        t = p[hi] - p[lo]
-        nt = np.linalg.norm(t)
-        if nt < 1e-12:
-            raise ValueError("degenerate snapped path at vertex %d" % v)
-        t /= nt
-        n = _vertex_normal(mesh, v)
-        n = n - (n @ t) * t
-        n /= np.linalg.norm(n)
-        b = np.cross(t, n)
-        R = np.column_stack([t, (n + b) / np.sqrt(2.0), (n - b) / np.sqrt(2.0)])
-        if np.linalg.det(R) < 0:
-            # axis signs are free within a frame; keep a proper rotation
-            R[:, 2] = -R[:, 2]
-        out[v] = fr.coeffs_from_rotation(R)
-    return out
+    t = p[np.r_[path[1:], path[-1]]] - p[np.r_[path[0], path[:-1]]]
+    nt = np.sqrt(row_dots(t, t))
+    n = mesh.vertex_normal_sums[path]
+    nn = np.sqrt(row_dots(n, n))
+    for norm, what in ((nt, "degenerate snapped path"), (nn, "no surface normal")):
+        if (norm < 1e-12).any():
+            raise ValueError("%s at vertex %d"
+                             % (what, path[np.argmax(norm < 1e-12)]))
+    t /= nt[:, None]
+    n = n / nn[:, None]
+    n = n - row_dots(n, t)[:, None] * t
+    n /= np.sqrt(row_dots(n, n))[:, None]
+    b = np.cross(t, n)
+    R = np.stack([t, (n + b) / np.sqrt(2.0), (b - n) / np.sqrt(2.0)], axis=2)
+    return dict(zip(path.tolist(), fr.frame_coeffs(R)))
 
 
 def snapped_rows(mesh, bcs, snapped, radius=None):
@@ -548,18 +537,9 @@ def snapped_rows(mesh, bcs, snapped, radius=None):
     """
     if not snapped:
         return {}
-    path_vertices = []
-    split_points = {}            # curve_id -> set of split vertex positions
-    for assign in snapped:
-        path_vertices.extend(assign.path)
-        for end in ("start", "end"):
-            kind, v = assign.targets[end]
-            if kind != "feature":
-                continue
-            for curve in mesh.feature_curves:
-                if v in curve.vertices:
-                    split_points.setdefault(curve.curve_id, set()).add(v)
-    path_set = set(path_vertices)
+    path_set = {v for assign in snapped for v in assign.path}
+    targets = {v for assign in snapped
+               for kind, v in assign.targets.values() if kind == "feature"}
     path_coeffs = {}
     for assign in snapped:
         path_coeffs.update(_path_frames(mesh, assign.path))
@@ -567,11 +547,10 @@ def snapped_rows(mesh, bcs, snapped, radius=None):
     # split feature curves at snapped endpoints; interpolate the sub-curves
     split = {}
     for curve in mesh.feature_curves:
-        splits = split_points.get(curve.curve_id)
-        if not splits:
+        verts = curve.vertices
+        cuts = sorted(verts.index(v) for v in targets.intersection(verts))
+        if not cuts:
             continue
-        verts = list(curve.vertices)
-        cuts = sorted(verts.index(v) for v in splits if v in verts)
         bounds = [0] + cuts + [len(verts) - 1]
         original = dirichlet_bc_on_curve(curve, mesh)
         p = mesh.vertices
@@ -607,14 +586,15 @@ def snapped_rows(mesh, bcs, snapped, radius=None):
 def apply_plan(mesh, field, plan, solver_config=None):
     """Re-solve the field under the plan's constraints.
 
-    The plan's rows are written onto a copy of ``field.bcs``.  Raises
+    The plan's rows are written onto a copy of ``field.bcs``; the re-solve
+    runs under ``solver_config``, by default the field's own.  Raises
     NonApplicable for failed plans; otherwise returns the corrected field
     with its singularity graph in ``plan.diagnostics["graph"]``.
     """
     if not plan.applicable:
         raise NonApplicable("plan %s is not applicable" % plan.strategy,
                             diagnostics=plan.diagnostics)
-    config = solver_config or SolverConfig()
+    config = solver_config or field.config
     bcs = field.bcs.copy()
     for v, (kind, payload) in plan.internal_constraints.items():
         if kind == TANGENCY:

@@ -153,10 +153,12 @@ class TetMesh:
         self.feature_edges = []   # list of (u, v, curve_id), filled by detect_features
         self.feature_curves = []
         self.corners = []
-        # the (patch id, unit normal) table of _build_patches, empty until then
+        # the (patch id, unit normal) table of _build_patches and each
+        # vertex's sum of its normals, empty and zero until then
         self.vertex_patch_ptr = np.zeros(len(self.vertices) + 1, dtype=np.int64)
         self.vertex_patch_ids = np.zeros(0, dtype=np.int64)
         self.vertex_patch_normals = np.zeros((0, 3))
+        self.vertex_normal_sums = np.zeros((len(self.vertices), 3))
 
     # -- geometry -----------------------------------------------------------
 
@@ -414,7 +416,8 @@ class TetMesh:
         a patch is the area-weighted sum of the patch's triangle normals at
         it, summed in triangle order.  The rows of vertex ``v``, in patch-id
         order, run from ``vertex_patch_ptr[v]`` to ``vertex_patch_ptr[v + 1]``
-        of ``vertex_patch_ids`` and ``vertex_patch_normals``.
+        of ``vertex_patch_ids`` and ``vertex_patch_normals``;
+        ``vertex_normal_sums[v]`` is their sum, added in that order.
         """
         tris = self.boundary_tris
         smooth = np.ones(len(self.boundary_edges), dtype=bool)
@@ -438,6 +441,8 @@ class TetMesh:
         self.vertex_patch_normals = acc[keep] / length[keep, None]
         self.vertex_patch_ptr = np.searchsorted(
             vertex, np.arange(len(self.vertices) + 1))
+        self.vertex_normal_sums = np.zeros((len(self.vertices), 3))
+        np.add.at(self.vertex_normal_sums, vertex, self.vertex_patch_normals)
 
     # -- lookups used downstream -------------------------------------------
 

@@ -18,11 +18,13 @@ def _read_lines(path):
         raise IoError("cannot read %s: %s" % (path, exc)) from exc
 
 
-def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
+def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
     """Parse an ASCII MEDIT ``.mesh`` file into a TetMesh.
 
     ``Edges``/``Corners`` sections become pre-tagged feature curves and
     corners; feature detection runs afterwards (tags take precedence).
+    Integers must fit in int64, and a section's count may not exceed the
+    tokens left in the file.
     """
     tokens = []
     lines = []
@@ -44,14 +46,21 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
     def take_int(what):
         tok, ln = take(what)
         try:
-            return int(tok)
+            n = int(tok)
         except ValueError:
             raise ParseError("line %d: expected integer in %s, got %r" % (ln, what, tok))
+        if not -2 ** 63 <= n < 2 ** 63:
+            raise ParseError("line %d: integer %s in %s outside int64" % (ln, tok, what))
+        return n
 
     def take_count(what):
         n = take_int(what)
         if n < 0:
             raise ParseError("line %d: negative %s %d" % (lines[pos - 1], what, n))
+        # every entry takes at least one token
+        if n > len(tokens) - pos:
+            raise ParseError("line %d: %s %d exceeds the %d tokens left"
+                             % (lines[pos - 1], what, n, len(tokens) - pos))
         return n
 
     def take_float(what):
@@ -125,8 +134,7 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT, detect=True):
         if not 0 <= c < len(vertices):
             raise IndexOutOfRange("corner vertex index %d out of range" % (c + 1))
     mesh = TetMesh(vertices, tets - 1, feature_edges=edges, corners=corners)
-    if detect:
-        mesh.detect_features(feature_angle)
+    mesh.detect_features(feature_angle)
     return mesh
 
 

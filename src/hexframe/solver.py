@@ -70,48 +70,45 @@ def dirichlet_bc_on_curve(curve, mesh):
 
     At each curve vertex the frame has one axis along the curve tangent and
     a second axis along the adjacent-patch normal direction (orthonormalized
-    against the tangent).  Returns {vertex: 9-vector}.
+    against the tangent): the mean of the vertex's patch normals on a
+    valence-2 curve, its first patch normal on any other.  Returns
+    {vertex: 9-vector}; a vertex the curve lists twice keeps its last frame.
     """
-    out = {}
-    for i, v in enumerate(curve.vertices):
-        t = curve.tangents[i]
-        tn = np.linalg.norm(t)
-        if tn < 1e-9:
-            raise DegenerateTangent("curve %d vertex %d" % (curve.curve_id, v))
-        t = t / tn
-        normals = mesh.patch_normals(v)
-        if not len(normals):
-            continue
-        if curve.target_valence == 2:
-            n = np.mean(normals, axis=0)
-        else:
-            n = normals[0]
-        a2 = n - (n @ t) * t
-        ln = np.linalg.norm(a2)
-        if ln < 1e-9:
-            # tangent parallel to the normal; fall back to any orthogonal
-            a2 = np.eye(3)[int(np.argmin(np.abs(t)))]
-            a2 = a2 - (a2 @ t) * t
-            ln = np.linalg.norm(a2)
-        a2 /= ln
-        R = np.column_stack([a2, np.cross(t, a2), t])
-        out[v] = fr.coeffs_from_rotation(R)
-    return out
+    t = curve.tangents
+    tn = np.sqrt(row_dots(t, t))
+    if (tn < 1e-9).any():
+        raise DegenerateTangent("curve %d vertex %d" % (
+            curve.curve_id, curve.vertices[int(np.argmax(tn < 1e-9))]))
+    verts = np.asarray(curve.vertices, dtype=np.int64)
+    ptr = mesh.vertex_patch_ptr
+    count = ptr[verts + 1] - ptr[verts]
+    keep = count > 0
+    verts, t, count = verts[keep], t[keep] / tn[keep, None], count[keep]
+    if curve.target_valence == 2:
+        n = mesh.vertex_normal_sums[verts] / count[:, None]
+    else:
+        n = mesh.vertex_patch_normals[ptr[verts]]
+    a2 = n - row_dots(n, t)[:, None] * t
+    # where the tangent is parallel to the normal, any orthogonal axis
+    e = np.eye(3)[np.argmin(np.abs(t), axis=1)]
+    a2 = np.where((np.sqrt(row_dots(a2, a2)) < 1e-9)[:, None],
+                  e - row_dots(e, t)[:, None] * t, a2)
+    a2 /= np.sqrt(row_dots(a2, a2))[:, None]
+    R = np.stack([a2, np.cross(t, a2), t], axis=2)
+    return dict(zip(verts.tolist(), fr.frame_coeffs(R)))
 
 
 def build_boundary_conditions(mesh):
     """Standard BC set: Dirichlet on feature curves and corners, tangency
-    on smooth-patch vertices."""
+    on smooth-patch vertices.  A corner takes the projected mean of its
+    curves' frames; every vertex on two curves is a corner."""
     bcs = BoundaryConditionSet(len(mesh.vertices))
+    corner_set = set(mesh.corners)
     corner_acc = {}
     for curve in mesh.feature_curves:
-        values = dirichlet_bc_on_curve(curve, mesh)
-        for v, c in values.items():
-            if v in mesh.corners:
+        for v, c in dirichlet_bc_on_curve(curve, mesh).items():
+            if v in corner_set:
                 corner_acc.setdefault(v, []).append(c)
-            elif bcs.kind[v] == DIRICHLET:
-                # junction of two curves that is not a flagged corner
-                corner_acc.setdefault(v, [bcs.coeffs[v].copy()]).append(c)
             else:
                 bcs.set_dirichlet(v, c)
     corners = list(corner_acc)
@@ -121,7 +118,7 @@ def build_boundary_conditions(mesh):
     # the other boundary vertices are tangent to their last patch's normal
     ptr = mesh.vertex_patch_ptr
     tang = (ptr[1:] > ptr[:-1]) & (bcs.kind != DIRICHLET)
-    tang[list(mesh.feature_vertex_set() | set(mesh.corners))] = False
+    tang[list(mesh.feature_vertex_set() | corner_set)] = False
     n = mesh.vertex_patch_normals[ptr[1:][tang] - 1]
     bcs.kind[tang] = TANGENCY
     bcs.normals[tang] = n / np.sqrt(row_dots(n, n))[:, None]

@@ -27,6 +27,7 @@ from hexframe.solver import (
     FrameField,
     SolverConfig,
     build_boundary_conditions,
+    compute_field,
 )
 from hexframe.tracing import TracerConfig
 
@@ -280,6 +281,15 @@ class TestApplyPlan:
         assert np.array_equal(corrected.bcs.kind, want.kind)
         assert np.array_equal(corrected.bcs.coeffs, want.coeffs)
         assert np.array_equal(corrected.bcs.normals, want.normals)
+
+    def test_resolve_runs_under_the_field_config(self):
+        # the default 50-sweep budget would take this field to 19 sweeps
+        mesh = generate_box(4, 4, 4, bulge=0.3)
+        mesh.detect_features(30.0)
+        field = compute_field(mesh, SolverConfig(smoothing_sweeps=2))
+        out = apply_plan(mesh, field, CorrectionPlan("snap"))
+        assert out.config is field.config
+        assert out.report["smoothing_sweeps"] == 2
 
     def test_snap_until_clean_identity_without_35(self):
         mesh = generate_box(4, 4, 4)

@@ -113,7 +113,22 @@ class TestMeditErrors:
     def test_corner_index_out_of_range(self, tmp_path):
         text = SINGLE_TET_TEMPLATE.format(extra="Corners\n1\n99\n")
         with pytest.raises(IndexOutOfRange, match="99"):
-            read_medit(_write(tmp_path / "m.mesh", text), detect=False)
+            read_medit(_write(tmp_path / "m.mesh", text))
+
+    def test_index_outside_int64(self, tmp_path):
+        text = SINGLE_TET.replace("1 2 3 4 1", "1 2 3 99999999999999999999 1")
+        path = _write(tmp_path / "m.mesh", text)
+        with pytest.raises(ParseError, match="line 11: .*outside int64"):
+            read_medit(path)
+        assert main(["graph", "--mesh", path, "--out", str(tmp_path)]) == 3
+
+    def test_count_beyond_file(self, tmp_path):
+        # 10^15 vertices would ask numpy for 21 PiB before reading one
+        text = SINGLE_TET.replace("Vertices\n4", "Vertices\n%d" % 10 ** 15)
+        path = _write(tmp_path / "m.mesh", text)
+        with pytest.raises(ParseError, match="line 4: .*tokens left"):
+            read_medit(path)
+        assert main(["graph", "--mesh", path, "--out", str(tmp_path)]) == 3
 
 
 class TestMeshErrors:

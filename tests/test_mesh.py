@@ -153,9 +153,26 @@ def _rotated_box():
     return mesh
 
 
+def _looped_box():
+    """generate_box(4, 4, 2) with a tagged triangle loop on its top face
+    through a tagged corner, so that one curve lists the corner twice."""
+    box = generate_box(4, 4, 2)
+    a, b, c = (int(np.argmin(np.linalg.norm(box.vertices - q, axis=1)))
+               for q in ([.25, .25, 1], [.5, .25, 1], [.5, .5, 1]))
+    loop = [(a, b, 12), (b, c, 12), (c, a, 12)]
+    mesh = TetMesh(box.vertices, box.tets,
+                   feature_edges=box.tagged_feature_edges + loop,
+                   corners=box.tagged_corners + [a])
+    mesh.detect_features(30.0)
+    assert [curve.vertices.count(a) for curve in mesh.feature_curves].count(2) == 1
+    return mesh
+
+
 def _parity_mesh(name):
     if name == "rotated_box":
         return _rotated_box()
+    if name == "looped_box":
+        return _looped_box()
     return read_medit(os.path.join(FIXTURES, name + ".mesh"))
 
 
@@ -196,13 +213,21 @@ class TestOracleParity:
         assert mesh.vertex_patch_ids.tolist() == [pid for _, pid in rows]
         want = np.array([vertex_normals[pid][v] for v, pid in rows])
         assert np.array_equal(mesh.vertex_patch_normals, want)
+        sums = np.zeros((len(p), 3))
+        for (v, _), n in zip(rows, want):
+            sums[v] += n
+        assert np.array_equal(mesh.vertex_normal_sums, sums)
         for v in range(len(p)):
             assert np.array_equal(mesh.vertex_triangles(v),
                                   np.nonzero((tris == v).any(axis=1))[0])
 
-    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["rotated_box"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["rotated_box", "looped_box"])
     def test_boundary_conditions_match_loops(self, name):
         mesh = _parity_mesh(name)
+        # a vertex on two curves is a corner, whose frame averages theirs
+        on_curves = np.concatenate([np.unique(c.vertices) for c in mesh.feature_curves])
+        values, counts = np.unique(on_curves, return_counts=True)
+        assert set(values[counts > 1].tolist()) <= set(mesh.corners)
         tris = mesh.boundary_tris
         _, vertex_normals = oracle.patches(mesh.vertices, tris, oracle.edge_dict(tris),
                                            mesh.feature_curves)

@@ -49,7 +49,7 @@ def _build_parser():
         p.add_argument("--lambda", dest="relaxation", default=0.95,
                        type=_checked(float, np.isfinite, "a finite number"),
                        help="projection relaxation of the smoothing sweeps")
-        p.add_argument("--sweeps", default=50,
+        p.add_argument("--sweeps", default=SolverConfig.smoothing_sweeps,
                        type=_checked(int, lambda n: n >= 0, "a count >= 0"),
                        help="maximum nonlinear smoothing sweeps")
         p.add_argument("--field", default=None,
@@ -130,6 +130,8 @@ def _report_pairs(mesh, field, graph, extra=()):
         ("feature_curves", len(mesh.feature_curves)),
         ("dirichlet_energy", "%.12g" % field.report.get("dirichlet_energy", 0.0)),
         ("cg_info", field.report.get("cg_info", 0)),
+        ("cg_iterations", field.report.get("cg_iterations", 0)),
+        ("cg_residual", "%.6g" % field.report.get("cg_residual", 0.0)),
         ("smoothing_sweeps", field.report.get("smoothing_sweeps", 0)),
         ("smoothing_steps", field.report.get("smoothing_steps", 0)),
         ("smoothing_converged", field.report.get("smoothing_converged", "")),
@@ -148,7 +150,9 @@ def _report_pairs(mesh, field, graph, extra=()):
 
 
 def _load_or_solve(args, log):
+    t0 = time.time()
     mesh = read_medit(args.mesh, feature_angle=args.angle_threshold)
+    log("read: %.2fs" % (time.time() - t0))
     ratio = mesh.edge_length_ratio()
     if ratio > 4.0:
         sys.stderr.write(

@@ -80,6 +80,19 @@ def row_dots(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _unique_rows(keys):
+    """``np.unique(keys, axis=0, return_inverse=True, return_counts=True)``
+    of an (n, k) integer array from one stable ``np.lexsort``, plus that
+    sort's order, which is ``np.argsort(inverse, kind="stable")``."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return ranked[starts], inverse, np.diff(np.r_[starts, len(keys)]), order
+
+
 class AdjacencyTables:
     """Face/tet incidence arrays.
 
@@ -92,17 +105,13 @@ class AdjacencyTables:
     def __init__(self, tets):
         nt = len(tets)
         keys = np.sort(tets[:, FACE_VERTICES].reshape(-1, 3), axis=1)
-        uniq, inverse, counts = np.unique(
-            keys, axis=0, return_inverse=True, return_counts=True
-        )
+        # incidences grouped by face, each group in (tet, local face) order
+        uniq, inverse, counts, incidence = _unique_rows(keys)
         if counts.max() > 2:
             bad = uniq[np.argmax(counts)]
             raise NonManifold("face %s has %d incident tets" % (bad, counts.max()))
-        inverse = inverse.reshape(-1)
         self.faces = uniq
         self.tet_faces = inverse.reshape(nt, 4)
-        # incidences grouped by face, each group in (tet, local face) order
-        incidence = np.argsort(inverse, kind="stable")
         start = np.cumsum(counts) - counts
         pair = counts == 2
         self.face_tets = -np.ones((len(uniq), 2), dtype=np.int64)
@@ -164,13 +173,7 @@ class TetMesh:
 
     def _fix_orientation(self):
         """Orient every tet positively; reject (near-)zero-volume tets."""
-        v = self.vertices
-        t = self.tets
-        d = np.einsum(
-            "ij,ij->i",
-            np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]),
-            v[t[:, 3]] - v[t[:, 0]],
-        )
+        d = self.tet_volumes()
         vol = np.abs(d)
         if (vol < 1e-14 * vol.mean()).any():
             raise DegenerateTet("tet volume below 1e-14 of the mean")
@@ -239,14 +242,12 @@ class TetMesh:
             [[0], np.cumsum(np.bincount(tris.ravel(), minlength=len(p)))])
         # half-edges (a, b), (b, c), (c, a) of every triangle, in triangle order
         half = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
-        edges, inverse, counts = np.unique(
-            np.sort(half, axis=1), axis=0, return_inverse=True, return_counts=True
-        )
+        edges, _, counts, order = _unique_rows(np.sort(half, axis=1))
         if (counts != 2).any():
             k = int(np.argmax(counts != 2))
             raise OpenBoundary("boundary edge %s has %d incident triangles"
                                % (tuple(edges[k].tolist()), counts[k]))
-        pairs = np.argsort(inverse.reshape(-1), kind="stable").reshape(-1, 2)
+        pairs = order.reshape(-1, 2)
         self.boundary_edges = edges
         self.boundary_edge_tris = pairs // 3
         self.boundary_half_edges = half[pairs[:, 0]]

@@ -1,6 +1,7 @@
 """File formats: MEDIT ASCII meshes, legacy VTK polylines, field text files."""
 
 import math
+import re
 
 import numpy as np
 
@@ -10,12 +11,38 @@ from .mesh import FEATURE_ANGLE_DEFAULT, TetMesh, row_dots
 from .solver import FrameField, build_boundary_conditions
 
 
-def _read_lines(path):
+def _read(path, lines=False):
+    """The text of ``path``, or its lines as ``readlines`` splits them."""
     try:
         with open(path) as fh:
-            return fh.readlines()
+            return fh.readlines() if lines else fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError("cannot read %s: %s" % (path, exc)) from exc
+
+
+# section keyword -> each row's token names for errors, its type, and how
+# many leading tokens are converted (a vertex ref is not)
+_SECTIONS = {
+    "vertices": (("Vertices",) * 3 + ("vertex ref",), float, 3),
+    "tetrahedra": (("Tetrahedra",) * 4 + ("tet ref",), np.int64, 5),
+    "triangles": (("Triangles",) * 3 + ("triangle ref",), np.int64, 4),
+    "edges": (("Edges",) * 2 + ("edge ref",), np.int64, 3),
+    "corners": (("Corners",), np.int64, 1),
+}
+
+
+def _token_error(tok, what, dtype):
+    """Why ``tok`` is no finite float or int64 integer; None if it is one."""
+    try:
+        x = (float if dtype is float else int)(tok)
+    except ValueError:
+        return "expected %s in %s, got %r" % (
+            "number" if dtype is float else "integer", what, tok)
+    if dtype is float and not math.isfinite(x):
+        return "non-finite number in %s, got %r" % (what, tok)
+    if dtype is not float and not -2 ** 63 <= x < 2 ** 63:
+        return "integer %s in %s outside int64" % (tok, what)
+    return None
 
 
 def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
@@ -23,117 +50,85 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
 
     ``Edges``/``Corners`` sections become pre-tagged feature curves and
     corners; feature detection runs afterwards (tags take precedence).
-    Integers must fit in int64, and a section's count may not exceed the
-    tokens left in the file.
+    Each section converts as one block.  Integers must fit in int64, and a
+    section's count may not exceed the tokens left in the file.
     """
-    tokens = []
-    lines = []
-    for ln, line in enumerate(_read_lines(path), 1):
-        for tok in line.split("#")[0].split():
-            tokens.append(tok)
-            lines.append(ln)
-
+    text = re.sub("#[^\n]*", "", _read(path))
+    tokens = text.split()
     pos = 0
 
-    def take(what):
+    def line(k):
+        """Line of token k, counted only for an error message."""
+        counts = np.cumsum([len(row.split()) for row in text.split("\n")])
+        return int(np.searchsorted(counts, k, side="right")) + 1
+
+    def read(n, names, dtype=np.int64, checked=1):
+        """The first ``checked`` columns of the next n rows of tokens."""
         nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of file while reading %s" % what)
-        tok = tokens[pos]
-        pos += 1
-        return tok, lines[pos - 1]
-
-    def take_int(what):
-        tok, ln = take(what)
+        width = len(names)
+        cells = tokens[pos:pos + n * width]
         try:
-            n = int(tok)
-        except ValueError:
-            raise ParseError("line %d: expected integer in %s, got %r" % (ln, what, tok))
-        if not -2 ** 63 <= n < 2 ** 63:
-            raise ParseError("line %d: integer %s in %s outside int64" % (ln, tok, what))
-        return n
+            # object cells convert by Python's int() and float()
+            values = np.array(cells, dtype=object).reshape(
+                n, width)[:, :checked].astype(dtype)
+        except (ValueError, OverflowError):
+            values = None
+        if values is not None and (dtype is not float or np.isfinite(values).all()):
+            pos += n * width
+            return values
+        # the first bad token in file order, else the end of the file
+        for i, tok in enumerate(cells):
+            error = i % width < checked and _token_error(tok, names[i % width], dtype)
+            if error:
+                raise ParseError("line %d: %s" % (line(pos + i), error))
+        raise ParseError("unexpected end of file while reading %s"
+                         % names[len(cells) % width])
 
-    def take_count(what):
-        n = take_int(what)
-        if n < 0:
-            raise ParseError("line %d: negative %s %d" % (lines[pos - 1], what, n))
-        # every entry takes at least one token
-        if n > len(tokens) - pos:
-            raise ParseError("line %d: %s %d exceeds the %d tokens left"
-                             % (lines[pos - 1], what, n, len(tokens) - pos))
-        return n
-
-    def take_float(what):
-        tok, ln = take(what)
-        try:
-            x = float(tok)
-        except ValueError:
-            raise ParseError("line %d: expected number in %s, got %r" % (ln, what, tok))
-        if not math.isfinite(x):
-            raise ParseError("line %d: non-finite number in %s, got %r"
-                             % (ln, what, tok))
-        return x
-
-    vertices = None
-    tets = None
-    tris = []
-    edges = []
-    corners = []
+    blocks = {key: [] for key in _SECTIONS}
     while pos < len(tokens):
-        kw, ln = take("section keyword")
+        kw = tokens[pos]
         key = kw.lower()
+        pos += 1
         if key == "meshversionformatted":
-            take("version")
+            read(1, ("version",), checked=0)
         elif key == "dimension":
-            dim = take_int("Dimension")
+            dim = read(1, ("Dimension",))[0, 0]
             if dim != 3:
-                raise ParseError("line %d: expected Dimension 3, got %d" % (ln, dim))
-        elif key == "vertices":
-            n = take_count("Vertices count")
-            vertices = np.empty((n, 3))
-            for i in range(n):
-                vertices[i] = [take_float("Vertices") for _ in range(3)]
-                take("vertex ref")
-        elif key == "tetrahedra":
-            n = take_count("Tetrahedra count")
-            tets = np.empty((n, 4), dtype=np.int64)
-            for i in range(n):
-                tets[i] = [take_int("Tetrahedra") for _ in range(4)]
-                take_int("tet ref")
-        elif key == "triangles":
-            n = take_count("Triangles count")
-            for _ in range(n):
-                a, b, c = (take_int("Triangles") for _ in range(3))
-                take_int("triangle ref")
-                tris.append((a - 1, b - 1, c - 1))
-        elif key == "edges":
-            n = take_count("Edges count")
-            for _ in range(n):
-                a, b = take_int("Edges"), take_int("Edges")
-                ref = take_int("edge ref")
-                edges.append((a - 1, b - 1, ref))
-        elif key == "corners":
-            n = take_count("Corners count")
-            for _ in range(n):
-                corners.append(take_int("Corners") - 1)
+                raise ParseError("line %d: expected Dimension 3, got %d"
+                                 % (line(pos - 2), dim))
+        elif key in _SECTIONS:
+            names, dtype, checked = _SECTIONS[key]
+            what = names[0] + " count"
+            n = int(read(1, (what,))[0, 0])
+            if n < 0:
+                raise ParseError("line %d: negative %s %d" % (line(pos - 1), what, n))
+            # every entry takes at least one token
+            if n > len(tokens) - pos:
+                raise ParseError("line %d: %s %d exceeds the %d tokens left"
+                                 % (line(pos - 1), what, n, len(tokens) - pos))
+            blocks[key].append(read(n, names, dtype, checked))
         elif key == "end":
             break
         else:
-            raise ParseError("line %d: unknown section %r" % (ln, kw))
-    if vertices is None or tets is None:
+            raise ParseError("line %d: unknown section %r" % (line(pos - 1), kw))
+    if not blocks["vertices"] or not blocks["tetrahedra"]:
         raise ParseError("missing Vertices or Tetrahedra section")
+    nv = len(blocks["vertices"][-1])
+    tets = blocks["tetrahedra"][-1][:, :4]
     if len(tets) == 0:
         raise ParseError("Tetrahedra section is empty")
-    for a, b, c in tris:
-        if min(a, b, c) < 0 or max(a, b, c) >= len(vertices):
-            raise IndexOutOfRange("triangle vertex index out of range")
-    for a, b, _ in edges:
-        if min(a, b) < 0 or max(a, b) >= len(vertices):
-            raise IndexOutOfRange("edge vertex index out of range")
-    for c in corners:
-        if not 0 <= c < len(vertices):
-            raise IndexOutOfRange("corner vertex index %d out of range" % (c + 1))
-    mesh = TetMesh(vertices, tets - 1, feature_edges=edges, corners=corners)
+    tris, edges, corners = (np.concatenate(
+        [np.zeros((0, _SECTIONS[key][2]), np.int64)] + blocks[key])
+        for key in ("triangles", "edges", "corners"))
+    if ((tris[:, :3] < 1) | (tris[:, :3] > nv)).any():
+        raise IndexOutOfRange("triangle vertex index out of range")
+    if ((edges[:, :2] < 1) | (edges[:, :2] > nv)).any():
+        raise IndexOutOfRange("edge vertex index out of range")
+    outside = (corners < 1) | (corners > nv)
+    if outside.any():
+        raise IndexOutOfRange("corner vertex index %d out of range" % corners[outside][0])
+    mesh = TetMesh(blocks["vertices"][-1], tets - 1, corners=(corners[:, 0] - 1).tolist(),
+                   feature_edges=(edges - [1, 1, 0]).tolist())
     mesh.detect_features(feature_angle)
     return mesh
 
@@ -221,42 +216,21 @@ def write_vtk_graph(obj, path):
 def read_vtk_polylines(path):
     """Parse back our own VTK output: (polylines, {name: values})."""
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    points = None
-    lines = []
-    scalars = {}
-    rows = [r.split() for r in tokens]
-    i = 0
-    while i < len(rows):
-        row = rows[i]
-        if row and row[0] == "POINTS":
-            n = int(row[1])
-            flat = []
-            i += 1
-            while len(flat) < 3 * n:
-                flat.extend(float(x) for x in rows[i])
-                i += 1
-            points = np.array(flat).reshape(n, 3)
-            continue
-        if row and row[0] == "LINES":
-            nl = int(row[1])
-            i += 1
-            for _ in range(nl):
-                vals = [int(x) for x in rows[i]]
-                lines.append(vals[1:])
-                i += 1
-            continue
-        if row and row[0] == "SCALARS":
-            name = row[1]
-            i += 2  # skip LOOKUP_TABLE
-            vals = []
-            while i < len(rows) and rows[i] and len(rows[i]) == 1 and rows[i][0].lstrip("-").isdigit():
-                vals.append(int(rows[i][0]))
-                i += 1
-            scalars[name] = vals
-            continue
-        i += 1
-    polylines = [points[idx] for idx in lines] if points is not None else []
+        tokens = fh.read().split()
+    at, cells = tokens.index("LINES"), tokens.index("CELL_DATA")
+    points = np.array(tokens[tokens.index("POINTS") + 3:at],
+                      dtype=object).astype(float).reshape(-1, 3)
+    # each polyline is its point count, then its point ids
+    ids = np.array(tokens[at + 3:cells], dtype=object).astype(np.int64)
+    polylines = []
+    k = 0
+    while k < len(ids):
+        polylines.append(points[ids[k + 1:k + 1 + ids[k]]])
+        k += 1 + ids[k]
+    # "SCALARS name int 1 LOOKUP_TABLE default", then one value per cell
+    n = int(tokens[cells + 1])
+    scalars = {tokens[k + 1]: [int(x) for x in tokens[k + 6:k + 6 + n]]
+               for k in range(cells + 2, len(tokens), n + 6)}
     return polylines, scalars
 
 
@@ -276,7 +250,7 @@ def write_field(field, path):
 def read_field(path, mesh):
     """Read a field file back onto ``mesh`` with the mesh's standard
     boundary conditions; coefficients round-trip exactly."""
-    rows = _read_lines(path)
+    rows = _read(path, lines=True)
     if not rows or rows[0].split()[:1] != ["HexFrameField"]:
         raise ParseError("line 1: not a hexframe field file")
     try:
@@ -289,15 +263,20 @@ def read_field(path, mesh):
         )
     if len(rows) < n + 2:
         raise ParseError("line %d: unexpected end of file" % (len(rows) + 1))
-    values = np.empty((n, 18))
-    for i in range(n):
-        try:
-            vals = [float(x) for x in rows[i + 2].split()]
-        except ValueError:
-            raise ParseError("line %d: non-numeric value" % (i + 3))
-        if len(vals) != 18 or not all(map(math.isfinite, vals)):
-            raise ParseError("line %d: expected 18 finite numbers" % (i + 3))
-        values[i] = vals
+    cells = [row.split() for row in rows[2:n + 2]]
+    try:
+        values = np.array(cells, dtype=object).astype(float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != (n, 18) or not np.isfinite(values).all():
+        # the first bad line
+        for i, cell in enumerate(cells):
+            try:
+                vals = [float(x) for x in cell]
+            except ValueError:
+                raise ParseError("line %d: non-numeric value" % (i + 3))
+            if len(vals) != 18 or not all(map(math.isfinite, vals)):
+                raise ParseError("line %d: expected 18 finite numbers" % (i + 3))
     coeffs = values[:, :9]
     frames = values[:, 9:].reshape(n, 3, 3).copy()
     bad = ~fr.rotation_rows(frames)

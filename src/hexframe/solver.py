@@ -235,18 +235,20 @@ def solve_initial(mesh, bcs, config=None, K=None):
     diag[diag <= 0] = 1.0
     precond = spla.LinearOperator(M.shape, matvec=lambda x: x / diag)
     maxiter = 10 * nu
-    u, info = spla.cg(M, rhs, rtol=CG_TOLERANCE, atol=0.0,
-                      maxiter=maxiter, M=precond)
-    if info > 0:
-        res = np.linalg.norm(M @ u - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        if res > np.sqrt(CG_TOLERANCE):
-            raise CGDiverged("CG residual %.3e after %d iterations" % (res, maxiter))
+    steps = []
+    u, info = spla.cg(M, rhs, rtol=CG_TOLERANCE, atol=0.0, maxiter=maxiter,
+                      M=precond, callback=lambda x: steps.append(None))
+    res = np.linalg.norm(rhs - M @ u) / max(np.linalg.norm(rhs), 1e-300)
+    if info > 0 and res > np.sqrt(CG_TOLERANCE):
+        raise CGDiverged("CG residual %.3e after %d iterations" % (res, maxiter))
     x = A @ u + b
     coeffs = x.reshape(n, 9)
     # restore the circle radius at tangency vertices
     coeffs[tang] = _on_circle(H, u[offsets[:, None] + [0, 1]])
     field = FrameField(mesh, coeffs, bcs, config)
     field.report["cg_info"] = int(info)
+    field.report["cg_iterations"] = len(steps)
+    field.report["cg_residual"] = float(res)
     return field
 
 

@@ -1,14 +1,18 @@
 """Loop-based reference for the mesh tables, kept to check the array forms.
 
 Each function is the per-tet, per-face or per-edge loop that ``TetMesh``,
-``boxgen.generate_box`` and ``solver.build_boundary_conditions`` once ran.
+``boxgen.generate_box`` and ``solver.build_boundary_conditions`` once ran,
+or the token-at-a-time reader that ``meshio.read_medit`` once was.
 Only tests import this module.
 """
+
+import math
 
 import numpy as np
 
 from hexframe import frames as fr
-from hexframe.mesh import FACE_VERTICES
+from hexframe.errors import IndexOutOfRange, IoError, ParseError
+from hexframe.mesh import FACE_VERTICES, FEATURE_ANGLE_DEFAULT, TetMesh
 from hexframe.solver import DIRICHLET, BoundaryConditionSet
 
 
@@ -202,3 +206,122 @@ def generate_box(nx, ny, nz, size=(1.0, 1.0, 1.0), bulge=0.0):
                 for t in _CUBE_TETS:
                     tets.append([corner[c] for c in t])
     return verts, np.asarray(tets, dtype=np.int64)
+
+
+def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
+    """``meshio.read_medit`` one token at a time, each token's line kept."""
+    try:
+        with open(path) as fh:
+            text_lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError("cannot read %s: %s" % (path, exc)) from exc
+    tokens = []
+    lines = []
+    for ln, line in enumerate(text_lines, 1):
+        for tok in line.split("#")[0].split():
+            tokens.append(tok)
+            lines.append(ln)
+
+    pos = 0
+
+    def take(what):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ParseError("unexpected end of file while reading %s" % what)
+        tok = tokens[pos]
+        pos += 1
+        return tok, lines[pos - 1]
+
+    def take_int(what):
+        tok, ln = take(what)
+        try:
+            n = int(tok)
+        except ValueError:
+            raise ParseError("line %d: expected integer in %s, got %r" % (ln, what, tok))
+        if not -2 ** 63 <= n < 2 ** 63:
+            raise ParseError("line %d: integer %s in %s outside int64" % (ln, tok, what))
+        return n
+
+    def take_count(what):
+        n = take_int(what)
+        if n < 0:
+            raise ParseError("line %d: negative %s %d" % (lines[pos - 1], what, n))
+        # every entry takes at least one token
+        if n > len(tokens) - pos:
+            raise ParseError("line %d: %s %d exceeds the %d tokens left"
+                             % (lines[pos - 1], what, n, len(tokens) - pos))
+        return n
+
+    def take_float(what):
+        tok, ln = take(what)
+        try:
+            x = float(tok)
+        except ValueError:
+            raise ParseError("line %d: expected number in %s, got %r" % (ln, what, tok))
+        if not math.isfinite(x):
+            raise ParseError("line %d: non-finite number in %s, got %r"
+                             % (ln, what, tok))
+        return x
+
+    vertices = None
+    tets = None
+    tris = []
+    edges = []
+    corners = []
+    while pos < len(tokens):
+        kw, ln = take("section keyword")
+        key = kw.lower()
+        if key == "meshversionformatted":
+            take("version")
+        elif key == "dimension":
+            dim = take_int("Dimension")
+            if dim != 3:
+                raise ParseError("line %d: expected Dimension 3, got %d" % (ln, dim))
+        elif key == "vertices":
+            n = take_count("Vertices count")
+            vertices = np.empty((n, 3))
+            for i in range(n):
+                vertices[i] = [take_float("Vertices") for _ in range(3)]
+                take("vertex ref")
+        elif key == "tetrahedra":
+            n = take_count("Tetrahedra count")
+            tets = np.empty((n, 4), dtype=np.int64)
+            for i in range(n):
+                tets[i] = [take_int("Tetrahedra") for _ in range(4)]
+                take_int("tet ref")
+        elif key == "triangles":
+            n = take_count("Triangles count")
+            for _ in range(n):
+                a, b, c = (take_int("Triangles") for _ in range(3))
+                take_int("triangle ref")
+                tris.append((a - 1, b - 1, c - 1))
+        elif key == "edges":
+            n = take_count("Edges count")
+            for _ in range(n):
+                a, b = take_int("Edges"), take_int("Edges")
+                ref = take_int("edge ref")
+                edges.append((a - 1, b - 1, ref))
+        elif key == "corners":
+            n = take_count("Corners count")
+            for _ in range(n):
+                corners.append(take_int("Corners") - 1)
+        elif key == "end":
+            break
+        else:
+            raise ParseError("line %d: unknown section %r" % (ln, kw))
+    if vertices is None or tets is None:
+        raise ParseError("missing Vertices or Tetrahedra section")
+    if len(tets) == 0:
+        raise ParseError("Tetrahedra section is empty")
+    for a, b, c in tris:
+        if min(a, b, c) < 0 or max(a, b, c) >= len(vertices):
+            raise IndexOutOfRange("triangle vertex index out of range")
+    for a, b, _ in edges:
+        if min(a, b) < 0 or max(a, b) >= len(vertices):
+            raise IndexOutOfRange("edge vertex index out of range")
+    for c in corners:
+        if not 0 <= c < len(vertices):
+            raise IndexOutOfRange("corner vertex index %d out of range" % (c + 1))
+    mesh = TetMesh(vertices, tets - 1, feature_edges=edges, corners=corners)
+    mesh.detect_features(feature_angle)
+    return mesh

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ import hexframe
 import hexframe.frames as fr
 from hexframe.boxgen import generate_box
 from hexframe.cli import main
-from hexframe.meshio import read_vtk_polylines, write_field, write_medit
+from hexframe.meshio import (
+    read_vtk_polylines,
+    write_field,
+    write_medit,
+    write_vtk_graph,
+)
 from hexframe.solver import BoundaryConditionSet, FrameField
 
 
@@ -92,9 +98,40 @@ class TestSolve:
         assert int(report["smoothing_steps"]) > int(report["smoothing_sweeps"]) > 0
         keys = list(report)
         assert keys.index("smoothing_steps") == keys.index("smoothing_sweeps") + 1
+        assert keys.index("cg_residual") == keys.index("cg_iterations") + 1 \
+            == keys.index("cg_info") + 2
+        assert int(report["cg_iterations"]) > 0
+        residual = float(report["cg_residual"])
+        assert 0.0 <= residual <= 1e-8
+        assert report["cg_residual"] == "%.6g" % residual
         assert float(report["smoothing_last_delta"]) > 0.0
         assert report["smoothing_last_delta"] == "%.6g" % float(
             report["smoothing_last_delta"])
+
+    def test_verbose_logs_read_and_solve_times(self, cube_path, tmp_path, capsys):
+        assert run(["solve", "--mesh", cube_path, "--out", str(tmp_path),
+                    "--sweeps", "2", "--verbose"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == ["read", "solve"]
+
+    def test_sweeps_default_is_the_solver_default(self):
+        from hexframe.cli import _build_parser
+        from hexframe.solver import SolverConfig
+
+        args = _build_parser().parse_args(["solve", "--mesh", "m.mesh"])
+        assert args.sweeps == SolverConfig().smoothing_sweeps == 50
+
+    def test_vtk_polylines_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        lines = [SimpleNamespace(points=rng.normal(size=(k, 3)) * 10.0 ** e)
+                 for k, e in ((5, -9), (0, 0), (1, 300), (12, 4))]
+        path = str(tmp_path / "lines.vtk")
+        write_vtk_graph(lines, path)
+        polylines, scalars = read_vtk_polylines(path)
+        assert len(polylines) == len(lines)
+        for got, line in zip(polylines, lines):
+            assert np.array_equal(got, line.points.reshape(-1, 3))
+        assert scalars == {"valence": [0] * 4, "is_35": [0] * 4}
 
     def test_report_counts_match_graph_vtk(self, cube_path, tmp_path):
         out = str(tmp_path / "run")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hexframe.frames as fr
+import mesh_oracle
 from hexframe.boxgen import generate_box
 from hexframe.cli import main
 from hexframe.errors import (
@@ -253,6 +254,80 @@ def test_fuzz_read_medit(box_files, tmp_path_factory, data):
         read_medit(path)
     except HexFrameError:
         pass
+
+
+def _read_outcome(reader, path):
+    """The tagged arrays ``reader`` reads, or its exception's class and text."""
+    try:
+        mesh = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (mesh.vertices.tolist(), mesh.tets.tolist(),
+            mesh.tagged_feature_edges, mesh.tagged_corners)
+
+
+def _assert_readers_agree(path):
+    got = _read_outcome(read_medit, path)
+    want = _read_outcome(mesh_oracle.read_medit, path)
+    assert got == want
+    return got
+
+
+SINGLE_TET_VARIANTS = [
+    SINGLE_TET.replace("Vertices\n4\n", "# a comment\nvertices 4 # four\n"),
+    SINGLE_TET.replace("\n", "\r\n"),
+    SINGLE_TET.replace("End\n", ""),
+    SINGLE_TET.replace("End\n", "End\nnot a section\n"),
+    SINGLE_TET.replace("0 0 1 0\n", "0 0 1 ref#\n"),
+    SINGLE_TET.replace("0 0 1 0\n", "0 0 1"),
+    SINGLE_TET[:SINGLE_TET.index("0 0 1 0") + 5],
+    SINGLE_TET.replace("Vertices\n4\n", "# c\n\n#\nVertices 4\n").replace(
+        "0 1 0 0", "0 nan # x\n 0 0"),
+    SINGLE_TET.replace("\n", "\r\n").replace("0 0 1 0", "0 0 x 0"),
+    SINGLE_TET.replace("\n", "\r").replace("1 2 3 4 1", "1 2 3 4 -"),
+    SINGLE_TET.replace("Vertices\n4", "Vertices\n-1"),
+    SINGLE_TET.replace("Vertices\n4", "Vertices\n%d" % 10 ** 15),
+    SINGLE_TET.replace("Tetrahedra", "Hexahedra"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4 1.5"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4 -99999999999999999999"),
+    SINGLE_TET.replace("1 0 0 0", "1e400 0 0 0"),
+    SINGLE_TET.replace("1 0 0 0", "1_0 0 0 0"),
+    SINGLE_TET.replace("Dimension 3", "Dimension 2"),
+    SINGLE_TET.replace("Dimension 3", "Dimension\n\n3.0"),
+    SINGLE_TET.replace("Tetrahedra", "Tetrahedra\n1\n2 1 3 4 0\nTetrahedra"),
+    SINGLE_TET.replace("Tetrahedra\n1", "Tetrahedra\n3"),
+    SINGLE_TET.replace("Tetrahedra\n1", "Tetrahedra\n99999999999999999999"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 9223372036854775808 1"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 -9223372036854775808 1"),
+    SINGLE_TET_TEMPLATE.format(extra="Triangles\n1\n1 2 3 7\nTriangles 1 1 2 5 7\n"),
+    SINGLE_TET_TEMPLATE.format(extra="Edges\n2\n1 2 3\n2 3 -9223372036854775808\n"),
+    SINGLE_TET_TEMPLATE.format(extra="Edges\n1\n1 0 3\n"),
+    SINGLE_TET_TEMPLATE.format(extra="Corners\n2\n1\n-9223372036854775808\n"),
+    SINGLE_TET_TEMPLATE.format(extra="Corners 1 1 Corners 1 4 Corners 0\n"),
+    SINGLE_TET_TEMPLATE.format(extra="Corners\n2\n1\n"),
+    "MeshVersionFormatted",
+    "Dimension 3 Tetrahedra 1 1 2 3 4 1",
+    "",
+]
+
+
+@pytest.mark.parametrize("text", SINGLE_TET_VARIANTS)
+def test_readers_agree_on_variants(tmp_path, text):
+    path = str(tmp_path / "m.mesh")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    _assert_readers_agree(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_readers_agree(box_files, tmp_path_factory, data):
+    mesh_path, _, _ = box_files
+    path = _write(tmp_path_factory.getbasetemp() / "fuzz_diff.mesh",
+                  _mutate(Path(mesh_path).read_text(), data))
+    outcome = _assert_readers_agree(path)
+    if isinstance(outcome[0], type):
+        assert issubclass(outcome[0], HexFrameError)
 
 
 @FUZZ

@@ -8,7 +8,7 @@ import mesh_oracle as oracle
 from hexframe import boxgen
 from hexframe.boxgen import generate_box
 from hexframe.errors import DegenerateDihedral, NonManifold
-from hexframe.mesh import TetMesh, classify_feature_valence
+from hexframe.mesh import FACE_VERTICES, TetMesh, _unique_rows, classify_feature_valence
 from hexframe.meshio import read_medit, write_medit
 from hexframe.solver import build_boundary_conditions
 
@@ -248,3 +248,43 @@ class TestOracleParity:
         want_verts, want_tets = oracle.generate_box(*dims, size=size, bulge=bulge)
         assert np.array_equal(verts, want_verts)
         assert np.array_equal(tets, want_tets)
+
+
+class TestSectionReader:
+    """``read_medit`` converts whole sections; ``_unique_rows`` sorts rows once."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_match_token_reader(self, name):
+        path = os.path.join(FIXTURES, name + ".mesh")
+        got, want = read_medit(path), oracle.read_medit(path)
+        for attr in ("vertices", "tets"):
+            assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert got.tagged_feature_edges == want.tagged_feature_edges
+        assert got.tagged_corners == want.tagged_corners
+        assert got.tagged_feature_edges and got.tagged_corners
+
+    @staticmethod
+    def _check_unique_rows(keys):
+        rows, inverse, counts, order = _unique_rows(keys)
+        want = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        for got, ref in zip((rows, inverse, counts), want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref.reshape(got.shape))
+        assert np.array_equal(order, np.argsort(inverse, kind="stable"))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["rotated_box"])
+    def test_unique_rows_matches_np_unique(self, name):
+        mesh = _parity_mesh(name)
+        self._check_unique_rows(
+            np.sort(mesh.tets[:, FACE_VERTICES].reshape(-1, 3), axis=1))
+        tris = mesh.boundary_tris
+        half = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
+        self._check_unique_rows(np.sort(half, axis=1))
+
+    def test_unique_rows_of_large_values(self):
+        rng = np.random.default_rng(11)
+        base = 2 ** 40 + rng.integers(-3, 3, size=(500, 3))
+        keys = np.concatenate([base, base[rng.integers(0, 500, size=700)],
+                               -base[:50], [[2 ** 62, -2 ** 62, 0]] * 3])
+        self._check_unique_rows(keys[rng.permutation(len(keys))])

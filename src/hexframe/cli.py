@@ -149,6 +149,22 @@ def _report_pairs(mesh, field, graph, extra=()):
     return pairs
 
 
+def _plan_counts(diagnostics):
+    """Deterministic counters of a correction plan for ``report.txt``: its
+    streamlines and stacked trace calls, or its snap rounds."""
+    if "rounds" in diagnostics:
+        rounds = diagnostics["rounds"]
+        pairs = [("snap_rounds", len(rounds))]
+        for i, r in enumerate(rounds):
+            pairs.append(("snap_round_%d" % i, "paths=%d rows=%d chains_35=%d"
+                          % (r["paths"], r["rows"], r["chains_35"])))
+        return pairs
+    lines = diagnostics.get("streamlines", [])
+    return [("streamlines", len(lines)),
+            ("streamline_points", sum(len(sl.points) for sl in lines)),
+            ("trace_batches", diagnostics.get("trace_batches", 0))]
+
+
 def _load_or_solve(args, log):
     t0 = time.time()
     mesh = read_medit(args.mesh, feature_angle=args.angle_threshold)
@@ -229,7 +245,7 @@ def _cmd_correct(args, log):
             ("strategy", args.strategy),
             ("applicable", False),
             ("chains_35_before", before),
-        ])
+        ] + _plan_counts(exc.diagnostics))
         for i, failure in enumerate(exc.diagnostics.get("failures", [])):
             detail = ", ".join(
                 "%s=%s" % (k, failure[k]) for k in sorted(failure))
@@ -244,7 +260,7 @@ def _cmd_correct(args, log):
         ("applicable", True),
         ("chains_35_before", before),
         ("chains_35_after", after),
-    ])
+    ] + _plan_counts(plan.diagnostics))
     print("3-5 before: %d  after: %d" % (before, after))
     return EXIT_OK
 

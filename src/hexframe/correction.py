@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from . import frames as fr
-from .errors import NoBoundaryPath, NonApplicable, SeedOutside, WedgeMismatch
+from .errors import NoBoundaryPath, NonApplicable, WedgeMismatch
 from .mesh import row_dots
 from .solver import (
     DIRICHLET,
@@ -29,7 +29,7 @@ from .solver import (
     solve_initial,
 )
 from .singularities import extract_graph, detect_35, stable_direction
-from .tracing import TracerConfig, trace
+from .tracing import TracerConfig, trace_lines
 
 WEDGE_MARGIN = np.radians(15.0)
 SHEAR_MERGE_ANGLE = np.radians(10.0)
@@ -157,12 +157,11 @@ def _merge_constraint(plan, vertex, direction):
     plan.internal_constraints[vertex] = (TANGENCY, direction)
 
 
-def _trace(plan, field, seed, direction, config, **where):
-    """Streamline from ``seed``, or None after failing ``plan`` at ``where``
-    when the line cannot place constraints."""
-    try:
-        sl = trace(field, seed, direction, config)
-    except SeedOutside:
+def _take(plan, sl, **where):
+    """Record the streamline ``sl`` (None for a seed outside the mesh), or
+    return None after failing ``plan`` at ``where`` when the line cannot
+    place constraints."""
+    if sl is None:
         # a direction grazing a curved surface steps out
         plan.fail("streamline_left_surface", **where)
         return None
@@ -174,6 +173,13 @@ def _trace(plan, field, seed, direction, config, **where):
         plan.fail("limit_cycle", **where)
         return None
     return sl
+
+
+def _trace_all(plan, field, seeds, directions, config):
+    """The streamlines of all ``seeds`` from one lockstep batch."""
+    lines, batches = trace_lines(field, seeds, directions, config)
+    plan.diagnostics["trace_batches"] = batches
+    return lines
 
 
 def extrude_feature_curves(mesh, field, tracer_config=None):
@@ -189,6 +195,8 @@ def extrude_feature_curves(mesh, field, tracer_config=None):
     sheet_boundary = {}      # boundary vertex -> its surface normal
     boundary = set(mesh.boundary_vertices)
     edge = mesh.mean_edge_length()
+    # in curve order: a wedge failure, or a (vertex, tangent) per seed
+    visits, seeds, directions = [], [], []
     for curve in mesh.feature_curves:
         if curve.target_valence < 2:
             continue
@@ -202,34 +210,42 @@ def extrude_feature_curves(mesh, field, tracer_config=None):
             try:
                 dirs = extrusion_directions(curve, field, i)
             except WedgeMismatch as exc:
-                plan.fail("wedge_mismatch", detail=str(exc), vertex=int(v))
+                visits.append(dict(detail=str(exc), vertex=int(v)))
                 continue
             for d in dirs:
-                sl = _trace(plan, field, p + 1e-3 * edge * d, d,
-                            tracer_config, vertex=int(v))
-                if sl is None:
+                visits.append((int(v), t))
+                seeds.append(p + 1e-3 * edge * d)
+                directions.append(d)
+    lines = iter(_trace_all(plan, field, seeds, directions, tracer_config))
+    for visit in visits:
+        if isinstance(visit, dict):
+            plan.fail("wedge_mismatch", **visit)
+            continue
+        v, t = visit
+        sl = _take(plan, next(lines), vertex=v)
+        if sl is None:
+            continue
+        for w, vk in zip(_nearest_vertices(mesh, sl.points[1:]),
+                         sl.directions[1:]):
+            u = np.cross(t, vk)
+            un = np.linalg.norm(u)
+            if un < 1e-9:
+                continue
+            u = u / un
+            if w in boundary:
+                # pin the sheet where it meets the surface, else the
+                # singular legs reconnect through the last free layer
+                if field.bcs.kind[w] != TANGENCY:
                     continue
-                for w, vk in zip(_nearest_vertices(mesh, sl.points[1:]),
-                                 sl.directions[1:]):
-                    u = np.cross(t, vk)
-                    un = np.linalg.norm(u)
-                    if un < 1e-9:
-                        continue
-                    u = u / un
-                    if w in boundary:
-                        # pin the sheet where it meets the surface, else the
-                        # singular legs reconnect through the last free layer
-                        if field.bcs.kind[w] != TANGENCY:
-                            continue
-                        n = field.bcs.normals[w]
-                        u2 = u - (u @ n) * n
-                        nn = np.linalg.norm(u2)
-                        if nn < 0.5:
-                            continue
-                        _merge_constraint(plan, w, u2 / nn)
-                        sheet_boundary[w] = n
-                    else:
-                        _merge_constraint(plan, w, u)
+                n = field.bcs.normals[w]
+                u2 = u - (u @ n) * n
+                nn = np.linalg.norm(u2)
+                if nn < 0.5:
+                    continue
+                _merge_constraint(plan, w, u2 / nn)
+                sheet_boundary[w] = n
+            else:
+                _merge_constraint(plan, w, u)
     for v, n in sheet_boundary.items():
         _, d = plan.internal_constraints[v]
         R = np.column_stack([n, d, np.cross(n, d)])
@@ -244,6 +260,7 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
     columns = []
     plan.diagnostics["columns"] = columns
     edge = mesh.mean_edge_length()
+    ends, seeds, directions = [], [], []
     for chain in detect_35(graph):
         for end in ("start", "end"):
             desc = chain.endpoint_start if end == "start" else chain.endpoint_end
@@ -258,14 +275,18 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
                 frames, _ = field.vertex_frames()
                 w = _nearest_vertices(mesh, [seed])[0]
                 v0 = fr.closest_direction(tangent, frames[w])
-            sl = _trace(plan, field, seed, v0, tracer_config,
-                        chain=chain.chain_id, end=end)
-            if sl is None:
-                continue
-            axis = sl.points[-1] - sl.points[0]
-            axis /= max(np.linalg.norm(axis), 1e-300)
-            columns.append(dict(points=np.asarray(sl.points), axis=axis,
-                                index=(4 - valence) / 4.0))
+            ends.append((chain.chain_id, end, valence))
+            seeds.append(seed)
+            directions.append(v0)
+    lines = _trace_all(plan, field, seeds, directions, tracer_config)
+    for (chain_id, end, valence), sl in zip(ends, lines):
+        sl = _take(plan, sl, chain=chain_id, end=end)
+        if sl is None:
+            continue
+        axis = sl.points[-1] - sl.points[0]
+        axis /= max(np.linalg.norm(axis), 1e-300)
+        columns.append(dict(points=np.asarray(sl.points), axis=axis,
+                            index=(4 - valence) / 4.0))
     if not plan.applicable or not columns:
         return plan
     # clamp a tube of wound frames around each traced curve: imposing the
@@ -472,11 +493,13 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None,
     vertices excluded, widening the snapped band until the chain dies.
     Every re-solve runs under ``solver_config``, by default the field's
     own.  Returns (plan, corrected field); the final graph sits in
-    plan.diagnostics["graph"].
+    plan.diagnostics["graph"], and plan.diagnostics["rounds"] holds per
+    round its new paths, the plan's rows and the 3-5 chains left.
     """
     if graph is None:
         graph = extract_graph(field)
     combined = CorrectionPlan("snap")
+    rounds = combined.diagnostics["rounds"] = []
     current_field, current_graph = field, graph
     corrected = field
     covered = set()
@@ -498,7 +521,10 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None,
         corrected = apply_plan(mesh, field, combined, solver_config)
         current_field = corrected
         current_graph = combined.diagnostics["graph"]
-        if not detect_35(current_graph):
+        left = len(detect_35(current_graph))
+        rounds.append(dict(paths=len(snapped), rows=len(combined.internal_constraints),
+                           chains_35=left))
+        if not left:
             break
     combined.diagnostics.setdefault("graph", current_graph)
     return combined, corrected

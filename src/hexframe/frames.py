@@ -492,18 +492,25 @@ def closest_direction(v, R):
     """Signed column of the rotation ``R`` with maximal dot product against
     unit vector ``v``.
 
-    Ties break toward the lowest axis index, then the positive sign.
+    Also takes stacks, (n, 3) vectors and (n, 3, 3) rotations, either one
+    broadcast, and then returns (n, 3).  A candidate wins only by more than
+    1e-12, scanned from the lowest axis index and the positive sign first,
+    so ties break toward those.
     """
     v = np.asarray(v, dtype=float)
-    axes = np.asarray(R, dtype=float).T
-    dots = axes @ v
-    best_i, best_s, best_d = 0, 1.0, -np.inf
-    for i in range(3):
-        for s in (1.0, -1.0):
-            d = s * dots[i]
-            if d > best_d + 1e-12:
-                best_i, best_s, best_d = i, s, d
-    return best_s * axes[best_i]
+    axes = np.swapaxes(np.asarray(R, dtype=float), -1, -2)
+    dots = (axes @ v[..., None])[..., 0]
+    # candidates +axis 0, -axis 0, +axis 1, ...
+    signed = np.stack([dots, -dots], axis=-1).reshape(dots.shape[:-1] + (6,))
+    best = np.zeros(dots.shape[:-1], dtype=np.int64)
+    best_d = np.full(dots.shape[:-1], -np.inf)
+    for k in range(6):
+        win = signed[..., k] > best_d + 1e-12
+        best = np.where(win, k, best)
+        best_d = np.where(win, signed[..., k], best_d)
+    axes = np.broadcast_to(axes, dots.shape[:-1] + (3, 3))
+    pick = np.take_along_axis(axes, best[..., None, None] // 2, axis=-2)[..., 0, :]
+    return np.where((best % 2 == 1)[..., None], -pick, pick)
 
 
 def octa_matching(Ra, Rb):

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateDihedral,
+    DegenerateTangent,
     DegenerateTet,
     IndexOutOfRange,
     NonManifold,
@@ -391,18 +392,23 @@ class TetMesh:
         return curves, sorted(corners)
 
     def _make_curve(self, cid, chain, dihedrals, closed):
-        p = self.vertices
         verts = chain
         n = len(verts)
-        tangents = np.zeros((n, 3))
-        for i in range(n):
-            if closed:
-                a, b = verts[(i - 1) % n], verts[(i + 1) % n]
-            else:
-                a = verts[max(i - 1, 0)]
-                b = verts[min(i + 1, n - 1)]
-            d = p[b] - p[a]
-            tangents[i] = d / np.linalg.norm(d)
+        # each vertex's tangent is its chord between its neighbours
+        i = np.arange(n)
+        if closed:
+            a, b = (i - 1) % n, (i + 1) % n
+        else:
+            a, b = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
+        ids = np.asarray(verts, dtype=np.int64)
+        d = self.vertices[ids[b]] - self.vertices[ids[a]]
+        norm = np.sqrt(row_dots(d, d))
+        if not (norm > 0.0).all():
+            k = int(np.argmin(norm > 0.0))
+            raise DegenerateTangent(
+                "curve %d vertex %d: its chord from vertex %d to %d has zero "
+                "length" % (cid, verts[k], verts[a[k]], verts[b[k]]))
+        tangents = d / norm[:, None]
         keys = [
             (min(u, v), max(u, v))
             for u, v in zip(verts, verts[1:] + ([verts[0]] if closed else []))

@@ -76,9 +76,11 @@ def dirichlet_bc_on_curve(curve, mesh):
     """
     t = curve.tangents
     tn = np.sqrt(row_dots(t, t))
-    if (tn < 1e-9).any():
+    # a NaN tangent fails the test too
+    short = ~(tn >= 1e-9)
+    if short.any():
         raise DegenerateTangent("curve %d vertex %d" % (
-            curve.curve_id, curve.vertices[int(np.argmax(tn < 1e-9))]))
+            curve.curve_id, curve.vertices[int(np.argmax(short))]))
     verts = np.asarray(curve.vertices, dtype=np.int64)
     ptr = mesh.vertex_patch_ptr
     count = ptr[verts + 1] - ptr[verts]

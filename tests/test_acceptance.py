@@ -233,10 +233,11 @@ class _RotatingField:
     def __init__(self, k):
         self.k = k
 
-    def sample(self, point, hint):
-        a = self.k * point[0]
-        c, s = np.cos(a), np.sin(a)
-        return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]), 1.0, hint
+    def sample(self, points, starts):
+        a = self.k * points[:, 0]
+        c, s, o, z = np.cos(a), np.sin(a), np.ones_like(a), np.zeros_like(a)
+        R = np.stack([c, -s, z, s, c, z, z, z, o], axis=1).reshape(-1, 3, 3)
+        return np.zeros(len(points), dtype=np.int64), R, o
 
 
 class TestStreamlines:

@@ -225,6 +225,70 @@ class TestReport:
         assert run(["report", "--out", str(tmp_path / "nope")]) == 64
 
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def read_report(out):
+    return dict(line.split(": ", 1)
+                for line in Path(out, "report.txt").read_text().splitlines())
+
+
+class TestCorrectionCounters:
+    """Plan counters in report.txt, against the plan the command made."""
+
+    def captured(self, monkeypatch, name):
+        import hexframe.cli as cli
+
+        plans = []
+
+        def keep(*args, **kwargs):
+            result = planner(*args, **kwargs)
+            plans.append(result[0] if isinstance(result, tuple) else result)
+            return result
+
+        planner = getattr(cli, name)
+        monkeypatch.setattr(cli, name, keep)
+        return plans
+
+    @pytest.mark.parametrize("strategy, planner", [
+        ("extrude-curve", "extrude_feature_curves"),
+        ("extrude-node", "extrude_singular_nodes")])
+    def test_streamline_counters(self, tmp_path, monkeypatch, strategy, planner):
+        plans = self.captured(monkeypatch, planner)
+        out = str(tmp_path / "out")
+        code = run(["correct", "--mesh", os.path.join(FIXTURES, "arc_box.mesh"),
+                    "--sweeps", "5", "--out", out, "--strategy", strategy])
+        plan, = plans
+        assert code == (0 if plan.applicable else 2)
+        report = read_report(out)
+        lines = plan.diagnostics["streamlines"]
+        assert len(lines) > 0
+        assert int(report["streamlines"]) == len(lines)
+        assert int(report["streamline_points"]) == sum(len(sl.points) for sl in lines)
+        batches = int(report["trace_batches"])
+        assert batches == plan.diagnostics["trace_batches"]
+        # one seed batch, then at most four stacked calls per step
+        assert 1 < batches <= 1 + 4 * max(len(sl.points) for sl in lines)
+        assert not any(k.startswith("snap_") for k in report)
+
+    def test_snap_round_counters(self, tmp_path, monkeypatch):
+        plans = self.captured(monkeypatch, "snap_until_clean")
+        out = str(tmp_path / "out")
+        assert run(["correct", "--mesh", os.path.join(FIXTURES, "notch.mesh"),
+                    "--sweeps", "5", "--out", out, "--strategy", "snap"]) == 0
+        plan, = plans
+        report = read_report(out)
+        rounds = plan.diagnostics["rounds"]
+        assert int(report["snap_rounds"]) == len(rounds) > 0
+        for i, r in enumerate(rounds):
+            assert report["snap_round_%d" % i] == "paths=%d rows=%d chains_35=%d" % (
+                r["paths"], r["rows"], r["chains_35"])
+        assert sum(r["paths"] for r in rounds) == len(plan.snapped)
+        assert rounds[-1]["rows"] == len(plan.internal_constraints)
+        assert rounds[-1]["chains_35"] == int(report["chains_35_after"])
+        assert "streamlines" not in report
+
+
 def test_cli_does_not_load_scipy_spatial():
     # scipy.spatial on top of `import hexframe.cli, hexframe.correction`
     # raised peak RSS from 64.1 to 70.3 MB: +6.2 MB, above the benchmark's

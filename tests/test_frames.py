@@ -412,6 +412,25 @@ class TestClosestDirection:
             assert np.allclose(fr.closest_direction(v, R), expect)
 
 
+    def test_stack_keeps_tie_rule(self):
+        # exact ties, ties inside the 1e-12 margin and clear winners, as a
+        # stack and row by row: lowest axis first, then the positive sign
+        v = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [-1.0, -1.0, 0.0],
+                      [0.0, -1.0, 1.0], [1.0, 1.0 + 5e-13, 0.0],
+                      [1.0, 1.0 + 1e-11, 0.0], [-1.0, 1.0, 0.0],
+                      [0.0, -1.0, 1.0 + 5e-13], [0.0, 0.0, -2.0]])
+        want = [[1, 0, 0], [1, 0, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 0],
+                [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+        got = fr.closest_direction(v, np.eye(3))
+        assert np.array_equal(got, want)
+        rng = np.random.default_rng(22)
+        R = np.stack([random_rotation(rng) for _ in range(len(v))])
+        rows = np.array([fr.closest_direction(a, b) for a, b in zip(v @ R[0], R)])
+        assert fr.closest_direction(v @ R[0], R).tobytes() == rows.tobytes()
+        assert fr.closest_direction(v, R[0]).tobytes() == np.array(
+            [fr.closest_direction(a, R[0]) for a in v]).tobytes()
+
+
 class TestMatching:
     def test_same_frame_identity(self):
         R = random_rotation(np.random.default_rng(5))

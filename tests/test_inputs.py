@@ -14,6 +14,7 @@ import mesh_oracle
 from hexframe.boxgen import generate_box
 from hexframe.cli import main
 from hexframe.errors import (
+    DegenerateTangent,
     DegenerateTet,
     HexFrameError,
     IndexOutOfRange,
@@ -110,6 +111,25 @@ class TestMeditErrors:
                          "--sweeps", "3"]) == 3
         err = capsys.readouterr().err
         assert "tet volume below" in err and "Warning" not in err
+
+    def test_folded_mesh_zero_length_chord(self, box_files, tmp_path, capsys):
+        # file vertex 25, (0, 1, 1), moved onto (0, 0, 1): the tets fold,
+        # and a feature curve runs through two coinciding vertices
+        mesh_path, _, _ = box_files
+        lines = Path(mesh_path).read_text().splitlines(True)
+        row = lines.index("Vertices\n") + 2 + 24
+        assert lines[row].split()[:3] == ["0", "1", "1"]
+        lines[row] = "0 0 1 0\n"
+        path = _write(tmp_path / "m.mesh", "".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTangent, match="curve 11 vertex 21"):
+                read_medit(path)
+            capsys.readouterr()
+            assert main(["solve", "--mesh", path, "--out", str(tmp_path / "out"),
+                         "--sweeps", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "zero length" in err and "Warning" not in err
 
     def test_corner_index_out_of_range(self, tmp_path):
         text = SINGLE_TET_TEMPLATE.format(extra="Corners\n1\n99\n")

@@ -1,4 +1,5 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import hexframe.solver as solver
 import solver_oracle
 from hexframe.boxgen import generate_box
 from hexframe.correction import CorrectionPlan, apply_plan
+from hexframe.errors import DegenerateTangent
 from hexframe.mesh import TetMesh
 from hexframe.meshio import read_medit
 from hexframe.singularities import detect_35, extract_graph
@@ -77,6 +79,17 @@ class TestCurveBCs:
             a2 /= np.linalg.norm(a2)
             R = np.column_stack([a2, np.cross(t, a2), t])
             assert np.allclose(vals[v], fr.coeffs_from_rotation(R), atol=1e-9)
+
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_short_or_nan_tangent_raises(self, cube, bad):
+        curve = cube.feature_curves[0]
+        broken = SimpleNamespace(curve_id=curve.curve_id, vertices=curve.vertices,
+                                 tangents=curve.tangents.copy(),
+                                 target_valence=curve.target_valence)
+        broken.tangents[1] = bad
+        with pytest.raises(DegenerateTangent, match="vertex %d" % curve.vertices[1]):
+            dirichlet_bc_on_curve(broken, cube)
 
 
 class TestInitialSolve:

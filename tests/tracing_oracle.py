@@ -3,8 +3,9 @@
 The tracer as it was before every sample was reached by a straight walk: a
 greedy walk from the last sampled tet with an all-tet box scan as its
 fallback (``locate``), and a 60-step bisection for the exit point
-(``_clip_to_boundary``).  ``trace`` runs the RK4 loop with them.  The tests
-require the library's plans to reproduce its results.
+(``_clip_to_boundary``).  ``trace`` runs the RK4 loop with them, one line
+at a time and one one-row projection per sample.  The tests require the
+library's lockstep plans to reproduce its results.
 """
 
 import numpy as np
@@ -12,13 +13,50 @@ import numpy as np
 import hexframe.frames as fr
 from hexframe.errors import SeedOutside
 from hexframe.tracing import (
+    DIRECTION_DOT_MIN,
     SINGULAR_QUALITY_CUTOFF,
     Streamline,
     TracerConfig,
-    _axis_at,
-    _barycentric,
-    _frame_in_tet,
 )
+
+
+def _barycentric(mesh, tet, p):
+    v = mesh.vertices[mesh.tets[tet]]
+    T = (v[1:] - v[0]).T
+    lam = np.linalg.solve(T, p - v[0])
+    return np.concatenate([[1.0 - lam.sum()], lam])
+
+
+def _frame_in_tet(field, tet, point):
+    """Projected frame at ``point`` in ``tet`` by one one-row projection:
+    ``(rotation, quality, tet)``."""
+    lam = np.clip(_barycentric(field.mesh, tet, np.asarray(point, dtype=float)),
+                  0.0, 1.0)
+    vids = field.mesh.tets[tet]
+    c = lam @ field.coeffs[vids]
+    nc = np.linalg.norm(c)
+    if nc <= 1e-9:
+        # as vertex_frames: the identity frame with quality 0
+        return np.eye(3), 0.0, tet
+    frames, _ = field.vertex_frames()
+    warm = frames[vids[int(np.argmax(lam))]]
+    R, pc = fr.project_to_octahedral(c, warm_start=warm)
+    return R, float((c / nc) @ pc), tet
+
+
+def _axis_at(sampler, point, hint, ref, check):
+    """Frame axis at ``point`` closest to ``ref``, checked against ``check``:
+    ``(termination, axis, hint)``, the termination None where usable."""
+    got = sampler.sample(point, hint)
+    if got is None:
+        return "ExitedBoundary", None, hint
+    R, q, hint = got
+    if q < SINGULAR_QUALITY_CUTOFF:
+        return "HitSingularRegion", None, hint
+    v = fr.closest_direction(ref, R)
+    if v @ check < DIRECTION_DOT_MIN:
+        return "HitSingularRegion", None, hint
+    return None, v, hint
 
 
 def tet_boxes(mesh, tol=1e-10):

@@ -5,8 +5,8 @@ Artifacts are written with fixed names under ``--out``: ``field.txt``
 polylines), ``report.txt`` (line-oriented ``key: value`` text).  Identical
 inputs produce byte-identical artifacts; timings go to stderr only.
 
-Exit codes: 0 success, 2 correction strategy not applicable, 3 solver
-failure, 64 usage error.
+Exit codes: 0 success, 2 correction strategy not applicable or leaving
+more 3-5 chains than it found, 3 solver failure, 64 usage error.
 """
 
 import argparse
@@ -23,6 +23,7 @@ from .correction import (
     snap_until_clean,
 )
 from .errors import CGDiverged, HexFrameError, IoError, NonApplicable
+from .mesh import FEATURE_ANGLE_DEFAULT
 from .meshio import read_field, read_medit, write_field, write_vtk_graph
 from .singularities import detect_35, extract_graph
 from .solver import SolverConfig, compute_field
@@ -44,9 +45,11 @@ def _build_parser():
     def common(p):
         p.add_argument("--mesh", required=True, help="input MEDIT mesh")
         p.add_argument("--out", default=".", help="artifact directory")
-        p.add_argument("--angle-threshold", type=float, default=30.0,
+        p.add_argument("--angle-threshold", type=float,
+                       default=FEATURE_ANGLE_DEFAULT,
                        help="feature detection dihedral threshold (degrees)")
-        p.add_argument("--lambda", dest="relaxation", default=0.95,
+        p.add_argument("--lambda", dest="relaxation",
+                       default=SolverConfig.projection_relaxation,
                        type=_checked(float, np.isfinite, "a finite number"),
                        help="projection relaxation of the smoothing sweeps")
         p.add_argument("--sweeps", default=SolverConfig.smoothing_sweeps,
@@ -222,6 +225,23 @@ def _cmd_detect35(args, log):
     return EXIT_OK
 
 
+def _reject(args, mesh, field, graph, diagnostics, counts, message):
+    """Write ``report.txt`` of a rejected correction, with the input field's
+    counts, ``counts`` and the plan's counters and failures, and print
+    ``message``."""
+    _make_out_dir(args.out)
+    pairs = _report_pairs(mesh, field, graph, [
+        ("strategy", args.strategy),
+        ("applicable", False),
+    ] + counts + _plan_counts(diagnostics))
+    for i, failure in enumerate(diagnostics.get("failures", [])):
+        detail = ", ".join("%s=%s" % (k, failure[k]) for k in sorted(failure))
+        pairs.append(("failure_%d" % i, detail))
+    _write_report(os.path.join(args.out, "report.txt"), pairs)
+    print("not applicable: %s" % message)
+    return EXIT_NOT_APPLICABLE
+
+
 def _cmd_correct(args, log):
     mesh, field, config = _load_or_solve(args, log)
     graph = extract_graph(field)
@@ -240,27 +260,20 @@ def _cmd_correct(args, log):
             plan, corrected = snap_until_clean(mesh, field, graph, config,
                                                snap_radius=radius)
     except NonApplicable as exc:
-        _make_out_dir(args.out)
-        pairs = _report_pairs(mesh, field, graph, [
-            ("strategy", args.strategy),
-            ("applicable", False),
-            ("chains_35_before", before),
-        ] + _plan_counts(exc.diagnostics))
-        for i, failure in enumerate(exc.diagnostics.get("failures", [])):
-            detail = ", ".join(
-                "%s=%s" % (k, failure[k]) for k in sorted(failure))
-            pairs.append(("failure_%d" % i, detail))
-        _write_report(os.path.join(args.out, "report.txt"), pairs)
-        print("not applicable: %s" % exc)
-        return EXIT_NOT_APPLICABLE
+        return _reject(args, mesh, field, graph, exc.diagnostics,
+                       [("chains_35_before", before)], exc)
     new_graph = plan.diagnostics["graph"]
     after = len(detect_35(new_graph))
+    counts = [("chains_35_before", before), ("chains_35_after", after)]
+    if after > before:
+        # a correction that adds 3-5 chains has failed, whatever its plan
+        plan.fail("chains_35_increased", before=before, after=after)
+        return _reject(args, mesh, field, graph, plan.diagnostics, counts,
+                       "3-5 chains rose from %d to %d" % (before, after))
     _emit(args, mesh, corrected, new_graph, [
         ("strategy", args.strategy),
         ("applicable", True),
-        ("chains_35_before", before),
-        ("chains_35_after", after),
-    ] + _plan_counts(plan.diagnostics))
+    ] + counts + _plan_counts(plan.diagnostics))
     print("3-5 before: %d  after: %d" % (before, after))
     return EXIT_OK
 

@@ -89,8 +89,9 @@ def extrusion_directions(curve, field, i):
     """Frame axes pointing strictly into the material wedge at the curve's
     ``i``-th vertex.
 
-    Returns target_valence - 1 unit vectors; the axes are screened against
-    the two adjacent surface tangent rays with a 15 degree angular margin.
+    Returns target_valence - 1 unit vectors; the signed axes are screened
+    together against the two adjacent surface tangent rays with a 15 degree
+    angular margin.
     """
     mesh = field.mesh
     v = curve.vertices[i]
@@ -104,36 +105,27 @@ def extrusion_directions(curve, field, i):
     e2 = np.cross(t, e1)
     theta = np.radians(curve.dihedral_angle)
     # sweep from r1 through the material onto the side ray r2; the material
-    # side is the one facing away from the outward surface normals (robust
-    # at 180 deg, where ending on r2 does not fix the orientation)
-    n_out = mesh.boundary_normals[mesh.vertex_triangles(v)].mean(axis=0)
+    # side is the one facing away from the summed patch normals (robust at
+    # 180 deg, where ending on r2 does not fix the orientation)
     half = 0.5 * theta
-    if (np.cos(half) * e1 + np.sin(half) * e2) @ n_out <= 0:
-        sweep = 1.0
-    else:
-        sweep = -1.0
+    mid = np.cos(half) * e1 + np.sin(half) * e2
+    sweep = 1.0 if mid @ mesh.vertex_normal_sums[v] <= 0 else -1.0
     frames, _ = field.vertex_frames()
     axes = frames[v].T
-    cands = []
-    for a in axes:
-        if abs(a @ t) < 0.5:
-            for s in (1.0, -1.0):
-                cands.append(s * a)
-    dirs = []
-    for u in cands:
-        w = u - (u @ t) * t
-        w /= np.linalg.norm(w)
-        ang = (sweep * np.arctan2(w @ e2, w @ e1)) % (2 * np.pi)
-        if WEDGE_MARGIN < ang < theta - WEDGE_MARGIN:
-            dirs.append(w)
+    # each axis off the tangent, then its negative
+    axes = axes[np.abs(row_dots(axes, t[None])) < 0.5]
+    u = np.repeat(axes, 2, axis=0) * np.tile([1.0, -1.0], len(axes))[:, None]
+    w = u - row_dots(u, t[None])[:, None] * t
+    w /= np.sqrt(row_dots(w, w))[:, None]
+    ang = (sweep * np.arctan2(row_dots(w, e2[None]), row_dots(w, e1[None]))
+           ) % (2 * np.pi)
+    inside = (WEDGE_MARGIN < ang) & (ang < theta - WEDGE_MARGIN)
     expected = curve.target_valence - 1
-    if len(dirs) != expected:
+    if inside.sum() != expected:
         raise WedgeMismatch(
             "curve %d at vertex %d: %d interior axes, expected %d"
-            % (curve.curve_id, v, len(dirs), expected))
-    order = np.argsort([(sweep * np.arctan2(d @ e2, d @ e1)) % (2 * np.pi)
-                        for d in dirs])
-    return [dirs[k] for k in order]
+            % (curve.curve_id, v, inside.sum(), expected))
+    return list(w[inside][np.argsort(ang[inside])])
 
 
 def _nearest_vertices(mesh, points):
@@ -182,6 +174,27 @@ def _trace_all(plan, field, seeds, directions, config):
     return lines
 
 
+def _sheet_rows(field, surface, sl, t):
+    """Rows of one sheet streamline: per sample after the seed, its nearest
+    vertex, the unit line t x direction there, and whether the row pins the
+    surface.  On the surface the line is taken into the tangent plane of a
+    tangency row, and dropped elsewhere or where less than half is left."""
+    w = np.asarray(_nearest_vertices(field.mesh, sl.points[1:]), dtype=np.int64)
+    u = np.cross(t, sl.directions[1:])
+    un = np.sqrt(row_dots(u, u))
+    live = ~(un < 1e-9)
+    w, u = w[live], u[live] / un[live, None]
+    on = surface[w]
+    pin = on & (field.bcs.kind[w] == TANGENCY)
+    n = field.bcs.normals[w[pin]]
+    u2 = u[pin] - row_dots(u[pin], n)[:, None] * n
+    nn = np.sqrt(row_dots(u2, u2))
+    u[pin] = u2 / np.maximum(nn, 0.5)[:, None]
+    pin[pin] = ~(nn < 0.5)
+    keep = ~on | pin
+    return w[keep], u[keep], pin[keep]
+
+
 def extrude_feature_curves(mesh, field, tracer_config=None):
     """Plan sheets swept from concave feature curves into the volume.
 
@@ -192,31 +205,32 @@ def extrude_feature_curves(mesh, field, tracer_config=None):
     """
     plan = CorrectionPlan("extrude-curve")
     tracer_config = tracer_config or TracerConfig()
-    sheet_boundary = {}      # boundary vertex -> its surface normal
-    boundary = set(mesh.boundary_vertices)
     edge = mesh.mean_edge_length()
+    # terminal vertices sitting on other feature geometry do not see a
+    # curve's wedge; they are junctions, not samples
+    two_patches = np.diff(mesh.vertex_patch_ptr) == 2
     # in curve order: a wedge failure, or a (vertex, tangent) per seed
     visits, seeds, directions = [], [], []
     for curve in mesh.feature_curves:
         if curve.target_valence < 2:
             continue
         for i, v in enumerate(curve.vertices):
-            p = mesh.vertices[v]
-            t = curve.tangents[i] / np.linalg.norm(curve.tangents[i])
-            # terminal vertices sitting on other feature geometry do not see
-            # this curve's wedge; they are junctions, not samples
-            if len(_patch_side_directions(mesh, v, t)) != 2:
+            if not two_patches[v]:
                 continue
             try:
                 dirs = extrusion_directions(curve, field, i)
             except WedgeMismatch as exc:
                 visits.append(dict(detail=str(exc), vertex=int(v)))
                 continue
+            t = curve.tangents[i] / np.linalg.norm(curve.tangents[i])
             for d in dirs:
                 visits.append((int(v), t))
-                seeds.append(p + 1e-3 * edge * d)
+                seeds.append(mesh.vertices[v] + 1e-3 * edge * d)
                 directions.append(d)
     lines = iter(_trace_all(plan, field, seeds, directions, tracer_config))
+    surface = np.zeros(len(mesh.vertices), dtype=bool)
+    surface[mesh.boundary_vertices] = True
+    pinned = set()
     for visit in visits:
         if isinstance(visit, dict):
             plan.fail("wedge_mismatch", **visit)
@@ -225,31 +239,18 @@ def extrude_feature_curves(mesh, field, tracer_config=None):
         sl = _take(plan, next(lines), vertex=v)
         if sl is None:
             continue
-        for w, vk in zip(_nearest_vertices(mesh, sl.points[1:]),
-                         sl.directions[1:]):
-            u = np.cross(t, vk)
-            un = np.linalg.norm(u)
-            if un < 1e-9:
-                continue
-            u = u / un
-            if w in boundary:
-                # pin the sheet where it meets the surface, else the
-                # singular legs reconnect through the last free layer
-                if field.bcs.kind[w] != TANGENCY:
-                    continue
-                n = field.bcs.normals[w]
-                u2 = u - (u @ n) * n
-                nn = np.linalg.norm(u2)
-                if nn < 0.5:
-                    continue
-                _merge_constraint(plan, w, u2 / nn)
-                sheet_boundary[w] = n
-            else:
-                _merge_constraint(plan, w, u)
-    for v, n in sheet_boundary.items():
-        _, d = plan.internal_constraints[v]
-        R = np.column_stack([n, d, np.cross(n, d)])
-        plan.internal_constraints[v] = (DIRICHLET, fr.coeffs_from_rotation(R))
+        w, u, on = _sheet_rows(field, surface, sl, t)
+        for wk, uk in zip(w.tolist(), u):
+            _merge_constraint(plan, wk, uk)
+        pinned.update(w[on].tolist())
+    # pin the sheet where it meets the surface to (normal, tangency line),
+    # else the singular legs reconnect through the last free layer
+    pinned = sorted(pinned)
+    n = field.bcs.normals[pinned]
+    d = np.reshape([plan.internal_constraints[v][1] for v in pinned], (-1, 3))
+    R = np.stack([n, d, np.cross(n, d)], axis=2)
+    plan.internal_constraints.update(
+        (v, (DIRICHLET, c)) for v, c in zip(pinned, fr.coeffs_from_rotation(R)))
     return plan
 
 
@@ -293,50 +294,53 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
     # quarter-turn winding (not just the axisymmetric value, which carries
     # no azimuth and cannot hold a winding against the smoother) pins a
     # singular line crossing tet interiors, where face holonomy sees it
-    boundary = set(mesh.boundary_vertices)
     t, Rt, near, theta = _column_geometry(mesh, columns)
     r_out = 2.0 * edge
     offset = _ambient_phase_offset(field, t, Rt, near, theta, r_out, edge)
     plan.diagnostics["winding_offset"] = offset
-    for v in np.nonzero(near < r_out)[0]:
-        v = int(v)
-        if v in boundary:
-            if field.bcs.kind[v] == TANGENCY:
-                n = field.bcs.normals[v]
-            else:
-                # feature vertices puncture the tube unless re-imposed;
-                # judge alignment by the summed patch normals instead
-                n = mesh.vertex_normal_sums[v]
-                n = n / max(np.linalg.norm(n), 1e-300)
-            # pin the surface only where the curve meets it head-on
-            if abs(float(n @ t)) < 0.7:
-                continue
-        plan.internal_constraints[v] = (
-            DIRICHLET, _winding_coeffs(t, Rt, theta[v], offset))
+    tube = np.flatnonzero(near < r_out)
+    b = tube[np.isin(tube, mesh.boundary_vertices)]
+    # feature vertices puncture the tube unless re-imposed; judge their
+    # alignment by the summed patch normals
+    n = mesh.vertex_normal_sums[b]
+    n = n / np.maximum(np.sqrt(row_dots(n, n)), 1e-300)[:, None]
+    tangency = field.bcs.kind[b] == TANGENCY
+    n[tangency] = field.bcs.normals[b[tangency]]
+    # pin the surface only where the curve meets it head-on
+    tube = np.setdiff1d(tube, b[np.abs(row_dots(n, t[None])) < 0.7])
+    phase = theta[tube] + offset
+    axial = np.isnan(phase)
+    rows = np.empty((len(tube), 9))
+    # the azimuth degenerates on a column, where the frame is axisymmetric
+    rows[axial] = fr.axisymmetric_coeffs(t)
+    rows[~axial] = fr.coeffs_from_rotation(
+        fr.axis_angle_rotation(t * phase[~axial, None]) @ Rt)
+    plan.internal_constraints.update(
+        (v, (DIRICHLET, c)) for v, c in zip(tube.tolist(), rows))
     return plan
 
 
 def _ambient_phase_offset(field, t, Rt, near, theta, r_out, edge):
     """Azimuth offset aligning the imposed winding with the solved field.
 
-    Sampled on a one-edge shell just outside the clamped tube; without it
-    the seam between clamped and free frames can exceed the 45 degree
+    Sampled on a one-edge shell just outside the clamped tube, from each
+    shell vertex's first frame axis at least 0.7 off the tube axis; without
+    it the seam between clamped and free frames can exceed the 45 degree
     matching budget and shed spurious singular pairs.
     """
     frames_v, _ = field.vertex_frames()
-    shell = np.nonzero((near >= r_out) & (near < r_out + edge)
-                       & ~np.isnan(theta))[0]
-    acc = 0.0 + 0.0j
-    for v in shell:
-        R = frames_v[v]
-        for k in range(3):
-            ap = R[:, k] - (R[:, k] @ t) * t
-            if np.linalg.norm(ap) < 0.7:
-                continue
-            az = np.arctan2(ap @ Rt[:, 1], ap @ Rt[:, 0])
-            # frame azimuths live modulo a quarter turn
-            acc += np.exp(4j * (az - theta[v]))
-            break
+    shell = np.flatnonzero((near >= r_out) & (near < r_out + edge)
+                           & ~np.isnan(theta))
+    R = frames_v[shell]
+    ap = np.stack([R[:, :, k] - row_dots(R[:, :, k], t[None])[:, None] * t
+                   for k in range(3)], axis=1)
+    flat = ap.reshape(-1, 3)
+    off_axis = ~(np.sqrt(row_dots(flat, flat)) < 0.7).reshape(-1, 3)
+    found = off_axis.any(axis=1)
+    ap = ap[found, off_axis[found].argmax(axis=1)]
+    az = np.arctan2(row_dots(ap, Rt[None, :, 1]), row_dots(ap, Rt[None, :, 0]))
+    # frame azimuths live modulo a quarter turn; summed in shell order
+    acc = np.cumsum(np.r_[0j, np.exp(4j * (az - theta[shell[found]]))])[-1]
     return float(np.angle(acc) / 4.0) if abs(acc) > 1e-12 else 0.0
 
 
@@ -369,14 +373,6 @@ def _column_geometry(mesh, columns):
         theta += float(col["index"]) * np.arctan2(row_dots(rp, e2), row_dots(rp, e1))
     theta[on_axis] = np.nan
     return t, Rt, near, theta
-
-
-def _winding_coeffs(t, Rt, theta, offset):
-    """Frame coefficients of the quarter-index winding of phase ``theta``."""
-    if np.isnan(theta):
-        return fr.axisymmetric_coeffs(t)
-    return fr.coeffs_from_rotation(
-        fr.axis_angle_rotation(t * (theta + offset)) @ Rt)
 
 
 # -- snapping ----------------------------------------------------------------

@@ -114,12 +114,15 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         assert [line.split(":")[0] for line in err] == ["read", "solve"]
 
-    def test_sweeps_default_is_the_solver_default(self):
+    def test_defaults_are_the_library_defaults(self):
         from hexframe.cli import _build_parser
+        from hexframe.mesh import FEATURE_ANGLE_DEFAULT
         from hexframe.solver import SolverConfig
 
         args = _build_parser().parse_args(["solve", "--mesh", "m.mesh"])
         assert args.sweeps == SolverConfig().smoothing_sweeps == 50
+        assert args.angle_threshold == FEATURE_ANGLE_DEFAULT == 30.0
+        assert args.relaxation == SolverConfig().projection_relaxation == 0.95
 
     def test_vtk_polylines_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -287,6 +290,23 @@ class TestCorrectionCounters:
         assert rounds[-1]["rows"] == len(plan.internal_constraints)
         assert rounds[-1]["chains_35"] == int(report["chains_35_after"])
         assert "streamlines" not in report
+
+
+class TestCorrectionVerdict:
+    def test_added_35_chains_reject_the_correction(self, tmp_path):
+        # the extrude-node plan applies, but its re-solve leaves 36 3-5
+        # chains where the 5-sweep field had 4
+        out = str(tmp_path / "out")
+        assert run(["correct", "--mesh", os.path.join(FIXTURES, "curved_arc_box.mesh"),
+                    "--sweeps", "5", "--out", out, "--strategy", "extrude-node"]) == 2
+        report = read_report(out)
+        assert report["applicable"] == "False"
+        assert report["chains_35_before"] == "4"
+        assert report["chains_35_after"] == "36"
+        assert int(report["streamlines"]) > 0
+        assert report["failure_0"] == "after=36, before=4, reason=chains_35_increased"
+        assert "failure_1" not in report
+        assert not os.path.exists(os.path.join(out, "field.txt"))
 
 
 def test_cli_does_not_load_scipy_spatial():

@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+import correction_oracle
+import hexframe.correction
 import hexframe.frames as fr
 from hexframe.boxgen import generate_box
 from hexframe.correction import (
@@ -11,6 +13,7 @@ from hexframe.correction import (
     _merge_constraint,
     apply_plan,
     extrude_feature_curves,
+    extrude_singular_nodes,
     extrusion_directions,
     snap_35_curves,
     snap_until_clean,
@@ -29,7 +32,7 @@ from hexframe.solver import (
     build_boundary_conditions,
     compute_field,
 )
-from hexframe.tracing import TracerConfig
+from hexframe.tracing import Streamline, TracerConfig
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -153,6 +156,104 @@ class TestLimitCycleDetection:
         for f in failures:
             assert type(f["vertex"]) is int
             assert all(type(x) in (int, float, str) for x in f.values())
+
+
+class TestNodeTube:
+    def test_tube_rows_wind_about_the_columns(self, monkeypatch):
+        # a 3-5 chain between two junctions whose ends trace to two straight
+        # vertical columns along interior grid lines, of index 1/4 and -1/4
+        mesh = generate_box(8, 8, 4, size=(2.0, 2.0, 1.0))
+        mesh.detect_features(30.0)
+        # the solved field turned 0.3 rad about z, so the winding offset is
+        # neither 0 nor an eighth turn
+        turned = fr.coeffs_from_rotation(fr.axis_angle_rotation([0.0, 0.0, 0.3]))
+        field = FrameField(mesh, np.tile(turned, (len(mesh.vertices), 1)),
+                           build_boundary_conditions(mesh))
+        centres = [(0.75, 1.0), (1.25, 1.0)]
+        z = np.linspace(0.0, 1.0, 5)
+        up = np.tile([0.0, 0.0, 1.0], (len(z), 1))
+
+        def columns(field, seeds, directions, config):
+            assert len(seeds) == 2
+            return [Streamline(np.column_stack([np.full_like(z, x), np.full_like(z, y), z]),
+                               up, "ExitedBoundary", 1.0) for x, y in centres], 1
+
+        monkeypatch.setattr(hexframe.correction, "trace_lines", columns)
+        chain = SingularChain(0, [0], [], [[0.75, 1.0, 0.5], [1.25, 1.0, 0.5]],
+                              3, 5, ("junction", 0), ("junction", 1))
+        graph = SingularityGraph([chain], [0, 1], [], [], {})
+        plan = extrude_singular_nodes(mesh, field, graph)
+        assert plan.applicable
+        t = np.array([0.0, 0.0, 1.0])
+        cols = plan.diagnostics["columns"]
+        assert [c["index"] for c in cols] == [0.25, -0.25]
+        assert all(np.array_equal(c["axis"], t) for c in cols)
+        offset = plan.diagnostics["winding_offset"]
+        assert 0.0 < abs(offset) < np.pi / 4 - 1e-3
+        rows = plan.internal_constraints
+        assert {kind for kind, _ in rows.values()} == {DIRICHLET}
+        on_column = 0
+        for v, (_, c) in rows.items():
+            x, y, _ = mesh.vertices[v]
+            if (x, y) in centres:
+                # the azimuth degenerates on a column
+                assert np.array_equal(c, fr.axisymmetric_coeffs(t))
+                on_column += 1
+                continue
+            R, _ = fr.project_to_octahedral(c)
+            gap = np.minimum(np.linalg.norm(R.T - t, axis=1),
+                             np.linalg.norm(R.T + t, axis=1))
+            assert gap.min() < 1e-6
+            # an axis across t turns by a quarter of each column's azimuth,
+            # modulo the frame's quarter-turn symmetry
+            a = R[:, np.argmax(gap)]
+            phase = offset + sum(index * np.arctan2(y - cy, x - cx) for index, (cx, cy)
+                                 in zip((0.25, -0.25), centres))
+            turn = np.arctan2(a[1], a[0]) - phase
+            assert abs(turn - np.pi / 2 * np.round(turn / (np.pi / 2))) < 1e-6
+        # both columns, with their end vertices on the faces they meet head-on
+        assert on_column == 2 * len(z)
+
+
+PARITY_SWEEPS = 5
+
+
+@pytest.fixture(scope="module", params=["notch", "groove_box", "arc_box",
+                                        "curved_arc_box", "halfsphere_box"])
+def solved_fixture(request):
+    mesh = read_medit(os.path.join(FIXTURES, request.param + ".mesh"))
+    field = compute_field(mesh, SolverConfig(smoothing_sweeps=PARITY_SWEEPS))
+    return mesh, field, extract_graph(field)
+
+
+def assert_same_plan(got, want):
+    assert want.internal_constraints
+    assert list(got.internal_constraints) == list(want.internal_constraints)
+    for v, (kind, payload) in want.internal_constraints.items():
+        got_kind, got_payload = got.internal_constraints[v]
+        assert got_kind == kind
+        assert np.asarray(got_payload).tobytes() == np.asarray(payload).tobytes()
+    assert got.diagnostics["failures"] == want.diagnostics["failures"]
+    assert len(got.diagnostics["streamlines"]) == len(want.diagnostics["streamlines"])
+    assert got.applicable == want.applicable
+
+
+class TestOracleParity:
+    """The whole-array planners make the plans of ``correction_oracle``,
+    the loops they replaced, bit for bit: rows in the same insertion order,
+    failures in the same order."""
+
+    def test_extrude_curve(self, solved_fixture):
+        mesh, field, _ = solved_fixture
+        assert_same_plan(extrude_feature_curves(mesh, field),
+                         correction_oracle.extrude_feature_curves(mesh, field))
+
+    def test_extrude_node(self, solved_fixture):
+        mesh, field, graph = solved_fixture
+        got = extrude_singular_nodes(mesh, field, graph)
+        want = correction_oracle.extrude_singular_nodes(mesh, field, graph)
+        assert_same_plan(got, want)
+        assert got.diagnostics["winding_offset"] == want.diagnostics["winding_offset"]
 
 
 def fake_35_graph(mesh, p_start, p_end):

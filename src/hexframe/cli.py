@@ -140,6 +140,8 @@ def _report_pairs(mesh, field, graph, extra=()):
         ("smoothing_converged", field.report.get("smoothing_converged", "")),
         ("smoothing_last_delta",
          "%.6g" % field.report.get("smoothing_last_delta", 0.0)),
+        ("smoothing_deltas", " ".join(
+            "%.6g" % d for d in field.report.get("smoothing_deltas", []))),
         ("chains", len(graph.chains)),
         ("chains_35", len(detect_35(graph))),
         ("junctions", len(graph.junction_tets)),

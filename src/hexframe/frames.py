@@ -127,10 +127,11 @@ def wigner4(R):
     return wigner_z(a) @ Dy @ wigner_z(g)
 
 
-def _build_seed_rotations(count=20):
-    # quasi-uniform cover of the rotation group; with this density the
-    # best-scoring seed reliably sits in the Newton basin of the global
-    # maximum, which makes cold projection idempotent on the manifold
+def _build_seed_rotations(count=100):
+    # quasi-uniform cover of the rotation group, identity first; with this
+    # density the best-scoring seed reliably sits in the Newton basin of the
+    # global maximum, so one ascent from it suffices.  A smaller count draws
+    # a prefix of the same cover.
     w, x, y, z = np.random.default_rng(2471).standard_normal((count - 1, 4)).T
     n = np.sqrt(w * w + x * x + y * y + z * z)
     w, x, y, z = w / n, x / n, y / n, z / n
@@ -158,13 +159,13 @@ def _fit_moment_map():
     span of the rotations' moments.
 
     The coefficient vector is linear in the moment tensor, and the moment
-    tensors of rotations span 10 dimensions.  Gram-Schmidt over the seeds'
-    moments, each step taking the largest residual and carrying the
-    seeds' ``wigner4`` coefficients along, fits the map to 3e-15 with no
+    tensors of rotations span 10 dimensions.  Gram-Schmidt over the first
+    20 seeds' moments, each step taking the largest residual and carrying
+    their ``wigner4`` coefficients along, fits the map to 3e-15 with no
     LAPACK call, whose first use would cost ~1 MB of resident memory.
     """
-    X = _moments(_SEED_ROTATIONS)
-    C = np.array([wigner4(R) @ REFERENCE_COEFFS for R in _SEED_ROTATIONS])
+    X = _moments(_SEED_ROTATIONS[:20])
+    C = np.array([wigner4(R) @ REFERENCE_COEFFS for R in _SEED_ROTATIONS[:20]])
     Q, D = [], []
     for _ in range(10):
         k = np.argmax((X * X).sum(axis=1))
@@ -421,28 +422,21 @@ def _ascent(Q, R):
 def _project(Q, warm):
     """``project_to_octahedral`` of the rows ``Q`` (n, 9), with warm starts
     ``warm`` (n, 3, 3) or None."""
-    n = len(Q)
+    rows = np.arange(len(Q))
     scores = (_SEED_COEFFS @ Q[:, :, None])[..., 0]
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :3]
-    starts = _SEED_ROTATIONS[order]
-    # the inner product is bounded by |q|; a tight ascent cannot be beaten
-    # from another basin, so it skips the remaining starts
-    enough = np.sqrt(row_dots(Q, Q)) * (1.0 - 1e-9)
-    tries = np.full(n, 3)
+    best = scores.argmax(axis=1)
+    starts = _SEED_ROTATIONS[best]
+    used = np.zeros(len(Q), dtype=bool)
     if warm is not None:
         # a NaN warm row scores NaN, is never used, and keeps the cold rule
-        used = row_dots(Q, frame_coeffs(warm)) >= scores[np.arange(n), order[:, 0]]
-        starts[used, 1:] = starts[used, :2]
-        starts[used, 0] = warm[used]
-        enough[used] = -np.inf
-        tries = np.where(used, 2, np.where(np.isnan(warm).any(axis=(1, 2)), 3, 1))
-    R, C, F, ok = _ascent(Q, starts[:, 0])
-    todo = np.arange(n)
-    for j in (1, 2):
-        todo = todo[~(ok & (F[todo] >= enough[todo])) & (tries[todo] > j)]
-        if not len(todo):
-            break
-        Rj, Cj, Fj, ok = _ascent(Q[todo], starts[todo, j])
+        used = row_dots(Q, frame_coeffs(warm)) >= scores[rows, best]
+        starts[used] = warm[used]
+    # a cold row's next start is its 2nd best seed, a warm row's the best
+    scores[rows[~used], best[~used]] = -np.inf
+    R, C, F, ok = _ascent(Q, starts)
+    todo = np.flatnonzero(~ok)
+    if len(todo):
+        Rj, Cj, Fj, _ = _ascent(Q[todo], _SEED_ROTATIONS[scores[todo].argmax(axis=1)])
         up = Fj > F[todo]
         R[todo[up]], C[todo[up]], F[todo[up]] = Rj[up], Cj[up], Fj[up]
     return R, C
@@ -452,15 +446,15 @@ def project_to_octahedral(Q, warm_start=None):
     """Closest frame to the 9-vector ``Q``, or to each row of a stack (n, 9).
 
     Maximizes the inner product with exact-frame vectors by Newton-accelerated
-    ascent in the Lie algebra, started from the best of a fixed seed cover of
-    the rotation group.  An ascent ends at a peak once the gradient norm is
-    below 1e-7, with one last Newton step.  A row whose ascent is not tight
-    also ascends from the 2nd and 3rd best seeds.  A warm start (one
-    rotation for all rows, or one per row) is used where it scores at least
-    as well as the best seed, which then backs up a warm ascent that does
-    not end at a maximum; where it scores worse, the best seed alone is
-    ascended.  A warm row holding a NaN means no warm start there: that row
-    is projected as a cold one.  Returns ``(R, coeffs)``: the frame's
+    ascent in the Lie algebra.  Each row ascends once from its best start:
+    its warm start (one rotation for all rows, or one per row) where that
+    scores at least as well as the best of a fixed 100-rotation seed cover,
+    else that best seed.  An ascent ends at a peak once the gradient norm is
+    below 1e-7, with one last Newton step.  Only a row whose ascent does not
+    end at a maximum ascends again, from its next start (the best seed after
+    a warm start, else the 2nd best seed), and keeps the higher of the two.
+    A warm row holding a NaN means no warm start there: that row is
+    projected as a cold one.  Returns ``(R, coeffs)``: the frame's
     rotation, whose columns are its axes, and its coefficient vector, (n, 3,
     3) and (n, 9) for a stack.  A stack gives the same bits as its rows.
     Raises ``ValueError`` for a near-zero or non-finite row, and for a warm

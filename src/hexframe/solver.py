@@ -331,6 +331,7 @@ def smooth_nonlinear(field, config=None, K=None):
     ``project_to_octahedral`` call per step, warm-started from each
     vertex's last frame (NaN, so cold, in the first sweep).  The first
     sweep whose max change is below ``convergence_delta`` is the result.
+    ``report["smoothing_deltas"]`` holds each finished sweep's max change.
     """
     config = config or field.config
     if K is None:
@@ -347,9 +348,9 @@ def smooth_nonlinear(field, config=None, K=None):
     H[tang] = np.stack(fr.tangency_basis(bcs.normals[move[tang]]), axis=1)
     frames = np.full((len(coeffs), 3, 3), np.nan)
     schedule = _sweep_steps(W, move)
-    flight, started, done, step = [], 0, 0, 0
-    max_delta, converged = np.inf, False
-    while done < config.smoothing_sweeps and not converged:
+    flight, started, step = [], 0, 0
+    deltas, converged = [], False
+    while len(deltas) < config.smoothing_sweeps and not converged:
         step += 1
         while started < config.smoothing_sweeps and (
                 not flight or flight[-1].first <= step):
@@ -376,18 +377,19 @@ def smooth_nonlinear(field, config=None, K=None):
         coeffs[v] = new
         while flight and flight[0].last <= step and not converged:
             sweep = flight.pop(0)
-            done, max_delta = done + 1, sweep.delta
-            converged = max_delta < config.convergence_delta
+            deltas.append(float(sweep.delta))
+            converged = sweep.delta < config.convergence_delta
             if flight and converged:
                 # undo the rows of the next sweep that already ran
                 ran = flight[0].rows(0, step + 1)
                 coeffs[move[ran]] = flight[0].before[ran]
     out = FrameField(field.mesh, coeffs, bcs, config)
     out.report = dict(field.report)
-    out.report["smoothing_sweeps"] = done
+    out.report["smoothing_sweeps"] = len(deltas)
     out.report["smoothing_steps"] = step
     out.report["smoothing_converged"] = bool(converged)
-    out.report["smoothing_last_delta"] = float(max_delta)
+    out.report["smoothing_deltas"] = deltas
+    out.report["smoothing_last_delta"] = deltas[-1] if deltas else np.inf
     out.report["dirichlet_energy"] = out.energy(K)
     return out
 

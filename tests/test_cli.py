@@ -108,6 +108,19 @@ class TestSolve:
         assert report["smoothing_last_delta"] == "%.6g" % float(
             report["smoothing_last_delta"])
 
+    def test_report_lists_every_sweep_delta(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert run(["solve", "--mesh", os.path.join(FIXTURES, "notch.mesh"),
+                    "--out", out, "--sweeps", "3"]) == 0
+        report = read_report(out)
+        keys = list(report)
+        assert keys.index("smoothing_deltas") == keys.index("smoothing_last_delta") + 1
+        deltas = report["smoothing_deltas"].split(" ")
+        assert len(deltas) == int(report["smoothing_sweeps"]) == 3
+        assert deltas == ["%.6g" % float(d) for d in deltas]
+        assert deltas[-1] == report["smoothing_last_delta"]
+        assert float(deltas[0]) > float(deltas[-1]) > 0.0
+
     def test_verbose_logs_read_and_solve_times(self, cube_path, tmp_path, capsys):
         assert run(["solve", "--mesh", cube_path, "--out", str(tmp_path),
                     "--sweeps", "2", "--verbose"]) == 0
@@ -294,7 +307,7 @@ class TestCorrectionCounters:
 
 class TestCorrectionVerdict:
     def test_added_35_chains_reject_the_correction(self, tmp_path):
-        # the extrude-node plan applies, but its re-solve leaves 36 3-5
+        # the extrude-node plan applies, but its re-solve leaves 35 3-5
         # chains where the 5-sweep field had 4
         out = str(tmp_path / "out")
         assert run(["correct", "--mesh", os.path.join(FIXTURES, "curved_arc_box.mesh"),
@@ -302,9 +315,9 @@ class TestCorrectionVerdict:
         report = read_report(out)
         assert report["applicable"] == "False"
         assert report["chains_35_before"] == "4"
-        assert report["chains_35_after"] == "36"
+        assert report["chains_35_after"] == "35"
         assert int(report["streamlines"]) > 0
-        assert report["failure_0"] == "after=36, before=4, reason=chains_35_increased"
+        assert report["failure_0"] == "after=35, before=4, reason=chains_35_increased"
         assert "failure_1" not in report
         assert not os.path.exists(os.path.join(out, "field.txt"))
 

@@ -132,6 +132,13 @@ class TestMomentMap:
         for i, n in enumerate(ns):
             assert np.array_equal(R[i], fr.rotation_to_axis(n))
 
+    def test_seed_cover_extends_the_fitted_seeds(self):
+        # the map is fitted on the first 20 seeds; the denser cover that
+        # projection starts from only appends rotations to them
+        assert np.array_equal(fr._build_seed_rotations(100)[:20],
+                              fr._build_seed_rotations(20))
+        assert np.array_equal(fr._SEED_ROTATIONS, fr._build_seed_rotations(100))
+
     def test_stack_with_one_bad_row_raises(self):
         rng = np.random.default_rng(47)
         Rs = np.array([random_rotation(rng) for _ in range(6)])
@@ -366,18 +373,58 @@ def stored_field(name):
     lambda: rotated_box_field(2),
 ], ids=["notch", "arc_box", "graph_box_seed2"])
 def test_projection_reaches_best_seed_ascent(field):
-    # three seeds reach the best of all 20 seed ascents at every row; two
-    # seeds fall short by 0.15 at vertex 1925 of the box
+    # one ascent from the best of the 100 seeds reaches the best of the
+    # first 20 seeds' ascents at every row; one ascent from the best of
+    # those 20 alone falls short by up to 0.16 on 1-2 rows per box
     Q = field()
     Q = Q[np.sqrt((Q * Q).sum(axis=1)) > 1e-9]
-    best = np.full(len(Q), -np.inf)
-    for S in fr._SEED_ROTATIONS:
-        for s in range(0, len(Q), 256):
-            q = Q[s:s + 256]
-            f = fr._ascent(q, np.broadcast_to(S, (len(q), 3, 3)))[2]
-            best[s:s + 256] = np.maximum(best[s:s + 256], f)
     _, C = fr.project_to_octahedral(Q)
-    assert ((Q * C).sum(axis=1) >= best - 1e-9).all()
+    assert ((Q * C).sum(axis=1) >= best_seed_ascent(Q) - 1e-9).all()
+
+
+def best_seed_ascent(Q):
+    """The best of the ascents of each row of ``Q`` from each of the first
+    20 seed rotations."""
+    best = np.full(len(Q), -np.inf)
+    for S in fr._SEED_ROTATIONS[:20]:
+        f = fr._ascent(Q, np.broadcast_to(S, (len(Q), 3, 3)))[2]
+        best = np.maximum(best, f)
+    return best
+
+
+def count_ascended_rows(monkeypatch):
+    """A list that collects the number of rows of each ``_ascent`` call."""
+    counted = []
+    ascent = fr._ascent
+
+    def counting(Q, R):
+        counted.append(len(Q))
+        return ascent(Q, R)
+
+    monkeypatch.setattr(fr, "_ascent", counting)
+    return counted
+
+
+def test_cold_projection_ascends_each_row_once(monkeypatch):
+    # a second ascent runs only where the first does not end at a maximum,
+    # which is rare on a smooth field
+    Q = rotated_box_field(2)
+    Q = Q[np.sqrt((Q * Q).sum(axis=1)) > 1e-9]
+    counted = count_ascended_rows(monkeypatch)
+    fr.project_to_octahedral(Q)
+    assert sum(counted) <= 1.05 * len(Q)
+
+
+def test_random_stack_falls_short_rarely(monkeypatch):
+    # rows far from the frame manifold have competing maxima: 6 of these
+    # 2,000 rows end below the best 20-seed ascent, by up to 0.17; the
+    # bound is half a percent
+    Q = np.random.default_rng(5).normal(size=(2000, 9))
+    best = best_seed_ascent(Q)
+    counted = count_ascended_rows(monkeypatch)
+    _, C = fr.project_to_octahedral(Q)
+    assert sum(counted) <= 1.05 * len(Q)
+    assert np.count_nonzero((Q * C).sum(axis=1) < best - 1e-9) <= 10
 
 
 class TestClosestDirection:

@@ -287,6 +287,17 @@ class TestWavefront:
         if delta:
             assert done == 6
 
+    def test_reports_every_sweep_delta(self):
+        # a sweep's max change does not depend on the sweeps after it
+        field, K = cg_field("notch")
+        report = smooth_nonlinear(field, SolverConfig(
+            smoothing_sweeps=3, convergence_delta=0.0), K=K).report
+        want = [smooth_nonlinear(field, SolverConfig(
+            smoothing_sweeps=k, convergence_delta=0.0), K=K).report[
+                "smoothing_last_delta"] for k in (1, 2, 3)]
+        assert report["smoothing_deltas"] == want
+        assert report["smoothing_last_delta"] == want[-1]
+
     def test_few_sweeps_in_flight(self, monkeypatch):
         # each sweep's steps come when the sweep before it starts, so rows
         # and snapshots are held for the sweeps in flight, never for all

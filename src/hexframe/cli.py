@@ -147,6 +147,7 @@ def _report_pairs(mesh, field, graph, extra=()):
         ("junctions", len(graph.junction_tets)),
         ("boundary_nodes", len(graph.boundary_nodes)),
         ("defects", len(graph.defects)),
+        ("hot_faces", sum(kind == "hot_face" for kind, _ in graph.defects)),
     ]
     for key, count in sorted(_graph_counts(graph).items()):
         pairs.append(("chains_valence_%s" % key, count))

@@ -1,9 +1,11 @@
 """Singularity graph extraction and classification.
 
 Faces whose three vertex frames compose to a non-identity octahedral
-matching are singular; chains of tetrahedra connected through singular
-faces form the singularity graph.  Chain valences follow from the quarter
-turn holonomy: valence = 4 - 4*index with index +-1/4.
+matching are singular: the matching is taken once per distinct directed
+mesh edge and the three around each face are composed.  Chains of
+tetrahedra connected through singular faces form the singularity graph.
+Chain valences follow from the quarter turn holonomy: valence = 4 -
+4*index with index +-1/4.
 """
 
 from fractions import Fraction
@@ -83,18 +85,30 @@ class SingularityGraph:
         )
 
 
-# faces per batch of holonomy matchings, bounding the transient arrays
+# directed edges per batch of holonomy matchings, bounding the transient
+# arrays
 _FACE_CHUNK = 4096
 
 
 def _holonomy(frames, tris):
     """Octahedral element composing the matchings around each oriented
-    row (a, b, c) of ``tris``."""
-    Fa, Fb, Fc = frames[tris[:, 0]], frames[tris[:, 1]], frames[tris[:, 2]]
-    g1 = fr.octa_matching(Fa, Fb)
-    g2 = fr.octa_matching(Fb, Fc)
-    g3 = fr.octa_matching(Fc, Fa)
-    return fr.octa_compose(fr.octa_compose(g1, g2), g3)
+    row (a, b, c) of ``tris``.
+
+    An edge lies on many faces, so each distinct directed edge (a->b,
+    b->c, c->a) is matched once and the three elements of a row are
+    gathered and composed.
+    """
+    n = len(frames)
+    tris = np.asarray(tris, dtype=np.int64)
+    # one key tail * n + head per edge, the rows' three edges in order
+    keys, inverse = np.unique(tris * n + np.roll(tris, -1, axis=1),
+                              return_inverse=True)
+    g = np.empty(len(keys), dtype=np.intp)
+    for s in range(0, len(keys), _FACE_CHUNK):
+        k = keys[s:s + _FACE_CHUNK]
+        g[s:s + _FACE_CHUNK] = fr.octa_matching(frames[k // n], frames[k % n])
+    g = g[inverse].reshape(-1, 3)
+    return fr.octa_compose(fr.octa_compose(g[:, 0], g[:, 1]), g[:, 2])
 
 
 def _rotation_angle_axis(W):
@@ -144,23 +158,23 @@ def extract_graph(field):
     hot = (quality < QUALITY_CUTOFF)[tris].any(axis=1)
     defects = [("hot_face", int(fid)) for fid in fids[hot]]
     fids, tris = fids[~hot], tris[~hot]
+    h = _holonomy(frames, tris)
     singular = {}
-    for s in range(0, len(fids), _FACE_CHUNK):
-        chunk = tris[s:s + _FACE_CHUNK]
-        h = _holonomy(frames, chunk)
-        for k in np.nonzero(h)[0] + s:
-            singular[fids[k]] = _singular_face(
-                field, frames, tuple(tris[k]), int(h[k - s]), fids[k])
+    for k in np.nonzero(h)[0]:
+        singular[fids[k]] = _singular_face(
+            field, frames, tuple(tris[k]), int(h[k]), fids[k])
     tet_sing = {}
     for fid in singular:
         for t in adj.face_tets[fid]:
             tet_sing.setdefault(int(t), []).append(fid)
     junction_set = {t for t, fs in tet_sing.items() if len(fs) >= 3}
-    centroids = mesh.vertices[mesh.tets].mean(axis=1)
     chains, boundary_nodes, visited = [], [], set()
 
     def face_centroid(fid):
         return mesh.vertices[adj.faces[fid]].mean(axis=0)
+
+    def tet_centroid(tet):
+        return mesh.vertices[mesh.tets[tet]].mean(axis=0)
 
     def across(fid, tet):
         pair = adj.face_tets[fid]
@@ -172,13 +186,13 @@ def extract_graph(field):
         boundary face nearest to ``fid`` (first on ties), or a defect at the
         tet centroid."""
         if tet in junction_set:
-            return ("junction", tet), centroids[tet]
+            return ("junction", tet), tet_centroid(tet)
         near = face_centroid(fid)
         pts = [face_centroid(f) for f in adj.tet_faces[tet] if not adj.interior_mask[f]]
         if pts:
             pt = min(pts, key=lambda p: np.linalg.norm(p - near))
             return ("boundary", pt), pt
-        return ("defect", None), centroids[tet]
+        return ("defect", None), tet_centroid(tet)
 
     def walk(fid, tet):
         """Tets, faces and terminal of the chain from face ``fid`` into

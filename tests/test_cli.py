@@ -240,6 +240,29 @@ class TestReport:
     def test_report_without_run_exits_64(self, tmp_path):
         assert run(["report", "--out", str(tmp_path / "nope")]) == 64
 
+    def test_report_counts_hot_faces(self, tmp_path):
+        # zeroed interior rows project with quality 0, so every interior
+        # face on one of them is a hot face
+        mesh = generate_box(4, 4, 4)
+        mesh.detect_features(30.0)
+        coeffs = np.tile(fr.REFERENCE_COEFFS, (len(mesh.vertices), 1))
+        interior = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_vertices)
+        coeffs[interior[::5]] = 0.0
+        adj = mesh.adjacency
+        hot = np.isin(adj.faces[adj.interior_mask], interior[::5]).any(axis=1)
+        mesh_path, field_path = str(tmp_path / "box.mesh"), str(tmp_path / "field.txt")
+        write_medit(mesh, mesh_path)
+        write_field(FrameField(mesh, coeffs, BoundaryConditionSet(len(coeffs))),
+                    field_path)
+        out = str(tmp_path / "graph")
+        assert run(["graph", "--mesh", mesh_path, "--field", field_path,
+                    "--out", out]) == 0
+        report = read_report(out)
+        keys = list(report)
+        assert keys.index("hot_faces") == keys.index("defects") + 1
+        assert int(report["hot_faces"]) == hot.sum() > 0
+        assert int(report["defects"]) >= int(report["hot_faces"])
+
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import hexframe.singularities as sing
 import singularity_oracle as oracle
 from hexframe.boxgen import generate_box
 from hexframe.mesh import TetMesh
+from hexframe.meshio import read_medit
 from hexframe.singularities import (
     detect_35,
     extract_graph,
@@ -217,6 +219,24 @@ def rotated_box_hot_field(rotated_box_field):
     return FrameField(mesh, coeffs, rotated_box_field.bcs)
 
 
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def five_sweep_field(name):
+    mesh = read_medit(os.path.join(FIXTURES, name + ".mesh"))
+    return compute_field(mesh, SolverConfig(smoothing_sweeps=5))
+
+
+@pytest.fixture(scope="module")
+def notch_field():
+    return five_sweep_field("notch")
+
+
+@pytest.fixture(scope="module")
+def groove_box_field():
+    return five_sweep_field("groove_box")
+
+
 def _graph_summary(graph):
     faces = sorted((int(fid), f.group_elem, f.index)
                    for fid, f in graph.singular_faces.items())
@@ -227,7 +247,8 @@ def _graph_summary(graph):
 
 
 @pytest.mark.parametrize("name", ["valence3_field", "valence5_field",
-                                  "rotated_box_field", "rotated_box_hot_field"])
+                                  "rotated_box_field", "rotated_box_hot_field",
+                                  "notch_field", "groove_box_field"])
 class TestPerFaceParity:
     """The whole-array classification equals the per-face reference loops."""
 
@@ -250,10 +271,34 @@ class TestPerFaceParity:
         assert total == ref_total
 
 
-def test_parity_fields_exercise_classification(rotated_box_field, rotated_box_hot_field):
+def test_parity_fields_exercise_classification(rotated_box_field, rotated_box_hot_field,
+                                               notch_field, groove_box_field):
     graph = extract_graph(rotated_box_field)
     assert detect_35(graph)
     assert any(d[0] == "hot_face" for d in extract_graph(rotated_box_hot_field).defects)
+    assert detect_35(extract_graph(notch_field))
+    assert detect_35(extract_graph(groove_box_field))
+
+
+def test_holonomy_matches_each_directed_edge_once(rotated_box_field, monkeypatch):
+    """The classification matches each distinct directed edge of the
+    non-hot interior faces once, not each face's three edges."""
+    adj = rotated_box_field.mesh.adjacency
+    _, quality = rotated_box_field.vertex_frames()
+    tris = adj.faces[adj.interior_mask]
+    tris = tris[~(quality < sing.QUALITY_CUTOFF)[tris].any(axis=1)]
+    edges = {(int(a), int(b)) for row in tris
+             for a, b in zip(row, np.roll(row, -1))}
+    matched = []
+    match = fr.octa_matching
+
+    def counting(Ra, Rb):
+        matched.append(len(Ra))
+        return match(Ra, Rb)
+
+    monkeypatch.setattr(fr, "octa_matching", counting)
+    extract_graph(rotated_box_field)
+    assert sum(matched) == len(edges) < 3 * len(tris) / 2
 
 
 def test_non_finite_vertices_get_quality_zero(box):

@@ -293,21 +293,22 @@ def _gradient_map():
 _GRADIENT_MAP = _gradient_map()
 
 
-def _cofactor_map():
-    """(81, 9) map from the products of the entries of a 3x3 matrix M to its
-    cofactors M[i+1, j+1] M[i+2, j+2] - M[i+1, j+2] M[i+2, j+1]."""
-    P = np.zeros((3, 3, 3, 3, 3, 3))
-    for i, j in itertools.product(range(3), repeat=2):
-        a, b, c, d = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-        P[a, c, b, d, i, j], P[a, d, b, c, i, j] = 1.0, -1.0
-    return P.reshape(81, 9)
+def _cofactor_entries():
+    """Flattened entry indices (2, 18) of the products that make each
+    cofactor M[a, c] M[b, d] - M[a, d] M[b, c] of a 3x3 matrix M, with a, b =
+    i+1, i+2 and c, d = j+1, j+2 (mod 3): the nine first products, then the
+    nine second ones."""
+    i, j = np.divmod(np.arange(9), 3)
+    a, b, c, d = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return np.array([np.concatenate([3 * a + c, 3 * a + d]),
+                     np.concatenate([3 * b + d, 3 * b + c])])
 
 
-_COFACTOR_MAP = _cofactor_map()
+_COFACTOR_LEFT, _COFACTOR_RIGHT = _cofactor_entries()
 # Newton/line-search step budget of one ascent
 _MAX_STEPS = 200
 # rows projected together, which bounds the line search's transient arrays
-_CHUNK = 256
+_CHUNK = 1024
 # a line search's step factors: halvings 0-3, then every further halving
 # that can stay above 1e-14 from the largest step, 0.5
 _HALVINGS = (0.5 ** np.arange(4), 0.5 ** np.arange(4, 46))
@@ -315,9 +316,16 @@ _HALVINGS = (0.5 ** np.arange(4), 0.5 ** np.arange(4, 46))
 
 def _cofactors(M):
     """Cofactor matrices, the transposed adjugates, and determinants of 3x3
-    matrices (n, 3, 3)."""
-    m = M.reshape(-1, 1, 9)
-    cof = (m.swapaxes(1, 2) * m).reshape(-1, 1, 81) @ _COFACTOR_MAP
+    matrices (n, 3, 3).
+
+    Each cofactor is one difference of two gathered products, with a zero
+    difference as +0.  The cofactors come back C-contiguous: a stacked
+    matmul rounds by its operands' layout, not only by their values.
+    """
+    m = M.reshape(-1, 9)
+    p = m.take(_COFACTOR_LEFT, axis=1) * m.take(_COFACTOR_RIGHT, axis=1)
+    cof = p[:, :9] - p[:, 9:]
+    cof += 0.0  # -0 (a -0 product less a +0 one) becomes +0
     cof = cof.reshape(-1, 3, 3)
     return cof, row_dots(M[:, 0], cof[:, 0])
 
@@ -374,19 +382,19 @@ def _step(Q, R, C, F, step, g, gn, H, flat, peak):
     return left
 
 
-def _ascent(Q, R):
+def _ascent(Q, R, C):
     """Ascent of each row's ``q @ frame_coeffs(R)`` from its rotation ``R``
-    (n, 3, 3); returns ``(R, c, f, ok)`` where ``ok`` says that a row stopped
-    at a maximum.  A row leaves the working set, whose arrays are kept
-    compact, once its gradient vanishes (norm below 1e-10), once no step
-    rises, or at a resolved peak: gradient norm below 1e-7 and a negative
-    definite Hessian, where it takes its Newton step if that does not fall
-    and no line search.  Newton converges quadratically there, so one more
+    (n, 3, 3), whose coefficients ``frame_coeffs(R)`` are ``C``; returns
+    ``(R, c, f, ok)`` where ``ok`` says that a row stopped at a maximum.
+    A row leaves the working set, whose arrays are kept compact, once its
+    gradient vanishes (norm below 1e-10), once no step rises, or at a
+    resolved peak: gradient norm below 1e-7 and a negative definite
+    Hessian, where it takes its Newton step if that does not fall and no
+    line search.  Newton converges quadratically there, so one more
     iteration would only show the objective's last bits."""
     n = len(Q)
     out = np.empty((n, 3, 3)), np.empty((n, 9)), np.empty(n), np.zeros(n, dtype=bool)
-    R = np.array(R, dtype=float)
-    C = frame_coeffs(R)
+    R, C = np.array(R, dtype=float), np.array(C, dtype=float)
     F = row_dots(Q, C)
     QB = (Q[:, None] @ _GRADIENT_MAP).reshape(-1, 12, 9)
     tol = 1e-9 * np.sqrt(row_dots(Q, Q))
@@ -425,18 +433,20 @@ def _project(Q, warm):
     rows = np.arange(len(Q))
     scores = (_SEED_COEFFS @ Q[:, :, None])[..., 0]
     best = scores.argmax(axis=1)
-    starts = _SEED_ROTATIONS[best]
+    starts, coeffs = _SEED_ROTATIONS[best], _SEED_COEFFS[best]
     used = np.zeros(len(Q), dtype=bool)
     if warm is not None:
         # a NaN warm row scores NaN, is never used, and keeps the cold rule
-        used = row_dots(Q, frame_coeffs(warm)) >= scores[rows, best]
-        starts[used] = warm[used]
+        warm_coeffs = frame_coeffs(warm)
+        used = row_dots(Q, warm_coeffs) >= scores[rows, best]
+        starts[used], coeffs[used] = warm[used], warm_coeffs[used]
     # a cold row's next start is its 2nd best seed, a warm row's the best
     scores[rows[~used], best[~used]] = -np.inf
-    R, C, F, ok = _ascent(Q, starts)
+    R, C, F, ok = _ascent(Q, starts, coeffs)
     todo = np.flatnonzero(~ok)
     if len(todo):
-        Rj, Cj, Fj, _ = _ascent(Q[todo], _SEED_ROTATIONS[scores[todo].argmax(axis=1)])
+        after = scores[todo].argmax(axis=1)
+        Rj, Cj, Fj, _ = _ascent(Q[todo], _SEED_ROTATIONS[after], _SEED_COEFFS[after])
         up = Fj > F[todo]
         R[todo[up]], C[todo[up]], F[todo[up]] = Rj[up], Cj[up], Fj[up]
     return R, C

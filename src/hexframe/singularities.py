@@ -280,9 +280,12 @@ def _wrap_quarter(x):
 def surface_cross_indices(field):
     """Per-triangle tangent cross indices and per-vertex quarter charges.
 
-    Returns (per_triangle, per_vertex_quarters, total) where ``total`` is the
-    exact quarter-unit sum of the vertex charges; for a closed surface it
-    equals 4 * Euler characteristic quarters, i.e. ``total == chi``.
+    Returns (per_triangle, per_vertex_quarters, total): ``per_triangle`` is
+    an int array of each boundary triangle's index in quarter units,
+    ``per_vertex_quarters`` maps each charged vertex to its charge in
+    quarters, and ``total`` is the exact ``Fraction`` sum of the vertex
+    charges; for a closed surface it equals 4 * Euler characteristic
+    quarters, i.e. ``total == chi``.
     """
     mesh = field.mesh
     frames, _ = field.vertex_frames()
@@ -301,8 +304,7 @@ def surface_cross_indices(field):
         + _wrap_quarter(th[2] - th[1])
         + _wrap_quarter(th[0] - th[2])
     )
-    ks = np.rint(s / (np.pi / 2)).astype(int)
-    per_triangle = [(ti, Fraction(int(k), 4)) for ti, k in enumerate(ks)]
+    per_triangle = np.rint(s / (np.pi / 2)).astype(int)
 
     # per-vertex quarter charges from unfolding holonomy (exact integers).
     # A triangle's corner at vtx spans the edges to a and b; its successor

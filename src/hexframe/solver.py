@@ -285,10 +285,14 @@ def _sweep_steps(W, move):
         if np.array_equal(new, level):
             break
         level = new
-    # a level's rows depend on lower levels only
+    # a level's rows depend on lower levels only; in level order each
+    # level's rows are one range of the permuted rows of ``lower``
     order = np.argsort(level, kind="stable")
-    groups = [(g, lower[g]) for g in
-              np.split(order, np.cumsum(np.bincount(level)))[1:-1]]
+    permuted = lower[order]
+    ptr = permuted.indptr
+    bounds = np.cumsum(np.bincount(level))
+    groups = [(order[a:b], permuted.indices[ptr[a]:ptr[b]], ptr[a:b] - ptr[a])
+              for a, b in zip(bounds[:-1], bounds[1:])]
     up = np.flatnonzero(np.diff(upper.indptr))
     steps = level + 1
     while True:
@@ -297,9 +301,9 @@ def _sweep_steps(W, move):
         last[up] = np.maximum(last[up], np.maximum.reduceat(
             steps[upper.indices], upper.indptr[up]))
         steps = last + 1
-        for g, L in groups:
+        for g, cols, starts in groups:
             steps[g] = np.maximum(last[g], np.maximum.reduceat(
-                steps[L.indices], L.indptr[:-1])) + 1
+                steps[cols], starts)) + 1
 
 
 class _Sweep:

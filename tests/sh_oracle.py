@@ -4,12 +4,15 @@ Represents each basis function as a homogeneous degree-4 polynomial, rotates
 it by substituting the rotated variables via its symmetric 4th-order tensor,
 and re-expands in the basis using exact sphere-integral Gram projections.
 Shares nothing with the production Euler-block construction except the basis
-convention itself.
+convention itself.  Also holds ``cofactors``, the 81-term reference of the
+projection's 3x3 cofactors.
 """
 
 import numpy as np
 from itertools import product
 from math import factorial
+
+from hexframe.mesh import row_dots
 
 # monomial exponents (a, b, c) with a+b+c = 4
 EXPS = [(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)]
@@ -145,3 +148,25 @@ def random_rotation(rng):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def _cofactor_map():
+    """(81, 9) map from the products of the entries of a 3x3 matrix M to its
+    cofactors M[i+1, j+1] M[i+2, j+2] - M[i+1, j+2] M[i+2, j+1]."""
+    P = np.zeros((3, 3, 3, 3, 3, 3))
+    for i, j in product(range(3), repeat=2):
+        a, b, c, d = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        P[a, c, b, d, i, j], P[a, d, b, c, i, j] = 1.0, -1.0
+    return P.reshape(81, 9)
+
+
+COFACTOR_MAP = _cofactor_map()
+
+
+def cofactors(M):
+    """``frames._cofactors`` of 3x3 matrices (n, 3, 3) as one stacked
+    product of each matrix's 81 entry products with ``COFACTOR_MAP``."""
+    m = M.reshape(-1, 1, 9)
+    cof = (m.swapaxes(1, 2) * m).reshape(-1, 1, 81) @ COFACTOR_MAP
+    cof = cof.reshape(-1, 3, 3)
+    return cof, row_dots(M[:, 0], cof[:, 0])

@@ -7,6 +7,7 @@ import hexframe.frames as fr
 from hexframe import solver
 from hexframe.boxgen import generate_box
 from hexframe.mesh import TetMesh
+import sh_oracle
 from sh_oracle import coeffs_oracle, random_rotation, wigner4_oracle
 
 FIELDS = os.path.join(os.path.dirname(__file__), "..", "bench", "data",
@@ -236,7 +237,7 @@ class TestProjection:
         # the eighth turn about z is stationary for the identity frame and
         # a minimum along z, so an ascent from it has not found a maximum
         q = np.tile(fr.REFERENCE_COEFFS, (2, 1))
-        _, _, f, ok = fr._ascent(q, np.array([rot_z(np.pi / 4), np.eye(3)]))
+        _, _, f, ok = ascend(q, np.array([rot_z(np.pi / 4), np.eye(3)]))
         assert abs(f[0] - 1.0 / 6.0) < 1e-12
         assert ok.tolist() == [False, True]
 
@@ -246,13 +247,13 @@ class TestProjection:
         # but this stationary point is not a peak
         t = np.pi / 4 + 5e-9
         assert 1e-10 < 5 / 3 * abs(np.sin(4 * t)) < 1e-7
-        _, _, f, ok = fr._ascent(fr.REFERENCE_COEFFS[None], rot_z(t)[None])
+        _, _, f, ok = ascend(fr.REFERENCE_COEFFS[None], rot_z(t)[None])
         assert abs(f[0] - 1.0) < 1e-12 and ok.tolist() == [True]
 
     def test_resolved_peak_ends_after_one_candidate(self, monkeypatch):
         start = fr.axis_angle_rotation(1e-8 * np.array([0.6, -0.8, 0.0]))
         counted = count_candidates(monkeypatch)
-        _, _, f, ok = fr._ascent(fr.REFERENCE_COEFFS[None], start[None])
+        _, _, f, ok = ascend(fr.REFERENCE_COEFFS[None], start[None])
         assert counted == [1]
         assert abs(f[0] - 1.0) < 1e-15 and ok.tolist() == [True]
 
@@ -326,6 +327,53 @@ class TestProjection:
         assert np.array_equal(R[::3], cold_R[::3])
         assert np.array_equal(C[::3], cold_C[::3])
 
+    def test_stack_matches_rows_across_a_chunk_boundary(self):
+        # 1,100 rows are projected in two chunks; the rows around the
+        # boundary and a strided sample give their one-row bytes, cold and
+        # warm, with NaN (cold) warm rows mixed in
+        rng = np.random.default_rng(37)
+        Q = rng.normal(size=(1100, 9))
+        assert 1020 < fr._CHUNK <= 1030
+        cold_R, cold_C = fr.project_to_octahedral(Q)
+        warm = np.array([random_rotation(rng) for _ in range(1100)])
+        warm[1::3] = cold_R[1::3] @ fr.axis_angle_rotation(
+            0.05 * rng.normal(size=(len(warm[1::3]), 3)))
+        warm[::3] = np.nan
+        warm_R, warm_C = fr.project_to_octahedral(Q, warm_start=warm)
+        for i in [*range(1020, 1031), *range(0, 1100, 37)]:
+            R, c = fr.project_to_octahedral(Q[i])
+            assert R.tobytes() == cold_R[i].tobytes()
+            assert c.tobytes() == cold_C[i].tobytes()
+            R, c = fr.project_to_octahedral(Q[i], warm_start=warm[i])
+            assert R.tobytes() == warm_R[i].tobytes()
+            assert c.tobytes() == warm_C[i].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 256])
+@pytest.mark.parametrize("kind", ["random", "zero", "rank_deficient"])
+def test_cofactors_match_the_81_term_reference(kind, n):
+    # byte for byte, so signed zeros count, and C-contiguous: an F-ordered
+    # array of the same bytes makes the stacked matmuls that read it round
+    # otherwise
+    M = np.random.default_rng(41).normal(size=(n, 3, 3))
+    if kind == "zero":
+        M[:] = 0.0
+    elif kind == "rank_deficient":
+        # rank 1 (a zero row; -0 products) and rank 2, alternately
+        M[::2, 1] = 0.0
+        M[::2, 2] = -2.0 * M[::2, 0]
+        M[1::2, 2] = M[1::2, 0] - M[1::2, 1]
+    cof, det = fr._cofactors(M)
+    want_cof, want_det = sh_oracle.cofactors(M)
+    assert cof.flags.c_contiguous
+    assert cof.tobytes() == want_cof.tobytes()
+    assert det.tobytes() == want_det.tobytes()
+
+
+def ascend(Q, R):
+    """``_ascent`` of the rows ``Q`` from the rotations ``R``."""
+    return fr._ascent(Q, R, fr.frame_coeffs(R))
+
 
 def count_candidates(monkeypatch):
     """A list that collects the number of candidate rotations of each
@@ -386,8 +434,9 @@ def best_seed_ascent(Q):
     """The best of the ascents of each row of ``Q`` from each of the first
     20 seed rotations."""
     best = np.full(len(Q), -np.inf)
-    for S in fr._SEED_ROTATIONS[:20]:
-        f = fr._ascent(Q, np.broadcast_to(S, (len(Q), 3, 3)))[2]
+    for S, c in zip(fr._SEED_ROTATIONS[:20], fr._SEED_COEFFS):
+        f = fr._ascent(Q, np.broadcast_to(S, (len(Q), 3, 3)),
+                       np.broadcast_to(c, (len(Q), 9)))[2]
         best = np.maximum(best, f)
     return best
 
@@ -397,9 +446,9 @@ def count_ascended_rows(monkeypatch):
     counted = []
     ascent = fr._ascent
 
-    def counting(Q, R):
+    def counting(Q, R, C):
         counted.append(len(Q))
-        return ascent(Q, R)
+        return ascent(Q, R, C)
 
     monkeypatch.setattr(fr, "_ascent", counting)
     return counted

@@ -45,9 +45,11 @@ def _build_parser():
     def common(p):
         p.add_argument("--mesh", required=True, help="input MEDIT mesh")
         p.add_argument("--out", default=".", help="artifact directory")
-        p.add_argument("--angle-threshold", type=float,
-                       default=FEATURE_ANGLE_DEFAULT,
-                       help="feature detection dihedral threshold (degrees)")
+        p.add_argument("--angle-threshold", default=FEATURE_ANGLE_DEFAULT,
+                       type=_checked(float, lambda a: 0.0 <= a <= 180.0,
+                                     "an angle in [0, 180]"),
+                       help="feature detection dihedral threshold (degrees; "
+                            "180: tagged features only)")
         p.add_argument("--lambda", dest="relaxation",
                        default=SolverConfig.projection_relaxation,
                        type=_checked(float, np.isfinite, "a finite number"),
@@ -67,8 +69,6 @@ def _build_parser():
     p = common(sub.add_parser("correct", help="apply a correction strategy"))
     p.add_argument("--strategy", required=True,
                    choices=["extrude-curve", "extrude-node", "snap"])
-    p.add_argument("--snap-radius", type=float, default=0.0,
-                   help="tangency release radius (0: 3 mean edge lengths)")
     p.add_argument("--step", type=_step_size, default=0.0,
                    help="streamline step size (0: half mean edge length)")
 
@@ -250,7 +250,6 @@ def _cmd_correct(args, log):
     graph = extract_graph(field)
     before = len(detect_35(graph))
     tracer = TracerConfig(step_size=args.step)
-    radius = args.snap_radius if args.snap_radius > 0 else None
     try:
         if args.strategy == "extrude-curve":
             plan = extrude_feature_curves(mesh, field, tracer_config=tracer)
@@ -260,8 +259,7 @@ def _cmd_correct(args, log):
                                           tracer_config=tracer)
             corrected = apply_plan(mesh, field, plan, config)
         else:
-            plan, corrected = snap_until_clean(mesh, field, graph, config,
-                                               snap_radius=radius)
+            plan, corrected = snap_until_clean(mesh, field, graph, config)
     except NonApplicable as exc:
         return _reject(args, mesh, field, graph, exc.diagnostics,
                        [("chains_35_before", before)], exc)

@@ -476,8 +476,7 @@ def snap_35_curves(mesh, field, graph, exclude=()):
     return [done[k] for k in sorted(done)]
 
 
-def snap_until_clean(mesh, field, graph=None, solver_config=None,
-                     snap_radius=None):
+def snap_until_clean(mesh, field, graph=None, solver_config=None):
     """Iterate boundary snapping until no 3-5 chain remains.
 
     Releasing constraints can spawn fresh 3-5 chains near the snapped
@@ -512,8 +511,7 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None,
             break
         covered |= new
         combined.snapped.extend(snapped)
-        combined.internal_constraints = snapped_rows(
-            mesh, field.bcs, combined.snapped, snap_radius)
+        combined.internal_constraints = snapped_rows(mesh, field.bcs, combined.snapped)
         corrected = apply_plan(mesh, field, combined, solver_config)
         current_field = corrected
         current_graph = combined.diagnostics["graph"]

@@ -94,6 +94,44 @@ def _unique_rows(keys):
     return ranked[starts], inverse, np.diff(np.r_[starts, len(keys)]), order
 
 
+def walk_chains(links, terminal):
+    """Chains of the graph whose rows are the node pairs of ``links`` (m, 2).
+
+    ``terminal`` masks the nodes where a chain ends; every other node a
+    link reaches lies on exactly two links.  Returns one ``(nodes, rows,
+    closed)`` per chain, in walk order.  Chains leave each terminal node
+    with links, in ascending node order, along its unwalked rows in
+    ascending order, and run to the next terminal node.  The rows left over
+    form loops; each is walked from its lowest row, from that row's first
+    node to its second, and lists each of its nodes and rows once.
+    """
+    links = np.asarray(links, dtype=np.int64).reshape(-1, 2)
+    # incidences grouped by node, each node's rows ascending
+    order = np.argsort(links.ravel(), kind="stable")
+    ptr = np.searchsorted(links.ravel()[order], np.arange(len(terminal) + 1))
+    starts = np.flatnonzero(terminal & (np.diff(ptr) > 0)).tolist()
+    inc, ptr, pairs = (order // 2).tolist(), ptr.tolist(), links.tolist()
+    is_end, walked = terminal.tolist(), [False] * len(pairs)
+
+    def walk(node, row):
+        nodes, rows = [node], []
+        while not walked[row]:
+            walked[row] = True
+            rows.append(row)
+            a, b = pairs[row]
+            node = b if a == node else a
+            nodes.append(node)
+            if is_end[node]:
+                return nodes, rows, False
+            first = inc[ptr[node]]
+            row = inc[ptr[node] + 1] if first == row else first
+        return nodes[:-1], rows, True
+
+    chains = [walk(t, r) for t in starts for r in inc[ptr[t]:ptr[t + 1]]
+              if not walked[r]]
+    return chains + [walk(pairs[r][0], r) for r in range(len(pairs)) if not walked[r]]
+
+
 class AdjacencyTables:
     """Face/tet incidence arrays.
 
@@ -160,6 +198,12 @@ class TetMesh:
             else []
         )
         self.tagged_corners = sorted(int(c) for c in corners) if corners else []
+        outside = [v for e in self.tagged_feature_edges for v in e[:2]
+                   if not 0 <= v < len(self.vertices)]
+        outside += [c for c in self.tagged_corners if not 0 <= c < len(self.vertices)]
+        if outside:
+            raise IndexOutOfRange("tagged vertex index %d outside [0, %d)"
+                                  % (outside[0], len(self.vertices)))
         self.feature_edges = []   # list of (u, v, curve_id), filled by detect_features
         self.feature_curves = []
         self.corners = []
@@ -294,105 +338,42 @@ class TetMesh:
         """Detect feature edges, chain curves, group the surface into patches.
 
         Input-file feature tags take precedence over dihedral detection.
-        Populates ``feature_edges``, ``feature_curves``, ``corners``,
-        ``boundary_patch_ids`` and the vertex patch-normal table;
-        idempotent for a fixed threshold.
+        A curve runs between corners: the tagged corners, the vertices on
+        one or on three or more feature edges, and the vertices at which the
+        tag or the valence bin changes.  Populates ``feature_edges``, ``feature_curves``,
+        ``corners``, ``boundary_patch_ids`` and the vertex patch-normal
+        table; idempotent for a fixed threshold.
         """
-        dihedrals = self.boundary_edge_dihedrals()
-        all_edges = {}
-        for u, v, cid in self.tagged_feature_edges:
-            all_edges[(min(u, v), max(u, v))] = cid
-        detected = np.abs(dihedrals - 180.0) > angle_threshold
-        detected[self._edge_rows(list(all_edges))] = False
-        for key in map(tuple, self.boundary_edges[detected].tolist()):
-            all_edges[key] = None
-        rows = self._edge_rows(list(all_edges))
-        self.feature_curves, self.corners = self._chain_curves(
-            all_edges, dict(zip(all_edges, dihedrals[rows].tolist()))
-        )
+        d = self.boundary_edge_dihedrals()
+        tags = np.asarray(self.tagged_feature_edges, dtype=np.int64).reshape(-1, 3)
+        # a row's group is its tag, or else its valence bin (0 below 45 degrees)
+        group = np.digitize(d, [45.0, 135.0, 225.0, 315.0])
+        tagged = np.zeros(len(d), dtype=bool)
+        hit = self._edge_rows(np.sort(tags[:, :2], axis=1).tolist())
+        group[hit], tagged[hit] = tags[:, 2], True
+        rows = np.flatnonzero(tagged | (np.abs(d - 180.0) > angle_threshold))
+        group = _unique_rows(np.c_[tagged, group][rows])[1]
+        ends = self.boundary_edges[rows]
+        nv = len(self.vertices)
+        degree = np.bincount(ends.ravel(), minlength=nv)
+        lo, hi = np.full(nv, len(rows)), np.full(nv, -1)
+        np.minimum.at(lo, ends, group[:, None])
+        np.maximum.at(hi, ends, group[:, None])
+        corner = np.zeros(nv, dtype=bool)
+        corner[self.tagged_corners] = True
+        corner |= (degree > 0) & ((degree != 2) | (lo != hi))
+        self.corners = np.flatnonzero(corner).tolist()
+        self.feature_curves = [
+            self._make_curve(cid, nodes, d[rows[links]], closed)
+            for cid, (nodes, links, closed) in enumerate(walk_chains(ends, corner))]
         self.feature_edges = [
             (u, v, c.curve_id) for c in self.feature_curves for u, v in c.edges()
         ]
         self._build_patches(rows)
         return self.feature_curves
 
-    def _chain_curves(self, all_edges, dihedrals):
-        """Chain feature edges into curves; returns (curves, corners).
-
-        ``all_edges`` maps each feature edge to its tag (None when detected)
-        and ``dihedrals`` maps it to its dihedral angle.
-        """
-        graph = {}
-        for u, v in all_edges:
-            graph.setdefault(u, []).append(v)
-            graph.setdefault(v, []).append(u)
-        corners = set(self.tagged_corners)
-        for v, nbrs in graph.items():
-            if len(nbrs) != 2:
-                corners.add(v)
-        # also break chains where the tag or valence bin changes
-        def edge_group(key):
-            if all_edges[key] is not None:
-                return ("tag", all_edges[key])
-            try:
-                return ("bin", classify_feature_valence(dihedrals[key]))
-            except DegenerateDihedral:
-                return ("bin", 0)
-        for v, nbrs in graph.items():
-            if len(nbrs) == 2:
-                g1 = edge_group((min(v, nbrs[0]), max(v, nbrs[0])))
-                g2 = edge_group((min(v, nbrs[1]), max(v, nbrs[1])))
-                if g1 != g2:
-                    corners.add(v)
-        curves = []
-        visited = set()
-        next_id = 0
-
-        def walk(start, first):
-            chain = [start, first]
-            visited.add((min(start, first), max(start, first)))
-            while chain[-1] not in corners:
-                here = chain[-1]
-                nxt = None
-                for nb in graph[here]:
-                    key = (min(here, nb), max(here, nb))
-                    if key in all_edges and key not in visited:
-                        nxt = nb
-                        visited.add(key)
-                        break
-                if nxt is None:
-                    break
-                chain.append(nxt)
-                if nxt == chain[0]:
-                    break
-            return chain
-
-        for start in sorted(corners):
-            if start not in graph:
-                continue
-            for nb in sorted(graph[start]):
-                key = (min(start, nb), max(start, nb))
-                if key in visited:
-                    continue
-                chain = walk(start, nb)
-                curves.append(self._make_curve(next_id, chain, dihedrals, closed=False))
-                next_id += 1
-        # remaining edges belong to closed loops without corners
-        for key in sorted(all_edges):
-            if key in visited:
-                continue
-            chain = walk(key[0], key[1])
-            closed = chain[0] == chain[-1]
-            if closed:
-                chain = chain[:-1]
-            curves.append(self._make_curve(next_id, chain, dihedrals, closed=closed))
-            next_id += 1
-        corners |= {c.vertices[0] for c in curves if not c.closed}
-        corners |= {c.vertices[-1] for c in curves if not c.closed}
-        return curves, sorted(corners)
-
-    def _make_curve(self, cid, chain, dihedrals, closed):
-        verts = chain
+    def _make_curve(self, cid, verts, dihedrals, closed):
+        """Curve ``cid`` through ``verts``, whose edges have ``dihedrals``."""
         n = len(verts)
         # each vertex's tangent is its chord between its neighbours
         i = np.arange(n)
@@ -408,13 +389,8 @@ class TetMesh:
             raise DegenerateTangent(
                 "curve %d vertex %d: its chord from vertex %d to %d has zero "
                 "length" % (cid, verts[k], verts[a[k]], verts[b[k]]))
-        tangents = d / norm[:, None]
-        keys = [
-            (min(u, v), max(u, v))
-            for u, v in zip(verts, verts[1:] + ([verts[0]] if closed else []))
-        ]
-        mean_dih = float(np.mean([dihedrals[k] for k in keys]))
-        return FeatureCurve(cid, verts, tangents, mean_dih, closed=closed)
+        return FeatureCurve(cid, verts, d / norm[:, None], np.mean(dihedrals),
+                            closed=closed)
 
     def _build_patches(self, feature_rows):
         """Patches: triangles connected across edges not in ``feature_rows``.

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import frames as fr
 from .errors import AmbiguousAxis
+from .mesh import walk_chains
 
 QUALITY_CUTOFF = 0.5
 
@@ -159,94 +160,63 @@ def extract_graph(field):
     defects = [("hot_face", int(fid)) for fid in fids[hot]]
     fids, tris = fids[~hot], tris[~hot]
     h = _holonomy(frames, tris)
-    singular = {}
-    for k in np.nonzero(h)[0]:
-        singular[fids[k]] = _singular_face(
-            field, frames, tuple(tris[k]), int(h[k]), fids[k])
-    tet_sing = {}
-    for fid in singular:
-        for t in adj.face_tets[fid]:
-            tet_sing.setdefault(int(t), []).append(fid)
-    junction_set = {t for t, fs in tet_sing.items() if len(fs) >= 3}
-    chains, boundary_nodes, visited = [], [], set()
+    k = np.flatnonzero(h)
+    sf = fids[k]
+    singular = {f: _singular_face(field, frames, tuple(t), int(g), f)
+                for f, t, g in zip(sf, tris[k], h[k])}
+    # each singular face links its two tets; a chain ends in a tet with one
+    # singular face or a junction, one with three or more
+    links = adj.face_tets[sf, ::-1]
+    count = np.bincount(links.ravel(), minlength=len(mesh.tets))
+    junctions = np.flatnonzero(count >= 3).tolist()
+    sfaces = list(singular.values())
+    chains, boundary_nodes = [], []
 
     def face_centroid(fid):
         return mesh.vertices[adj.faces[fid]].mean(axis=0)
-
-    def tet_centroid(tet):
-        return mesh.vertices[mesh.tets[tet]].mean(axis=0)
-
-    def across(fid, tet):
-        pair = adj.face_tets[fid]
-        return int(pair[0]) if int(pair[1]) == tet else int(pair[1])
 
     def terminal(tet, fid):
         """End descriptor and point of a chain ending in ``tet``, entered
         through ``fid``: the junction's centroid, the centroid of the tet's
         boundary face nearest to ``fid`` (first on ties), or a defect at the
         tet centroid."""
-        if tet in junction_set:
-            return ("junction", tet), tet_centroid(tet)
+        centroid = mesh.vertices[mesh.tets[tet]].mean(axis=0)
+        if count[tet] >= 3:
+            return ("junction", tet), centroid
         near = face_centroid(fid)
         pts = [face_centroid(f) for f in adj.tet_faces[tet] if not adj.interior_mask[f]]
         if pts:
             pt = min(pts, key=lambda p: np.linalg.norm(p - near))
             return ("boundary", pt), pt
-        return ("defect", None), tet_centroid(tet)
+        return ("defect", None), centroid
 
-    def walk(fid, tet):
-        """Tets, faces and terminal of the chain from face ``fid`` into
-        ``tet``; a closed loop stops before re-entering ``fid``."""
-        tets, faces = [], [fid]
-        while True:
-            tets.append(tet)
-            nxt = [f for f in tet_sing[tet] if f != faces[-1]]
-            if tet in junction_set or not nxt:
-                return tets, faces, terminal(tet, faces[-1])
-            if nxt[0] == fid:
-                return tets, faces, (("closed", None), face_centroid(fid))
-            faces.append(nxt[0])
-            tet = across(nxt[0], tet)
-
-    def add_chain(tets, faces, head, tail):
-        """Append the chain between the ``(descriptor, point)`` terminals
-        ``head`` and ``tail``, its boundary nodes and, for a dangling chain,
-        its defect.  A closed loop returns to its first face; a defect end
-        adds no point."""
-        (start, first), (end, last) = head, tail
-        visited.update(faces)
-        pts = [face_centroid(f) for f in faces]
-        if start[0] != "closed":
+    for tets, rows, closed in walk_chains(links, count != 2):
+        faces = [sfaces[r] for r in rows]
+        pts = [face_centroid(f.face_id) for f in faces]
+        if closed:
+            # the loop enters face_tets[f, 0] of its first face f first and
+            # returns to its first face
+            tets = tets[1:] + tets[:1]
+            start = end = ("closed", None)
+            pts.append(pts[0])
+        else:
+            (start, first), (end, last) = (terminal(tets[0], faces[0].face_id),
+                                           terminal(tets[-1], faces[-1].face_id))
             pts.insert(0, first)
-        if end[0] != "defect":
-            pts.append(last)
+            if end[0] != "defect":
+                pts.append(last)
         chain_id = len(chains)
-        sfaces = [singular[f] for f in faces]
         # the face index is loop-orientation invariant, so the endpoint
         # valences read directly off the first and last faces
         chains.append(SingularChain(
-            chain_id, tets, sfaces, pts, _valence_from_index(sfaces[0].index),
-            _valence_from_index(sfaces[-1].index), start, end))
+            chain_id, tets, faces, pts, _valence_from_index(faces[0].index),
+            _valence_from_index(faces[-1].index), start, end))
         if "defect" in (start[0], end[0]):
             defects.append(("dangling_chain", tuple(tets)))
         for which, desc in (("start", start), ("end", end)):
             if desc[0] == "boundary":
                 boundary_nodes.append((chain_id, which, desc[1]))
-
-    # chains leave their terminal tets (one singular face, or a junction) first
-    for t in sorted(tet_sing):
-        if len(tet_sing[t]) != 2:
-            for f in sorted(tet_sing[t]):
-                if f not in visited:
-                    tets, faces, end = walk(f, across(f, t))
-                    add_chain([t] + tets, faces, terminal(t, f), end)
-    # the faces left over form closed loops
-    for f in sorted(singular):
-        if f not in visited:
-            tets, faces, end = walk(f, int(adj.face_tets[f, 0]))
-            add_chain(tets, faces, end, end)
-    return SingularityGraph(chains, sorted(junction_set), boundary_nodes, defects,
-                            singular)
+    return SingularityGraph(chains, junctions, boundary_nodes, defects, singular)
 
 
 def detect_35(graph):

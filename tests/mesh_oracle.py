@@ -2,7 +2,8 @@
 
 Each function is the per-tet, per-face or per-edge loop that ``TetMesh``,
 ``boxgen.generate_box`` and ``solver.build_boundary_conditions`` once ran,
-or the token-at-a-time reader that ``meshio.read_medit`` once was.
+the vertex-at-a-time feature-curve walk that ``TetMesh.detect_features``
+once ran, or the token-at-a-time reader that ``meshio.read_medit`` once was.
 Only tests import this module.
 """
 
@@ -11,8 +12,20 @@ import math
 import numpy as np
 
 from hexframe import frames as fr
-from hexframe.errors import IndexOutOfRange, IoError, ParseError
-from hexframe.mesh import FACE_VERTICES, FEATURE_ANGLE_DEFAULT, TetMesh
+from hexframe.errors import (
+    DegenerateDihedral,
+    DegenerateTangent,
+    IndexOutOfRange,
+    IoError,
+    ParseError,
+)
+from hexframe.mesh import (
+    FACE_VERTICES,
+    FEATURE_ANGLE_DEFAULT,
+    FeatureCurve,
+    TetMesh,
+    classify_feature_valence,
+)
 from hexframe.solver import DIRICHLET, BoundaryConditionSet
 
 
@@ -85,7 +98,108 @@ def feature_curves(mesh, dihedral, angle_threshold):
     for key in sorted(dihedral):
         if key not in all_edges and abs(dihedral[key] - 180.0) > angle_threshold:
             all_edges[key] = None
-    return mesh._chain_curves(all_edges, dihedral)
+    return chain_curves(mesh, all_edges, dihedral)
+
+
+def chain_curves(mesh, all_edges, dihedrals):
+    """Chain feature edges into curves; returns (curves, corners).
+
+    ``all_edges`` maps each feature edge to its tag (None when detected)
+    and ``dihedrals`` maps it to its dihedral angle.
+    """
+    graph = {}
+    for u, v in all_edges:
+        graph.setdefault(u, []).append(v)
+        graph.setdefault(v, []).append(u)
+    corners = set(mesh.tagged_corners)
+    for v, nbrs in graph.items():
+        if len(nbrs) != 2:
+            corners.add(v)
+    # also break chains where the tag or valence bin changes
+    def edge_group(key):
+        if all_edges[key] is not None:
+            return ("tag", all_edges[key])
+        try:
+            return ("bin", classify_feature_valence(dihedrals[key]))
+        except DegenerateDihedral:
+            return ("bin", 0)
+    for v, nbrs in graph.items():
+        if len(nbrs) == 2:
+            g1 = edge_group((min(v, nbrs[0]), max(v, nbrs[0])))
+            g2 = edge_group((min(v, nbrs[1]), max(v, nbrs[1])))
+            if g1 != g2:
+                corners.add(v)
+    curves = []
+    visited = set()
+    next_id = 0
+
+    def walk(start, first):
+        chain = [start, first]
+        visited.add((min(start, first), max(start, first)))
+        while chain[-1] not in corners:
+            here = chain[-1]
+            nxt = None
+            for nb in graph[here]:
+                key = (min(here, nb), max(here, nb))
+                if key in all_edges and key not in visited:
+                    nxt = nb
+                    visited.add(key)
+                    break
+            if nxt is None:
+                break
+            chain.append(nxt)
+            if nxt == chain[0]:
+                break
+        return chain
+
+    for start in sorted(corners):
+        if start not in graph:
+            continue
+        for nb in sorted(graph[start]):
+            key = (min(start, nb), max(start, nb))
+            if key in visited:
+                continue
+            chain = walk(start, nb)
+            curves.append(make_curve(mesh, next_id, chain, dihedrals, closed=False))
+            next_id += 1
+    # remaining edges belong to closed loops without corners
+    for key in sorted(all_edges):
+        if key in visited:
+            continue
+        chain = walk(key[0], key[1])
+        closed = chain[0] == chain[-1]
+        if closed:
+            chain = chain[:-1]
+        curves.append(make_curve(mesh, next_id, chain, dihedrals, closed=closed))
+        next_id += 1
+    corners |= {c.vertices[0] for c in curves if not c.closed}
+    corners |= {c.vertices[-1] for c in curves if not c.closed}
+    return curves, sorted(corners)
+
+
+def make_curve(mesh, cid, chain, dihedrals, closed):
+    """``FeatureCurve`` of a chain, tangents one vertex at a time."""
+    p = mesh.vertices
+    n = len(chain)
+    tangents = []
+    for i, v in enumerate(chain):
+        if closed:
+            a, b = chain[(i - 1) % n], chain[(i + 1) % n]
+        else:
+            a, b = chain[max(i - 1, 0)], chain[min(i + 1, n - 1)]
+        d = p[b] - p[a]
+        norm = math.sqrt(np.dot(d, d))
+        if not norm > 0.0:
+            raise DegenerateTangent(
+                "curve %d vertex %d: its chord from vertex %d to %d has zero "
+                "length" % (cid, v, a, b))
+        tangents.append(d / norm)
+    keys = [
+        (min(u, v), max(u, v))
+        for u, v in zip(chain, chain[1:] + ([chain[0]] if closed else []))
+    ]
+    mean_dih = float(np.mean([dihedrals[k] for k in keys]))
+    return FeatureCurve(cid, chain, tangents, mean_dih, closed=closed)
 
 
 def patches(vertices, tris, edges, curves):

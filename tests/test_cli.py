@@ -67,7 +67,9 @@ class TestUsage:
 
     @pytest.mark.parametrize("flag, value", [
         ("--lambda", "nan"), ("--lambda", "inf"), ("--lambda", "-inf"),
-        ("--sweeps", "-3"), ("--sweeps", "2.5")])
+        ("--sweeps", "-3"), ("--sweeps", "2.5"),
+        ("--angle-threshold", "nan"), ("--angle-threshold", "inf"),
+        ("--angle-threshold", "-5"), ("--angle-threshold", "181")])
     def test_bad_solver_value_exits_64(self, cube_path, tmp_path, monkeypatch,
                                        flag, value):
         import hexframe.cli as cli

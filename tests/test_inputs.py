@@ -171,6 +171,10 @@ class TestMeshErrors:
                 tets[5, 2] = bad
                 with pytest.raises(IndexOutOfRange, match="index %d" % bad):
                     TetMesh(v, tets)
+                # so must the tagged feature edges and corners
+                for tags in (dict(feature_edges=[(0, bad, 3)]), dict(corners=[bad])):
+                    with pytest.raises(IndexOutOfRange, match="index %d" % bad):
+                        TetMesh(v, t, **tags)
             # a tagged feature edge must lie on the boundary
             centre = int(np.argmin(np.linalg.norm(v - 0.5, axis=1)))
             mesh = TetMesh(v, t, feature_edges=[(0, centre, 0)])

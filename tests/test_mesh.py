@@ -8,7 +8,13 @@ import mesh_oracle as oracle
 from hexframe import boxgen
 from hexframe.boxgen import generate_box
 from hexframe.errors import DegenerateDihedral, NonManifold
-from hexframe.mesh import FACE_VERTICES, TetMesh, _unique_rows, classify_feature_valence
+from hexframe.mesh import (
+    FACE_VERTICES,
+    TetMesh,
+    _unique_rows,
+    classify_feature_valence,
+    walk_chains,
+)
 from hexframe.meshio import read_medit, write_medit
 from hexframe.solver import build_boundary_conditions
 
@@ -57,6 +63,43 @@ class TestFeatureValence:
     def test_degenerate(self):
         with pytest.raises(DegenerateDihedral):
             classify_feature_valence(30.0)
+
+
+class TestWalkChains:
+    """``walk_chains`` on small graphs, node ids given by hand."""
+
+    @staticmethod
+    def _walk(links, terminal, n):
+        mask = np.zeros(n, dtype=bool)
+        mask[list(terminal)] = True
+        return walk_chains(np.array(links, dtype=np.int64).reshape(-1, 2), mask)
+
+    def test_path_runs_from_its_lower_end(self):
+        assert self._walk([(2, 3), (0, 1), (1, 2)], {0, 3}, 4) == [
+            ([0, 1, 2, 3], [1, 2, 0], False)]
+
+    def test_loop_starts_at_its_lowest_row(self):
+        # row 0 is walked from its first node, 1, to its second, 2
+        assert self._walk([(1, 2), (0, 1), (2, 0)], set(), 3) == [
+            ([1, 2, 0], [0, 2, 1], True)]
+
+    def test_hub_leaves_along_its_rows_in_ascending_order(self):
+        assert self._walk([(0, 4), (1, 2), (3, 0), (0, 1)], {0, 2, 3, 4}, 5) == [
+            ([0, 4], [0], False), ([0, 3], [2], False), ([0, 1, 2], [3, 1], False)]
+
+    def test_loop_cut_by_one_terminal_lists_it_twice(self):
+        assert self._walk([(1, 2), (2, 0), (0, 1)], {0}, 3) == [
+            ([0, 2, 1, 0], [1, 0, 2], False)]
+
+    def test_chains_come_before_loops(self):
+        links = [(3, 4), (4, 5), (5, 3), (1, 0), (2, 1)]
+        assert self._walk(links, {0, 2}, 6) == [
+            ([0, 1, 2], [3, 4], False), ([3, 4, 5], [0, 1, 2], True)]
+
+    def test_linkless_terminals_and_no_links(self):
+        assert self._walk([(4, 5)], range(6), 6) == [([4, 5], [0], False)]
+        assert self._walk([], range(3), 3) == []
+        assert self._walk([], set(), 0) == []
 
 
 class TestBoxFeatures:
@@ -179,7 +222,7 @@ def _parity_mesh(name):
 class TestOracleParity:
     """The array tables equal the loop-based reference in tests/mesh_oracle.py."""
 
-    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["rotated_box"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["rotated_box", "looped_box"])
     def test_tables_match_loops(self, name):
         mesh = _parity_mesh(name)
         p, adj = mesh.vertices, mesh.adjacency
@@ -202,8 +245,11 @@ class TestOracleParity:
         for got, ref in zip(mesh.feature_curves, curves):
             assert got.vertices == ref.vertices
             assert np.array_equal(got.tangents, ref.tangents)
+            assert got.dihedral_angle == ref.dihedral_angle
             assert got.closed == ref.closed
             assert got.target_valence == ref.target_valence
+        assert mesh.feature_edges == [
+            (u, v, c.curve_id) for c in curves for u, v in c.edges()]
         patch_of, vertex_normals = oracle.patches(p, tris, edges, curves)
         assert np.array_equal(mesh.boundary_patch_ids, patch_of)
         # the patch-normal table holds the same rows, by vertex then patch

@@ -25,7 +25,7 @@ graph = extract_graph(field)
 print("before: %d chains, %d flagged 3-5" % (
     len(graph.chains), len(detect_35(graph))))
 
-for snap in snap_35_curves(mesh, field, graph):
+for snap in snap_35_curves(mesh, graph):
     print("  %r" % snap)
     for end, (kind, v) in sorted(snap.targets.items()):
         print("    %s endpoint -> %s vertex %d at %s"

@@ -175,11 +175,6 @@ def _load_or_solve(args, log):
     t0 = time.time()
     mesh = read_medit(args.mesh, feature_angle=args.angle_threshold)
     log("read: %.2fs" % (time.time() - t0))
-    ratio = mesh.edge_length_ratio()
-    if ratio > 4.0:
-        sys.stderr.write(
-            "warning: edge length ratio %.2f > 4; singularity extraction "
-            "assumes near-uniform meshes\n" % ratio)
     config = SolverConfig(smoothing_sweeps=args.sweeps,
                           projection_relaxation=args.relaxation)
     if args.field:

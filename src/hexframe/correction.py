@@ -263,19 +263,19 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
     edge = mesh.mean_edge_length()
     ends, seeds, directions = [], [], []
     for chain in detect_35(graph):
-        for end in ("start", "end"):
-            desc = chain.endpoint_start if end == "start" else chain.endpoint_end
-            valence = chain.valence_start if end == "start" else chain.valence_end
+        pts = chain.points
+        # per end: its name, descriptor, valence, tip and outward tangent
+        for end, desc, valence, seed, tangent in (
+                ("start", chain.endpoint_start, chain.valence_start, pts[0],
+                 pts[0] - pts[1]),
+                ("end", chain.endpoint_end, chain.valence_end, pts[-1],
+                 pts[-1] - pts[-2])):
             if desc[0] == "boundary":
                 v0 = stable_direction(field, chain, end)
                 seed = desc[1] + 1e-3 * edge * v0
             else:
-                pts = chain.points
-                tangent = (pts[-1] - pts[-2]) if end == "end" else (pts[0] - pts[1])
-                seed = pts[-1] if end == "end" else pts[0]
-                frames, _ = field.vertex_frames()
                 w = _nearest_vertices(mesh, [seed])[0]
-                v0 = fr.closest_direction(tangent, frames[w])
+                v0 = fr.closest_direction(tangent, field.vertex_frames()[0][w])
             ends.append((chain.chain_id, end, valence))
             seeds.append(seed)
             directions.append(v0)
@@ -417,63 +417,51 @@ def _dijkstra_path(graph, source, target):
     return path[::-1]
 
 
-def snap_35_curves(mesh, field, graph, exclude=()):
+def snap_35_curves(mesh, graph, exclude=()):
     """Boundary relocations (SnapAssignment list) for every 3-5 chain.
 
-    Boundary endpoints snap to the nearest feature-curve vertex, interior
-    endpoints to the nearest boundary vertex; chains sharing a junction
-    with a snapped chain are snapped as well (iterated to a fixed point).
-    ``exclude`` removes vertices from target selection, which lets an
-    outer loop push the snapped region outward when a chain survives on
-    the edge of an already snapped band.
+    The chains due are the open 3-5 chains and, to a fixed point, every
+    open chain sharing a junction with a due chain; they snap in chain
+    order.  Boundary endpoints snap to the nearest feature-curve vertex,
+    interior endpoints to the nearest boundary vertex, the end never onto
+    the start's vertex.  ``exclude`` removes vertices from target
+    selection, which lets an outer loop push the snapped region outward
+    when a chain survives on the edge of an already snapped band.
     """
-    feature_verts = sorted(mesh.feature_vertex_set() | set(mesh.corners))
-    if not feature_verts:
-        feature_verts = mesh.boundary_vertices.tolist()
-    fv = np.array(feature_verts)
+    hubs = {c.chain_id: {d[1] for d in (c.endpoint_start, c.endpoint_end)
+                         if d[0] == "junction"}
+            for c in graph.chains if not c.closed}
+    due = {c.chain_id for c in detect_35(graph)} & hubs.keys()
+    size = -1
+    while size != len(due):
+        size = len(due)
+        joined = set().union(*(hubs[k] for k in due))
+        due |= {k for k, js in hubs.items() if js & joined}
+    fv = np.array(sorted(mesh.feature_vertex_set() | set(mesh.corners)))
+    if not len(fv):
+        fv = mesh.boundary_vertices
     bv = mesh.boundary_vertices
     boundary_graph = _boundary_graph(mesh)
     exclude = set(int(v) for v in exclude)
 
-    def endpoint_target(desc, point, taken=()):
-        cand = fv if desc[0] == "boundary" else bv
-        kind = "feature" if desc[0] == "boundary" else "surface"
+    def target(desc, point, taken=None):
+        kind, cand = ("feature", fv) if desc[0] == "boundary" else ("surface", bv)
         d = np.linalg.norm(mesh.vertices[cand] - point, axis=1)
         # the two extremities must stay distinct vertices, else the snapped
         # path degenerates to a point with no tangent
-        for k in np.argsort(d):
-            v = int(cand[k])
-            if v not in taken and v not in exclude:
-                return (kind, v)
-        return (kind, int(cand[int(np.argmin(d))]))
+        free = (v for v in cand[np.argsort(d)].tolist()
+                if v != taken and v not in exclude)
+        return (kind, next(free, int(cand[int(np.argmin(d))])))
 
-    to_snap = {c.chain_id: c for c in detect_35(graph)}
-    snapped_junctions = set()
-    done = {}
-    changed = True
-    while changed:
-        changed = False
-        for chain in graph.chains:
-            if chain.chain_id in done or chain.closed:
-                continue
-            is_due = chain.chain_id in to_snap or any(
-                desc[0] == "junction" and desc[1] in snapped_junctions
-                for desc in (chain.endpoint_start, chain.endpoint_end))
-            if not is_due:
-                continue
-            targets = {}
-            for end, desc in (("start", chain.endpoint_start),
-                              ("end", chain.endpoint_end)):
-                point = chain.points[0] if end == "start" else chain.points[-1]
-                taken = {t[1] for t in targets.values()}
-                targets[end] = endpoint_target(desc, point, taken)
-                if desc[0] == "junction":
-                    snapped_junctions.add(desc[1])
-            path = _dijkstra_path(boundary_graph, targets["start"][1],
-                                  targets["end"][1])
-            done[chain.chain_id] = SnapAssignment(chain.chain_id, targets, path)
-            changed = True
-    return [done[k] for k in sorted(done)]
+    snapped = []
+    for chain in graph.chains:
+        if chain.chain_id in due:
+            start = target(chain.endpoint_start, chain.points[0])
+            end = target(chain.endpoint_end, chain.points[-1], start[1])
+            snapped.append(SnapAssignment(
+                chain.chain_id, {"start": start, "end": end},
+                _dijkstra_path(boundary_graph, start[1], end[1])))
+    return snapped
 
 
 def snap_until_clean(mesh, field, graph=None, solver_config=None):
@@ -483,44 +471,35 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None):
     region; those are snapped in turn, accumulating all paths in a single
     plan applied to the original field.  Each round rewrites the plan's
     rows from every path so far, since curve splits and released
-    tangency depend on all of them.  A surviving chain that keeps
-    mapping onto already snapped vertices is re-targeted with those
-    vertices excluded, widening the snapped band until the chain dies.
-    Every re-solve runs under ``solver_config``, by default the field's
-    own.  Returns (plan, corrected field); the final graph sits in
-    plan.diagnostics["graph"], and plan.diagnostics["rounds"] holds per
-    round its new paths, the plan's rows and the 3-5 chains left.
+    tangency depend on all of them.  A round whose paths all lie on
+    already snapped vertices re-targets once with those vertices
+    excluded, widening the snapped band until the chain dies.  The loop
+    ends on a round that adds no vertex, as a round with no 3-5 chain
+    left does.  Every re-solve runs under ``solver_config``, by default
+    the field's own.  Returns (plan, corrected field); the final graph
+    sits in plan.diagnostics["graph"], and plan.diagnostics["rounds"]
+    holds per round its new paths, the plan's rows and the 3-5 chains
+    left.
     """
-    if graph is None:
-        graph = extract_graph(field)
     combined = CorrectionPlan("snap")
+    combined.diagnostics["graph"] = graph if graph is not None else extract_graph(field)
     rounds = combined.diagnostics["rounds"] = []
-    current_field, current_graph = field, graph
     corrected = field
     covered = set()
     for _ in range(MAX_SNAP_ROUNDS):
-        snapped = snap_35_curves(mesh, current_field, current_graph)
+        graph = combined.diagnostics["graph"]
+        snapped = snap_35_curves(mesh, graph)
+        if snapped and {v for a in snapped for v in a.path} <= covered:
+            snapped = snap_35_curves(mesh, graph, exclude=covered)
         new = {v for a in snapped for v in a.path} - covered
-        if snapped and not new:
-            snapped = snap_35_curves(mesh, current_field, current_graph,
-                                     exclude=covered)
-            new = {v for a in snapped for v in a.path} - covered
-            if not new:
-                break
-        if not snapped:
+        if not new:
             break
         covered |= new
         combined.snapped.extend(snapped)
         combined.internal_constraints = snapped_rows(mesh, field.bcs, combined.snapped)
         corrected = apply_plan(mesh, field, combined, solver_config)
-        current_field = corrected
-        current_graph = combined.diagnostics["graph"]
-        left = len(detect_35(current_graph))
         rounds.append(dict(paths=len(snapped), rows=len(combined.internal_constraints),
-                           chains_35=left))
-        if not left:
-            break
-    combined.diagnostics.setdefault("graph", current_graph)
+                           chains_35=len(detect_35(combined.diagnostics["graph"]))))
     return combined, corrected
 
 
@@ -547,13 +526,13 @@ def _path_frames(mesh, path):
     return dict(zip(path.tolist(), fr.frame_coeffs(R)))
 
 
-def snapped_rows(mesh, bcs, snapped, radius=None):
+def snapped_rows(mesh, bcs, snapped):
     """Boundary-condition rows realizing snapped paths as feature curves.
 
     Snapped paths get 45-degree rotated Dirichlet frames; feature curves
     receiving a snapped endpoint are split there with interpolated values;
-    tangency rows of the base set ``bcs`` within ``radius`` (default 3 mean
-    edge lengths) of a path are released (FREE).
+    tangency rows of the base set ``bcs`` within 3 mean edge lengths of a
+    path, measured along the boundary, are released (FREE).
     """
     if not snapped:
         return {}
@@ -594,9 +573,8 @@ def snapped_rows(mesh, bcs, snapped, radius=None):
     rows = {v: (DIRICHLET, c) for v, c in path_coeffs.items()}
 
     # release boundary alignment near the snapped paths
-    r = 3.0 * mesh.mean_edge_length() if radius is None else float(radius)
     dist = dijkstra(_boundary_graph(mesh), indices=sorted(path_set),
-                    min_only=True, limit=r)
+                    min_only=True, limit=3.0 * mesh.mean_edge_length())
     for v in np.nonzero(np.isfinite(dist) & (bcs.kind == TANGENCY))[0]:
         # a path vertex keeps its Dirichlet row
         rows.setdefault(int(v), (FREE, None))

@@ -20,6 +20,8 @@ from .errors import (
 )
 
 FEATURE_ANGLE_DEFAULT = 30.0
+# interior dihedral angles (degrees) bounding the hexahedral valence bins
+VALENCE_BINS = (45.0, 135.0, 225.0, 315.0)
 
 # local vertices of tet face i, the face opposite vertex i
 FACE_VERTICES = ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
@@ -34,15 +36,10 @@ def classify_feature_valence(dihedral_angle):
     [45,135) -> 1, [135,225) -> 2, [225,315) -> 3, [315,360] -> 4.
     """
     a = float(dihedral_angle)
-    if a < 45.0:
+    valence = int(np.digitize(a, VALENCE_BINS))
+    if valence == 0:
         raise DegenerateDihedral("dihedral angle %.2f below 45 degrees" % a)
-    if a < 135.0:
-        return 1
-    if a < 225.0:
-        return 2
-    if a < 315.0:
-        return 3
-    return 4
+    return valence
 
 
 class FeatureCurve:
@@ -241,14 +238,6 @@ class TetMesh:
     def mean_edge_length(self):
         return self._mean_edge_length
 
-    def edge_length_ratio(self):
-        v = self.vertices
-        t = self.tets
-        lens = np.concatenate(
-            [np.linalg.norm(v[t[:, a]] - v[t[:, b]], axis=1) for a, b in TET_EDGES]
-        )
-        return lens.max() / lens.min()
-
     def bounding_box_diagonal(self):
         return self._bounding_box_diagonal
 
@@ -347,7 +336,7 @@ class TetMesh:
         d = self.boundary_edge_dihedrals()
         tags = np.asarray(self.tagged_feature_edges, dtype=np.int64).reshape(-1, 3)
         # a row's group is its tag, or else its valence bin (0 below 45 degrees)
-        group = np.digitize(d, [45.0, 135.0, 225.0, 315.0])
+        group = np.digitize(d, VALENCE_BINS)
         tagged = np.zeros(len(d), dtype=bool)
         hit = self._edge_rows(np.sort(tags[:, :2], axis=1).tolist())
         group[hit], tagged[hit] = tags[:, 2], True

@@ -1,11 +1,13 @@
-"""Reference extrusion planners, one vertex and one row at a time.
+"""Reference correction planners, one vertex and one row at a time.
 
 The extrude-curve and extrude-node planners as they were before their
 constraint rows were built whole-array: wedge directions screened one
 signed axis at a time against the mean of the incident triangle normals,
 a Python loop over every streamline point, one ``coeffs_from_rotation``
 call per sheet-boundary and tube row, and the winding phase offset summed
-one shell vertex at a time.  The tests require the library's plans to
+one shell vertex at a time.  The snap planner as it was before its due
+chains were found as one junction closure: it rescans every chain until
+no junction adds one.  The tests require the library's plans to
 reproduce these plans bit for bit.  Only tests import this module.
 """
 
@@ -15,7 +17,10 @@ import hexframe.frames as fr
 from hexframe.correction import (
     WEDGE_MARGIN,
     CorrectionPlan,
+    SnapAssignment,
+    _boundary_graph,
     _column_geometry,
+    _dijkstra_path,
     _merge_constraint,
     _nearest_vertices,
     _take,
@@ -228,3 +233,53 @@ def _winding_coeffs(t, Rt, theta, offset):
         return fr.axisymmetric_coeffs(t)
     return fr.coeffs_from_rotation(
         fr.axis_angle_rotation(t * (theta + offset)) @ Rt)
+
+
+def snap_35_curves(mesh, graph, exclude=()):
+    """The snap assignments, rescanning the chains until no junction
+    shared with a snapped chain adds one."""
+    feature_verts = sorted(mesh.feature_vertex_set() | set(mesh.corners))
+    if not feature_verts:
+        feature_verts = mesh.boundary_vertices.tolist()
+    fv = np.array(feature_verts)
+    bv = mesh.boundary_vertices
+    boundary_graph = _boundary_graph(mesh)
+    exclude = set(int(v) for v in exclude)
+
+    def endpoint_target(desc, point, taken=()):
+        cand = fv if desc[0] == "boundary" else bv
+        kind = "feature" if desc[0] == "boundary" else "surface"
+        d = np.linalg.norm(mesh.vertices[cand] - point, axis=1)
+        for k in np.argsort(d):
+            v = int(cand[k])
+            if v not in taken and v not in exclude:
+                return (kind, v)
+        return (kind, int(cand[int(np.argmin(d))]))
+
+    to_snap = {c.chain_id: c for c in detect_35(graph)}
+    snapped_junctions = set()
+    done = {}
+    changed = True
+    while changed:
+        changed = False
+        for chain in graph.chains:
+            if chain.chain_id in done or chain.closed:
+                continue
+            is_due = chain.chain_id in to_snap or any(
+                desc[0] == "junction" and desc[1] in snapped_junctions
+                for desc in (chain.endpoint_start, chain.endpoint_end))
+            if not is_due:
+                continue
+            targets = {}
+            for end, desc in (("start", chain.endpoint_start),
+                              ("end", chain.endpoint_end)):
+                point = chain.points[0] if end == "start" else chain.points[-1]
+                taken = {t[1] for t in targets.values()}
+                targets[end] = endpoint_target(desc, point, taken)
+                if desc[0] == "junction":
+                    snapped_junctions.add(desc[1])
+            path = _dijkstra_path(boundary_graph, targets["start"][1],
+                                  targets["end"][1])
+            done[chain.chain_id] = SnapAssignment(chain.chain_id, targets, path)
+            changed = True
+    return [done[k] for k in sorted(done)]

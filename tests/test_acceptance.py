@@ -146,7 +146,7 @@ class TestNotchSnap:
                 assert abs(r - 0.55) < 0.08 and abs(z - 1.0) < 0.08
         assert on_floor >= 1
 
-        # released tangency stays within the configured radius of the paths
+        # released tangency stays within the 3-edge release band of the paths
         radius = 3.0 * mesh.mean_edge_length()
         path_pts = np.concatenate(
             [mesh.vertices[a.path] for a in plan.snapped])

@@ -238,6 +238,11 @@ def assert_same_plan(got, want):
     assert got.applicable == want.applicable
 
 
+def assert_same_snaps(got, want):
+    assert [(a.chain_id, a.targets, a.path) for a in got] == [
+        (a.chain_id, a.targets, a.path) for a in want]
+
+
 class TestOracleParity:
     """The whole-array planners make the plans of ``correction_oracle``,
     the loops they replaced, bit for bit: rows in the same insertion order,
@@ -255,6 +260,25 @@ class TestOracleParity:
         assert_same_plan(got, want)
         assert got.diagnostics["winding_offset"] == want.diagnostics["winding_offset"]
 
+    def test_snap_rounds(self, solved_fixture):
+        # the solved graph, then the graph after one snap round, plainly and
+        # with the round's path vertices excluded
+        mesh, field, graph = solved_fixture
+        plan = CorrectionPlan("snap")
+        plan.snapped = snap_35_curves(mesh, graph)
+        assert_same_snaps(plan.snapped, correction_oracle.snap_35_curves(mesh, graph))
+        if not plan.snapped:
+            # closed 3-5 loops alone (curved_arc_box) snap nothing
+            return
+        plan.internal_constraints = snapped_rows(mesh, field.bcs, plan.snapped)
+        apply_plan(mesh, field, plan)
+        after = plan.diagnostics["graph"]
+        covered = {v for a in plan.snapped for v in a.path}
+        for exclude in ((), covered):
+            assert_same_snaps(
+                snap_35_curves(mesh, after, exclude=exclude),
+                correction_oracle.snap_35_curves(mesh, after, exclude=exclude))
+
 
 def fake_35_graph(mesh, p_start, p_end):
     chain = SingularChain(
@@ -268,12 +292,11 @@ def fake_35_graph(mesh, p_start, p_end):
 
 class TestSnapTargets:
     def test_endpoints_snap_to_distinct_vertices(self, notch):
-        field = constant_field(notch, build_boundary_conditions(notch))
         # both chain ends next to the same feature vertex
         fv = sorted(notch.feature_vertex_set())[0]
         p = notch.vertices[fv]
         graph = fake_35_graph(notch, p + 1e-3, p - 1e-3)
-        snapped = snap_35_curves(notch, field, graph)
+        snapped = snap_35_curves(notch, graph)
         assert len(snapped) == 1
         a = snapped[0].targets["start"][1]
         b = snapped[0].targets["end"][1]
@@ -283,9 +306,57 @@ class TestSnapTargets:
         assert snapped[0].path[-1] == b
 
     def test_no_35_chains_empty_plan(self, notch):
-        field = constant_field(notch, build_boundary_conditions(notch))
         graph = SingularityGraph([], [], [], [], {})
-        assert snap_35_curves(notch, field, graph) == []
+        assert snap_35_curves(notch, graph) == []
+
+    def test_junctions_carry_snapping_along_open_chains(self):
+        mesh = generate_box(4, 4, 4)
+        mesh.detect_features(30.0)
+        J1, J2 = 101, 102
+        p1, p2 = (0.3, 0.2, 0.45), (0.7, 0.3, 0.55)
+
+        def chain(cid, valences, start, end, points):
+            return SingularChain(cid, [], [], points, *valences, start, end)
+
+        closed = ("closed", None)
+        chains = [
+            # A: the 3-5 chain, from the x = y = 0 box edge to J1
+            chain(0, (3, 5), ("boundary", np.array([0.02, 0.02, 0.5])),
+                  ("junction", J1), [(0.02, 0.02, 0.5), p1]),
+            # D: a closed loop, never snapped even with 3-5 valences
+            chain(1, (3, 5), closed, closed,
+                  [(0.5, 0.5, 0.4), (0.6, 0.5, 0.5), (0.5, 0.5, 0.4)]),
+            # B: from J1 to J2
+            chain(2, (3, 3), ("junction", J1), ("junction", J2), [p1, p2]),
+            # E: boundary to boundary, touching no due junction
+            chain(3, (3, 3), ("boundary", np.array([0.5, 0.98, 0.1])),
+                  ("boundary", np.array([0.5, 0.98, 0.9])),
+                  [(0.5, 0.98, 0.1), (0.5, 0.98, 0.9)]),
+            # C: from J2 to the x = 1, y = 0 box edge
+            chain(4, (5, 5), ("junction", J2),
+                  ("boundary", np.array([0.98, 0.02, 0.5])),
+                  [p2, (0.98, 0.02, 0.5)]),
+        ]
+        graph = SingularityGraph(chains, [J1, J2], [], [], {})
+        snapped = snap_35_curves(mesh, graph)
+        assert [a.chain_id for a in snapped] == [0, 2, 4]
+        assert [(a.targets["start"][0], a.targets["end"][0]) for a in snapped] == [
+            ("feature", "surface"), ("surface", "surface"), ("surface", "feature")]
+        assert_same_snaps(snapped, correction_oracle.snap_35_curves(mesh, graph))
+
+    def test_excluded_target_takes_the_next_nearest(self, notch):
+        fv = sorted(notch.feature_vertex_set() | set(notch.corners))
+        p = notch.vertices[fv[0]] + [1e-3, 2e-3, 3e-3]
+        graph = fake_35_graph(notch, p, notch.vertices[fv[-1]])
+        d = np.linalg.norm(notch.vertices[fv] - p, axis=1)
+        first, second, third = np.argsort(d)[:3]
+        assert d[first] < d[second] < d[third]
+        plain = snap_35_curves(notch, graph)[0]
+        assert plain.targets["start"] == ("feature", fv[first])
+        moved = snap_35_curves(notch, graph, exclude=[fv[first]])[0]
+        assert moved.targets["start"] == ("feature", fv[second])
+        assert moved.path[0] == fv[second]
+        assert moved.targets["end"] == plain.targets["end"]
 
 
 def top_face_row(mesh, lo, hi):
@@ -326,15 +397,18 @@ class TestSnappedBoundaryConditions:
         mesh = generate_box(8, 8, 3)
         mesh.detect_features(30.0)
         row = top_face_row(mesh, 0.2, 0.8)
-        r = 0.2
+        r = 3 * mesh.mean_edge_length()
         ref = build_boundary_conditions(mesh)
-        rows = snapped_rows(mesh, ref, straight_snap(row), radius=r)
+        rows = snapped_rows(mesh, ref, straight_snap(row))
         path_pts = mesh.vertices[row]
         ref_tangency = np.flatnonzero(ref.kind == TANGENCY)
+        far = 0
         for v in ref_tangency:
             d = np.linalg.norm(path_pts - mesh.vertices[v], axis=1).min()
-            if d > 3 * r:
+            if d > r:
+                far += 1
                 assert v not in rows
+        assert far
         freed = [v for v, (kind, _) in rows.items() if kind == FREE]
         assert freed
         for v in freed:

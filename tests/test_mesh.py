@@ -10,6 +10,7 @@ from hexframe.boxgen import generate_box
 from hexframe.errors import DegenerateDihedral, NonManifold
 from hexframe.mesh import (
     FACE_VERTICES,
+    VALENCE_BINS,
     TetMesh,
     _unique_rows,
     classify_feature_valence,
@@ -63,6 +64,14 @@ class TestFeatureValence:
     def test_degenerate(self):
         with pytest.raises(DegenerateDihedral):
             classify_feature_valence(30.0)
+
+    def test_each_bin_holds_its_lower_edge(self):
+        for k, edge in enumerate(VALENCE_BINS, start=1):
+            assert classify_feature_valence(edge) == k
+        for k, edge in enumerate(VALENCE_BINS[1:], start=1):
+            assert classify_feature_valence(np.nextafter(edge, 0.0)) == k
+        with pytest.raises(DegenerateDihedral):
+            classify_feature_valence(np.nextafter(VALENCE_BINS[0], 0.0))
 
 
 class TestWalkChains:

@@ -157,10 +157,13 @@ def _report_pairs(mesh, field, graph, extra=()):
 
 def _plan_counts(diagnostics):
     """Deterministic counters of a correction plan for ``report.txt``: its
-    streamlines and stacked trace calls, or its snap rounds."""
+    streamlines and stacked trace calls, or its snap rounds and the one
+    it kept ("none" when no round ran)."""
     if "rounds" in diagnostics:
         rounds = diagnostics["rounds"]
-        pairs = [("snap_rounds", len(rounds))]
+        best = diagnostics["best_round"]
+        pairs = [("snap_rounds", len(rounds)),
+                 ("snap_best_round", "none" if best is None else best)]
         for i, r in enumerate(rounds):
             pairs.append(("snap_round_%d" % i, "paths=%d rows=%d chains_35=%d"
                           % (r["paths"], r["rows"], r["chains_35"])))

@@ -476,15 +476,17 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None):
     excluded, widening the snapped band until the chain dies.  The loop
     ends on a round that adds no vertex, as a round with no 3-5 chain
     left does.  Every re-solve runs under ``solver_config``, by default
-    the field's own.  Returns (plan, corrected field); the final graph
-    sits in plan.diagnostics["graph"], and plan.diagnostics["rounds"]
-    holds per round its new paths, the plan's rows and the 3-5 chains
-    left.
+    the field's own.  Returns (plan, corrected field) as of the round
+    with the fewest 3-5 chains, the earliest on ties, whose index is
+    plan.diagnostics["best_round"] (None, and the input field, when no
+    round ran); its graph sits in plan.diagnostics["graph"], and
+    plan.diagnostics["rounds"] holds per round its new paths, the plan's
+    rows and the 3-5 chains left.
     """
     combined = CorrectionPlan("snap")
     combined.diagnostics["graph"] = graph if graph is not None else extract_graph(field)
     rounds = combined.diagnostics["rounds"] = []
-    corrected = field
+    best, kept = None, (field, combined.diagnostics["graph"], [], {})
     covered = set()
     for _ in range(MAX_SNAP_ROUNDS):
         graph = combined.diagnostics["graph"]
@@ -498,8 +500,16 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None):
         combined.snapped.extend(snapped)
         combined.internal_constraints = snapped_rows(mesh, field.bcs, combined.snapped)
         corrected = apply_plan(mesh, field, combined, solver_config)
+        left = len(detect_35(combined.diagnostics["graph"]))
         rounds.append(dict(paths=len(snapped), rows=len(combined.internal_constraints),
-                           chains_35=len(detect_35(combined.diagnostics["graph"]))))
+                           chains_35=left))
+        if best is None or left < rounds[best]["chains_35"]:
+            best = len(rounds) - 1
+            kept = (corrected, combined.diagnostics["graph"],
+                    list(combined.snapped), combined.internal_constraints)
+    combined.diagnostics["best_round"] = best
+    corrected, combined.diagnostics["graph"], combined.snapped, \
+        combined.internal_constraints = kept
     return combined, corrected
 
 

@@ -188,65 +188,58 @@ class FrameField:
         return float((self.coeffs * (K @ self.coeffs)).sum())
 
 
-def _build_reduced_system(bcs):
-    """Affine map x = A u + b from reduced unknowns to the full 9N vector.
-
-    Free vertices own 9 columns, tangency vertices 2 (their h1 and h2) and
-    Dirichlet vertices none, in vertex order.  Also returns the tangency
-    vertices, their first columns and their (h0, h1, h2) bases.
-    """
-    n = len(bcs.kind)
-    widths = np.array([9, 0, 2])[bcs.kind]
-    offsets = np.cumsum(widths) - widths
-    free = np.flatnonzero(bcs.kind == FREE)
-    tang = np.flatnonzero(bcs.kind == TANGENCY)
-    H = np.stack(fr.tangency_basis(bcs.normals[tang]), axis=1)
-    b = np.where((bcs.kind == DIRICHLET)[:, None], bcs.coeffs, 0.0)
-    b[tang] = H[:, 0]
-    k = np.arange(9)
-    rows = np.concatenate([(9 * free[:, None] + k).ravel(),
-                           np.repeat(9 * tang[:, None] + k, 2)])
-    cols = np.concatenate([(offsets[free][:, None] + k).ravel(),
-                           np.tile(offsets[tang][:, None] + [0, 1], 9).ravel()])
-    vals = np.concatenate([np.ones(9 * len(free)),
-                           H[:, 1:].transpose(0, 2, 1).ravel()])
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(9 * n, widths.sum())).tocsr()
-    return A, b.ravel(), tang, offsets[tang], H
-
-
 def solve_initial(mesh, bcs, config=None, K=None):
     """Laplacian initialization of the 9 coefficient channels.
 
-    Dirichlet vertices are eliminated, tangency vertices reduced to two
-    unknowns via the tangency basis (circle constraint relaxed, radius
-    restored after the solve); Jacobi-preconditioned conjugate gradient.
+    Jacobi-preconditioned conjugate gradient on the reduced unknowns: the
+    9 coefficients of each free vertex, then the (c, s) of each tangency
+    vertex's ``h0 + c h1 + s h2`` (circle constraint relaxed, radius
+    restored after the solve), each in vertex order; Dirichlet vertices
+    have none.  The operator expands the unknowns to an (n, 9) block,
+    applies K to it and gathers the unknowns' rows back, so no 9N matrix
+    is built; its diagonal is K's, as h1 and h2 are unit vectors.
     """
     config = config or SolverConfig()
     if K is None:
         K = assemble_stiffness(mesh)
-    n = len(mesh.vertices)
-    K9 = sp.kron(K, sp.identity(9, format="csr"), format="csr")
-    A, b, tang, offsets, H = _build_reduced_system(bcs)
-    nu = A.shape[1]
+    free = np.flatnonzero(bcs.kind == FREE)
+    tang = np.flatnonzero(bcs.kind == TANGENCY)
+    H = np.stack(fr.tangency_basis(bcs.normals[tang]), axis=1)
+    coeffs = np.where((bcs.kind == DIRICHLET)[:, None], bcs.coeffs, 0.0)
+    coeffs[tang] = H[:, 0]
+    nf = 9 * len(free)
+    nu = nf + 2 * len(tang)
     if nu == 0:
-        coeffs = b.reshape(n, 9)
         return FrameField(mesh, coeffs, bcs, config)
-    M = (A.T @ (K9 @ A)).tocsr()
-    rhs = -A.T @ (K9 @ b)
-    diag = M.diagonal()
+
+    def expand(u):
+        X = np.zeros_like(coeffs)
+        X[free] = u[:nf].reshape(-1, 9)
+        X[tang] = np.einsum("tk,tkj->tj", u[nf:].reshape(-1, 2), H[:, 1:])
+        return X
+
+    def reduce(Y):
+        return np.concatenate([Y[free].ravel(),
+                               np.einsum("tkj,tj->tk", H[:, 1:], Y[tang]).ravel()])
+
+    op = spla.LinearOperator((nu, nu), matvec=lambda u: reduce(K @ expand(u)),
+                             dtype=float)
+    rhs = -reduce(K @ coeffs)
+    d = K.diagonal()
+    diag = np.concatenate([np.repeat(d[free], 9), np.repeat(d[tang], 2)])
     diag[diag <= 0] = 1.0
-    precond = spla.LinearOperator(M.shape, matvec=lambda x: x / diag)
+    precond = spla.LinearOperator((nu, nu), matvec=lambda x: x / diag,
+                                  dtype=float)
     maxiter = 10 * nu
     steps = []
-    u, info = spla.cg(M, rhs, rtol=CG_TOLERANCE, atol=0.0, maxiter=maxiter,
+    u, info = spla.cg(op, rhs, rtol=CG_TOLERANCE, atol=0.0, maxiter=maxiter,
                       M=precond, callback=lambda x: steps.append(None))
-    res = np.linalg.norm(rhs - M @ u) / max(np.linalg.norm(rhs), 1e-300)
+    res = np.linalg.norm(rhs - op @ u) / max(np.linalg.norm(rhs), 1e-300)
     if info > 0 and res > np.sqrt(CG_TOLERANCE):
         raise CGDiverged("CG residual %.3e after %d iterations" % (res, maxiter))
-    x = A @ u + b
-    coeffs = x.reshape(n, 9)
+    coeffs[free] = u[:nf].reshape(-1, 9)
     # restore the circle radius at tangency vertices
-    coeffs[tang] = _on_circle(H, u[offsets[:, None] + [0, 1]])
+    coeffs[tang] = _on_circle(H, u[nf:].reshape(-1, 2))
     field = FrameField(mesh, coeffs, bcs, config)
     field.report["cg_info"] = int(info)
     field.report["cg_iterations"] = len(steps)
@@ -276,15 +269,13 @@ def _sweep_steps(W, move):
     """
     lower = sp.tril(W[:, move], k=-1, format="csr")
     upper = sp.triu(W[:, move], k=1, format="csr")
-    rows = np.flatnonzero(np.diff(lower.indptr))
-    level = np.zeros(len(move), dtype=np.int64)
-    while True:
-        new = np.zeros_like(level)
-        new[rows] = np.maximum.reduceat(level[lower.indices],
-                                        lower.indptr[rows]) + 1
-        if np.array_equal(new, level):
-            break
-        level = new
+    # a row's lower neighbours come before it, so one pass in row order
+    # finds every level
+    level = [0] * len(move)
+    cols, ptr = lower.indices.tolist(), lower.indptr.tolist()
+    for i in np.flatnonzero(np.diff(lower.indptr)).tolist():
+        level[i] = max(map(level.__getitem__, cols[ptr[i]:ptr[i + 1]])) + 1
+    level = np.array(level, dtype=np.int64)
     # a level's rows depend on lower levels only; in level order each
     # level's rows are one range of the permuted rows of ``lower``
     order = np.argsort(level, kind="stable")

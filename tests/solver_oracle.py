@@ -1,5 +1,7 @@
-"""References for the pipelined smoother.
+"""References for the initial solve and the pipelined smoother.
 
+``reduced_system`` is the affine map from CG unknowns to coefficients that
+``solver.solve_initial`` once assembled, one vertex at a time.
 ``smooth_coeffs`` is the per-vertex Gauss-Seidel loop that
 ``solver.smooth_nonlinear`` once ran, kept to check that a batched update
 reads what the vertex-order sweep reads.  ``smooth_levels`` is the sweep
@@ -13,6 +15,32 @@ import scipy.sparse as sp
 
 from hexframe import frames as fr
 from hexframe.solver import DIRICHLET, TANGENCY, TANGENCY_RADIUS, _on_circle
+
+
+def reduced_system(bcs):
+    """The affine map x = A u + b from reduced unknowns to the full 9N
+    coefficient vector: a free vertex owns 9 columns, a tangency vertex 2
+    (its h1 and h2) and a Dirichlet vertex none, in vertex order."""
+    n = len(bcs.kind)
+    rows, cols, vals, b, nu = [], [], [], np.zeros(9 * n), 0
+    for v, kind in enumerate(bcs.kind):
+        span = slice(9 * v, 9 * v + 9)
+        if kind == DIRICHLET:
+            b[span] = bcs.coeffs[v]
+        elif kind == TANGENCY:
+            h0, h1, h2 = fr.tangency_basis(bcs.normals[v])
+            b[span] = h0
+            for k in range(9):
+                rows += [9 * v + k, 9 * v + k]
+                cols += [nu, nu + 1]
+                vals += [h1[k], h2[k]]
+            nu += 2
+        else:
+            rows += list(range(9 * v, 9 * v + 9))
+            cols += list(range(nu, nu + 9))
+            vals += [1.0] * 9
+            nu += 9
+    return sp.coo_matrix((vals, (rows, cols)), shape=(9 * n, nu)).tocsr(), b
 
 
 def smooth_coeffs(field, K, sweeps, lam):
@@ -65,6 +93,16 @@ def smooth_coeffs(field, K, sweeps, lam):
     return coeffs, max_delta
 
 
+def moving_rows(K, bcs):
+    """The normalised neighbour weights (CSR) of a sweep's moving vertices,
+    and those vertices: the ones not Dirichlet whose neighbour weights
+    ``-K`` have a positive sum."""
+    W = (sp.diags(K.diagonal()) - K).tocsr()
+    wsum = np.asarray(W.sum(axis=1)).ravel()
+    move = np.flatnonzero((bcs.kind != DIRICHLET) & (wsum > 0))
+    return (sp.diags(1.0 / wsum[move]) @ W[move]).tocsr(), move
+
+
 def _sweep_levels(K, bcs):
     """The moving vertices of a Gauss-Seidel sweep, grouped by level.
 
@@ -76,10 +114,7 @@ def _sweep_levels(K, bcs):
     weights (CSR), which of them are tangency vertices, and those vertices'
     (h0, h1, h2) bases.
     """
-    W = (sp.diags(K.diagonal()) - K).tocsr()
-    wsum = np.asarray(W.sum(axis=1)).ravel()
-    move = np.flatnonzero((bcs.kind != DIRICHLET) & (wsum > 0))
-    W = (sp.diags(1.0 / wsum[move]) @ W[move]).tocsr()
+    W, move = moving_rows(K, bcs)
     lower = sp.tril(W[:, move], k=-1, format="csr")
     rows = np.flatnonzero(np.diff(lower.indptr))
     level = np.zeros(len(move), dtype=np.int64)

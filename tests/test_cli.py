@@ -321,12 +321,16 @@ class TestCorrectionCounters:
         report = read_report(out)
         rounds = plan.diagnostics["rounds"]
         assert int(report["snap_rounds"]) == len(rounds) > 0
+        best = plan.diagnostics["best_round"]
+        assert int(report["snap_best_round"]) == best
+        assert list(report).index("snap_best_round") == list(report).index(
+            "snap_rounds") + 1
         for i, r in enumerate(rounds):
             assert report["snap_round_%d" % i] == "paths=%d rows=%d chains_35=%d" % (
                 r["paths"], r["rows"], r["chains_35"])
-        assert sum(r["paths"] for r in rounds) == len(plan.snapped)
-        assert rounds[-1]["rows"] == len(plan.internal_constraints)
-        assert rounds[-1]["chains_35"] == int(report["chains_35_after"])
+        assert sum(r["paths"] for r in rounds[:best + 1]) == len(plan.snapped)
+        assert rounds[best]["rows"] == len(plan.internal_constraints)
+        assert rounds[best]["chains_35"] == int(report["chains_35_after"])
         assert "streamlines" not in report
 
 

@@ -21,7 +21,12 @@ from hexframe.correction import (
 )
 from hexframe.errors import NonApplicable, WedgeMismatch
 from hexframe.meshio import read_medit
-from hexframe.singularities import SingularChain, SingularityGraph, extract_graph
+from hexframe.singularities import (
+    SingularChain,
+    SingularityGraph,
+    detect_35,
+    extract_graph,
+)
 from hexframe.solver import (
     DIRICHLET,
     FREE,
@@ -278,6 +283,31 @@ class TestOracleParity:
             assert_same_snaps(
                 snap_35_curves(mesh, after, exclude=exclude),
                 correction_oracle.snap_35_curves(mesh, after, exclude=exclude))
+
+
+class TestSnapBestRound:
+    def test_returns_round_with_fewest_35(self, solved_fixture, request):
+        # halfsphere_box's 5-sweep field snaps for 8 rounds whose 3-5
+        # counts rise and fall; the plan is the first round at the minimum
+        mesh, field, graph = solved_fixture
+        plan, corrected = snap_until_clean(mesh, field, graph)
+        rounds = plan.diagnostics["rounds"]
+        best = plan.diagnostics["best_round"]
+        if not rounds:
+            assert best is None and corrected is field
+            return
+        counts = [r["chains_35"] for r in rounds]
+        if request.node.callspec.params["solved_fixture"] == "halfsphere_box":
+            assert len(set(counts)) > 1
+        assert best == counts.index(min(counts))
+        assert len(detect_35(plan.diagnostics["graph"])) == min(counts)
+        assert len(plan.snapped) == sum(r["paths"] for r in rounds[:best + 1])
+        assert len(plan.internal_constraints) == rounds[best]["rows"]
+        # the field is the re-solve under the kept rows
+        again = CorrectionPlan("snap")
+        again.internal_constraints = plan.internal_constraints
+        assert np.array_equal(apply_plan(mesh, field, again).coeffs,
+                              corrected.coeffs)
 
 
 def fake_35_graph(mesh, p_start, p_end):

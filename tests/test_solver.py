@@ -10,7 +10,7 @@ import hexframe.solver as solver
 import solver_oracle
 from hexframe.boxgen import generate_box
 from hexframe.correction import CorrectionPlan, apply_plan
-from hexframe.errors import DegenerateTangent
+from hexframe.errors import CGDiverged, DegenerateTangent
 from hexframe.mesh import TetMesh
 from hexframe.meshio import read_medit
 from hexframe.singularities import detect_35, extract_graph
@@ -21,13 +21,32 @@ from hexframe.solver import (
     BoundaryConditionSet,
     FrameField,
     SolverConfig,
-    _build_reduced_system,
     assemble_stiffness,
     build_boundary_conditions,
     dirichlet_bc_on_curve,
     smooth_nonlinear,
     solve_initial,
 )
+
+
+def bulged_box():
+    mesh = generate_box(4, 4, 4, bulge=0.3)
+    mesh.detect_features(30.0)
+    return mesh
+
+
+def captured_cg(monkeypatch):
+    """Each CG call's operator, right-hand side and preconditioner, from
+    the calls after this one; the calls still solve."""
+    calls = []
+    cg = solver.spla.cg
+
+    def spy(A, b, **kw):
+        calls.append((A, b, kw["M"]))
+        return cg(A, b, **kw)
+
+    monkeypatch.setattr(solver.spla, "cg", spy)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -125,42 +144,62 @@ class TestInitialSolve:
             assert energy >= base - 1e-9
 
 
-    def test_reduced_system_matches_vertex_loop(self):
-        mesh = generate_box(4, 4, 4, bulge=0.3)
-        mesh.detect_features(30.0)
+    def test_operator_matches_reduced_system(self, monkeypatch):
+        # the matrix-free operator, right-hand side and Jacobi diagonal are
+        # those of the assembled system A^T (K x I9) A of the vertex loop
+        mesh = bulged_box()
         bcs = build_boundary_conditions(mesh)
         for v in np.flatnonzero(bcs.kind == TANGENCY)[::5]:
             bcs.set_free(v)
-        A, b, _, _, _ = _build_reduced_system(bcs)
-        # reference: one vertex at a time, columns in vertex order
-        rows, cols, vals, want_b, nu = [], [], [], np.zeros(A.shape[0]), 0
-        for v, kind in enumerate(bcs.kind):
-            span = slice(9 * v, 9 * v + 9)
-            if kind == DIRICHLET:
-                want_b[span] = bcs.coeffs[v]
-            elif kind == TANGENCY:
-                h0, h1, h2 = fr.tangency_basis(bcs.normals[v])
-                want_b[span] = h0
-                for k in range(9):
-                    rows += [9 * v + k, 9 * v + k]
-                    cols += [nu, nu + 1]
-                    vals += [h1[k], h2[k]]
-                nu += 2
-            else:
-                rows += list(range(9 * v, 9 * v + 9))
-                cols += list(range(nu, nu + 9))
-                vals += [1.0] * 9
-                nu += 9
-        want = sp.coo_matrix((vals, (rows, cols)), shape=(A.shape[0], nu)).tocsr()
-        assert A.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(A, name), getattr(want, name))
-        assert np.array_equal(b, want_b)
+        K = assemble_stiffness(mesh)
+        calls = captured_cg(monkeypatch)
+        solve_initial(mesh, bcs, K=K)
+        (op, rhs, precond), = calls
+        A, b = solver_oracle.reduced_system(bcs)
+        # the solver's unknowns are the free vertices' 9 coefficients, then
+        # the tangency vertices' (c, s), each in vertex order
+        widths = np.array([9, 0, 2])[bcs.kind]
+        offsets = np.cumsum(widths) - widths
+        free = offsets[bcs.kind == FREE][:, None] + np.arange(9)
+        tang = offsets[bcs.kind == TANGENCY][:, None] + np.arange(2)
+        A = A[:, np.concatenate([free.ravel(), tang.ravel()])]
+        K9 = sp.kron(K, sp.identity(9), format="csr")
+        M = (A.T @ (K9 @ A)).tocsr()
+        assert op.shape == M.shape
 
-    def test_reduced_columns_orthonormal(self, cube):
-        A, b, _, _, _ = _build_reduced_system(build_boundary_conditions(cube))
-        AtA = (A.T @ A).toarray()
-        assert np.abs(AtA - np.eye(A.shape[1])).max() < 1e-12
+        def close(got, want):
+            return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            u = rng.normal(size=M.shape[1])
+            assert close(op @ u, M @ u)
+        assert close(rhs, -A.T @ (K9 @ b))
+        assert close(1.0 / (precond @ np.ones(M.shape[1])), M.diagonal())
+
+    def test_tangency_basis_orthonormal(self):
+        bcs = build_boundary_conditions(bulged_box())
+        _, h1, h2 = fr.tangency_basis(bcs.normals[bcs.kind == TANGENCY])
+        assert len(h1) > 0
+        for a, b, want in ((h1, h1, 1.0), (h2, h2, 1.0), (h1, h2, 0.0)):
+            assert np.abs(np.einsum("ij,ij->i", a, b) - want).max() < 1e-12
+
+    def test_all_dirichlet_runs_no_cg(self, monkeypatch):
+        mesh = generate_box(2, 2, 2)
+        bcs = BoundaryConditionSet(len(mesh.vertices))
+        rng = np.random.default_rng(3)
+        for v in range(len(bcs.kind)):
+            bcs.set_dirichlet(v, rng.normal(size=9))
+        calls = captured_cg(monkeypatch)
+        field = solve_initial(mesh, bcs)
+        assert np.array_equal(field.coeffs, bcs.coeffs)
+        assert calls == [] and "cg_iterations" not in field.report
+
+    def test_cg_failure_raises(self, cube, monkeypatch):
+        monkeypatch.setattr(solver.spla, "cg",
+                            lambda A, b, **kw: (np.zeros_like(b), 1))
+        with pytest.raises(CGDiverged):
+            solve_initial(cube, build_boundary_conditions(cube))
 
 
 class TestBoundaryConditionSet:
@@ -223,14 +262,30 @@ def graph_counters(field):
             len(graph.junction_tets))
 
 
-def cg_field(name):
-    """CG field and stiffness of a fixture or, for "box", of a 4^3 box."""
+FIXTURES = ["notch", "groove_box", "arc_box", "curved_arc_box", "halfsphere_box"]
+
+
+def fixture_mesh(name):
+    """A fixture or, for "box", a 4^3 box or, for "rotated_box", the bulged
+    6^3 box in general position of the singularity tests."""
     if name == "box":
         mesh = generate_box(4, 4, 4)
-        mesh.detect_features(30.0)
+    elif name == "rotated_box":
+        box = generate_box(6, 6, 6, bulge=0.3)
+        R = fr.axis_angle_rotation(np.array([0.3, -0.7, 1.1]))
+        mesh = TetMesh(box.vertices @ R.T, box.tets,
+                       feature_edges=box.tagged_feature_edges,
+                       corners=box.tagged_corners)
     else:
-        mesh = read_medit(os.path.join(os.path.dirname(__file__), "..",
+        return read_medit(os.path.join(os.path.dirname(__file__), "..",
                                        "fixtures", name + ".mesh"))
+    mesh.detect_features(30.0)
+    return mesh
+
+
+def cg_field(name):
+    """CG field and stiffness of ``fixture_mesh(name)``."""
+    mesh = fixture_mesh(name)
     K = assemble_stiffness(mesh)
     return solve_initial(mesh, build_boundary_conditions(mesh), K=K), K
 
@@ -238,6 +293,18 @@ def cg_field(name):
 class TestLevelSchedule:
     """A sweep run one dependency level at a time is the vertex-order sweep
     of ``solver_oracle``."""
+
+    @pytest.mark.parametrize("name", FIXTURES + ["rotated_box"])
+    def test_one_pass_levels_match_fixpoint(self, name):
+        mesh = fixture_mesh(name)
+        K = assemble_stiffness(mesh)
+        bcs = build_boundary_conditions(mesh)
+        W, move = solver_oracle.moving_rows(K, bcs)
+        level = next(solver._sweep_steps(W, move)) - 1
+        want = [v for v, _, _, _ in solver_oracle._sweep_levels(K, bcs)]
+        assert level.max() + 1 == len(want)
+        for k, v in enumerate(want):
+            assert np.array_equal(move[level == k], v)
 
     @pytest.mark.parametrize("name", ["notch", "box"])
     @pytest.mark.parametrize("sweeps", [1, 3])

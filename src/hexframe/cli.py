@@ -269,6 +269,9 @@ def _cmd_correct(args, log):
         plan.fail("chains_35_increased", before=before, after=after)
         return _reject(args, mesh, field, graph, plan.diagnostics, counts,
                        "3-5 chains rose from %d to %d" % (before, after))
+    if not plan.applicable:
+        return _reject(args, mesh, field, graph, plan.diagnostics, counts,
+                       "%d 3-5 chains left unsnapped" % after)
     _emit(args, mesh, corrected, new_graph, [
         ("strategy", args.strategy),
         ("applicable", True),

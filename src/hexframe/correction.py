@@ -14,7 +14,6 @@ import heapq
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from . import frames as fr
 from .errors import NoBoundaryPath, NonApplicable, WedgeMismatch
@@ -386,14 +385,22 @@ def _boundary_graph(mesh):
     return csr_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(n, n))
 
 
-def _dijkstra_path(graph, source, target):
-    """Shortest boundary path; ties go to the lower neighbour id."""
+def _boundary_dijkstra(graph, sources, limit=np.inf, target=None):
+    """Shortest distances along ``graph`` from the nearest of ``sources``.
+
+    Returns ``(dist, prev)``: the distance of each vertex reached within
+    ``limit`` and the vertex before it on its path.  Vertices leave the
+    heap in (distance, id) order, and a distance changes only on a path
+    shorter by more than 1e-15, so ties go to the lower neighbour id.  The
+    search ends when ``target`` leaves the heap.
+    """
     indptr = graph.indptr.tolist()
     indices = graph.indices.tolist()
     weights = graph.data.tolist()
-    dist = {source: 0.0}
+    dist = dict.fromkeys(sources, 0.0)
     prev = {}
-    heap = [(0.0, source)]
+    heap = [(0.0, s) for s in dist]
+    heapq.heapify(heap)
     seen = set()
     while heap:
         d, u = heapq.heappop(heap)
@@ -405,10 +412,16 @@ def _dijkstra_path(graph, source, target):
         for k in range(indptr[u], indptr[u + 1]):
             w = indices[k]
             nd = d + weights[k]
-            if nd < dist.get(w, np.inf) - 1e-15:
+            if nd <= limit and nd < dist.get(w, np.inf) - 1e-15:
                 dist[w] = nd
                 prev[w] = u
                 heapq.heappush(heap, (nd, w))
+    return dist, prev
+
+
+def _dijkstra_path(graph, source, target):
+    """Shortest boundary path; ties go to the lower neighbour id."""
+    dist, prev = _boundary_dijkstra(graph, [source], target=target)
     if target not in dist:
         raise NoBoundaryPath("no boundary path %d -> %d" % (source, target))
     path = [target]
@@ -481,7 +494,8 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None):
     plan.diagnostics["best_round"] (None, and the input field, when no
     round ran); its graph sits in plan.diagnostics["graph"], and
     plan.diagnostics["rounds"] holds per round its new paths, the plan's
-    rows and the 3-5 chains left.
+    rows and the 3-5 chains left.  When no round ran but 3-5 chains
+    remain, the plan fails with reason "closed_chains_35".
     """
     combined = CorrectionPlan("snap")
     combined.diagnostics["graph"] = graph if graph is not None else extract_graph(field)
@@ -510,6 +524,10 @@ def snap_until_clean(mesh, field, graph=None, solver_config=None):
     combined.diagnostics["best_round"] = best
     corrected, combined.diagnostics["graph"], combined.snapped, \
         combined.internal_constraints = kept
+    closed = [] if rounds else detect_35(combined.diagnostics["graph"])
+    if closed:
+        # every 3-5 chain left is closed, with no ends to snap
+        combined.fail("closed_chains_35", chains=len(closed))
     return combined, corrected
 
 
@@ -583,11 +601,12 @@ def snapped_rows(mesh, bcs, snapped):
     rows = {v: (DIRICHLET, c) for v, c in path_coeffs.items()}
 
     # release boundary alignment near the snapped paths
-    dist = dijkstra(_boundary_graph(mesh), indices=sorted(path_set),
-                    min_only=True, limit=3.0 * mesh.mean_edge_length())
-    for v in np.nonzero(np.isfinite(dist) & (bcs.kind == TANGENCY))[0]:
-        # a path vertex keeps its Dirichlet row
-        rows.setdefault(int(v), (FREE, None))
+    near, _ = _boundary_dijkstra(_boundary_graph(mesh), sorted(path_set),
+                                 limit=3.0 * mesh.mean_edge_length())
+    for v in sorted(near):
+        if bcs.kind[v] == TANGENCY:
+            # a path vertex keeps its Dirichlet row
+            rows.setdefault(v, (FREE, None))
     return rows
 
 

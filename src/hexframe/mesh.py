@@ -7,8 +7,6 @@ dihedral angle deviates from 180 degrees.
 """
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateDihedral,
@@ -127,6 +125,33 @@ def walk_chains(links, terminal):
     chains = [walk(t, r) for t in starts for r in inc[ptr[t]:ptr[t + 1]]
               if not walked[r]]
     return chains + [walk(pairs[r][0], r) for r in range(len(pairs)) if not walked[r]]
+
+
+def _components(n, a, b):
+    """Connected components of nodes 0..n-1 under the undirected links
+    (a[i], b[i]): their count and each node's component id, ids following
+    each component's lowest node.
+
+    Every node points at a lower or equal node of its component.  Each
+    round hooks the higher of each link's two roots onto the lower one and
+    then jumps pointers until every node points at a root; the rounds end
+    when no link joins two roots, and each root is its component's lowest
+    node.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    roots, ids = np.unique(root, return_inverse=True)
+    return len(roots), ids
 
 
 class AdjacencyTables:
@@ -394,10 +419,8 @@ class TetMesh:
         tris = self.boundary_tris
         smooth = np.ones(len(self.boundary_edges), dtype=bool)
         smooth[feature_rows] = False
-        t1, t2 = self.boundary_edge_tris[smooth].T
-        links = coo_matrix((np.ones(len(t1)), (t1, t2)), shape=(len(tris),) * 2)
-        n_patches, patch_of = connected_components(links, directed=False)
-        self.boundary_patch_ids = patch_of.astype(np.int64)
+        n_patches, self.boundary_patch_ids = _components(
+            len(tris), *self.boundary_edge_tris[smooth].T)
         areas = 0.5 * np.linalg.norm(self._boundary_cross(), axis=1)
         # one accumulator per (vertex, patch) row
         rows, slot = np.unique(

@@ -6,11 +6,10 @@ on smooth patches, followed by projected nonlinear Gauss-Seidel smoothing
 toward the frame manifold.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import frames as fr
 from .errors import CGDiverged, DegenerateTangent
@@ -222,19 +221,16 @@ def solve_initial(mesh, bcs, config=None, K=None):
         return np.concatenate([Y[free].ravel(),
                                np.einsum("tkj,tj->tk", H[:, 1:], Y[tang]).ravel()])
 
-    op = spla.LinearOperator((nu, nu), matvec=lambda u: reduce(K @ expand(u)),
-                             dtype=float)
+    def matvec(u):
+        return reduce(K @ expand(u))
+
     rhs = -reduce(K @ coeffs)
     d = K.diagonal()
     diag = np.concatenate([np.repeat(d[free], 9), np.repeat(d[tang], 2)])
     diag[diag <= 0] = 1.0
-    precond = spla.LinearOperator((nu, nu), matvec=lambda x: x / diag,
-                                  dtype=float)
     maxiter = 10 * nu
-    steps = []
-    u, info = spla.cg(op, rhs, rtol=CG_TOLERANCE, atol=0.0, maxiter=maxiter,
-                      M=precond, callback=lambda x: steps.append(None))
-    res = np.linalg.norm(rhs - op @ u) / max(np.linalg.norm(rhs), 1e-300)
+    u, info, iterations = _cg(matvec, rhs, diag, maxiter)
+    res = np.linalg.norm(rhs - matvec(u)) / max(np.linalg.norm(rhs), 1e-300)
     if info > 0 and res > np.sqrt(CG_TOLERANCE):
         raise CGDiverged("CG residual %.3e after %d iterations" % (res, maxiter))
     coeffs[free] = u[:nf].reshape(-1, 9)
@@ -242,9 +238,43 @@ def solve_initial(mesh, bcs, config=None, K=None):
     coeffs[tang] = _on_circle(H, u[nf:].reshape(-1, 2))
     field = FrameField(mesh, coeffs, bcs, config)
     field.report["cg_info"] = int(info)
-    field.report["cg_iterations"] = len(steps)
+    field.report["cg_iterations"] = iterations
     field.report["cg_residual"] = float(res)
     return field
+
+
+def _cg(matvec, b, diag, maxiter):
+    """Jacobi-preconditioned conjugate gradient (Hestenes and Stiefel 1952)
+    for ``matvec(x) = b`` from x = 0, stopping once the residual norm is
+    below ``CG_TOLERANCE * |b|``.
+
+    Returns ``(x, info, iterations)``: info is 0 on convergence and
+    ``maxiter`` when the iterations ran out.  The recurrence is scipy's
+    ``cg`` (scipy 1.12 on) operation for operation, so the bits are too.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        # x = 0 solves it; b's own zeros keep scipy's bits, -0.0 included
+        return b.copy(), 0, 0
+    atol = CG_TOLERANCE * bnorm
+    x = np.zeros_like(b)
+    r = b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0, iteration
+        z = r / diag
+        rho = np.dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, maxiter
 
 
 def _on_circle(H, cs):

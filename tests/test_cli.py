@@ -335,6 +335,21 @@ class TestCorrectionCounters:
 
 
 class TestCorrectionVerdict:
+    def test_closed_35_chains_reject_the_snap(self, tmp_path):
+        # the 5-sweep field's four 3-5 chains are closed loops, which have
+        # no ends to snap, so no round runs
+        out = str(tmp_path / "out")
+        assert run(["correct", "--mesh", os.path.join(FIXTURES, "curved_arc_box.mesh"),
+                    "--sweeps", "5", "--out", out, "--strategy", "snap"]) == 2
+        report = read_report(out)
+        assert report["applicable"] == "False"
+        assert report["chains_35_before"] == "4"
+        assert report["chains_35_after"] == "4"
+        assert report["snap_rounds"] == "0"
+        assert report["failure_0"] == "chains=4, reason=closed_chains_35"
+        assert "failure_1" not in report
+        assert not os.path.exists(os.path.join(out, "field.txt"))
+
     def test_added_35_chains_reject_the_correction(self, tmp_path):
         # the extrude-node plan applies, but its re-solve leaves 35 3-5
         # chains where the 5-sweep field had 4
@@ -351,14 +366,27 @@ class TestCorrectionVerdict:
         assert not os.path.exists(os.path.join(out, "field.txt"))
 
 
-def test_cli_does_not_load_scipy_spatial():
-    # scipy.spatial on top of `import hexframe.cli, hexframe.correction`
-    # raised peak RSS from 64.1 to 70.3 MB: +6.2 MB, above the benchmark's
-    # 5% peak_rss_mb bound on every workload
+CHECK_IMPORTS = os.path.join(os.path.dirname(__file__), "..", "tools",
+                             "check_imports.py")
+
+
+def check_imports(*modules):
+    """Exit code and output of ``tools/check_imports.py`` on ``modules``,
+    with this tree's hexframe importable."""
     src = os.path.dirname(os.path.dirname(hexframe.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, hexframe.cli; "
-            "print([m in sys.modules for m in ('hexframe.correction', 'scipy.spatial')])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[True, False]"
+    done = subprocess.run([sys.executable, CHECK_IMPORTS, *modules], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout.split()
+
+
+def test_cli_loads_no_scipy_beyond_sparse():
+    # scipy.sparse.csgraph cost 11.3 MB of peak RSS and scipy.spatial
+    # 6.2 MB: each more than the benchmark's 5% peak_rss_mb bound
+    assert check_imports() == (0, [])
+
+
+def test_import_guard_sees_scipy_spatial():
+    # scipy.sparse loads no part of scipy.spatial in any scipy version
+    code, extra = check_imports("hexframe.cli", "scipy.spatial")
+    assert code == 1 and "scipy.spatial" in extra

@@ -10,6 +10,8 @@ from hexframe.boxgen import generate_box
 from hexframe.correction import (
     CorrectionPlan,
     SnapAssignment,
+    _boundary_dijkstra,
+    _boundary_graph,
     _merge_constraint,
     apply_plan,
     extrude_feature_curves,
@@ -294,8 +296,13 @@ class TestSnapBestRound:
         rounds = plan.diagnostics["rounds"]
         best = plan.diagnostics["best_round"]
         if not rounds:
+            # closed 3-5 loops alone (curved_arc_box) snap nothing and fail
             assert best is None and corrected is field
+            assert not plan.applicable
+            assert plan.diagnostics["failures"] == [
+                dict(reason="closed_chains_35", chains=len(detect_35(graph)))]
             return
+        assert plan.applicable
         counts = [r["chains_35"] for r in rounds]
         if request.node.callspec.params["solved_fixture"] == "halfsphere_box":
             assert len(set(counts)) > 1
@@ -308,6 +315,51 @@ class TestSnapBestRound:
         again.internal_constraints = plan.internal_constraints
         assert np.array_equal(apply_plan(mesh, field, again).coeffs,
                               corrected.coeffs)
+
+
+class TestBoundaryDijkstra:
+    """The one boundary Dijkstra reaches what scipy's csgraph ``dijkstra``
+    reaches; scipy is the reference here only."""
+
+    @pytest.mark.parametrize("name", ["notch", "groove_box", "halfsphere_box"])
+    @pytest.mark.parametrize("edges", [0.5, 3.0, 8.0])
+    def test_reach_matches_scipy(self, name, edges):
+        from scipy.sparse.csgraph import dijkstra
+
+        mesh = read_medit(os.path.join(FIXTURES, name + ".mesh"))
+        graph = _boundary_graph(mesh)
+        sources = sorted(mesh.feature_vertex_set())[::7]
+        limit = edges * mesh.mean_edge_length()
+        dist, _ = _boundary_dijkstra(graph, sources, limit=limit)
+        want = dijkstra(graph, indices=sources, min_only=True, limit=limit)
+        reached = np.flatnonzero(np.isfinite(want))
+        assert sorted(dist) == reached.tolist()
+        got = np.array([dist[v] for v in reached.tolist()])
+        assert np.abs(got - want[reached]).max() <= 1e-12
+
+    def test_released_rows_match_scipy(self, solved_fixture, monkeypatch):
+        # every snap round's released rows are the tangency rows within
+        # 3 mean edge lengths of its paths that keep no Dirichlet row
+        from scipy.sparse.csgraph import dijkstra
+
+        mesh, field, graph = solved_fixture
+        calls = []
+
+        def spy(mesh, bcs, snapped):
+            rows = snapped_rows(mesh, bcs, snapped)
+            calls.append((bcs, list(snapped), rows))
+            return rows
+
+        monkeypatch.setattr(hexframe.correction, "snapped_rows", spy)
+        rounds = snap_until_clean(mesh, field, graph)[0].diagnostics["rounds"]
+        assert len(calls) == len(rounds)
+        for bcs, snapped, rows in calls:
+            path = sorted({v for a in snapped for v in a.path})
+            near = dijkstra(_boundary_graph(mesh), indices=path, min_only=True,
+                            limit=3.0 * mesh.mean_edge_length())
+            want = [v for v in np.flatnonzero(np.isfinite(near)).tolist()
+                    if bcs.kind[v] == TANGENCY and rows[v][0] != DIRICHLET]
+            assert [v for v, (kind, _) in rows.items() if kind == FREE] == want
 
 
 def fake_35_graph(mesh, p_start, p_end):

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mesh_oracle as oracle
 
@@ -12,6 +14,7 @@ from hexframe.mesh import (
     FACE_VERTICES,
     VALENCE_BINS,
     TetMesh,
+    _components,
     _unique_rows,
     classify_feature_valence,
     walk_chains,
@@ -303,6 +306,61 @@ class TestOracleParity:
         want_verts, want_tets = oracle.generate_box(*dims, size=size, bulge=bulge)
         assert np.array_equal(verts, want_verts)
         assert np.array_equal(tets, want_tets)
+
+
+def scipy_components(n, a, b):
+    """scipy's csgraph ``connected_components``, the reference of the tests
+    only."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    links = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    return connected_components(links, directed=False)
+
+
+@st.composite
+def triangle_graphs(draw):
+    """(kind, n, a, b): links among n triangles, as isolated triangles
+    ("isolated"), one chain through them all in a drawn order plus extra
+    links ("one"), or drawn links forming any number of components
+    ("many")."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["isolated", "one", "many"]))
+    if kind == "isolated":
+        return kind, n, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if kind == "one":
+        order = draw(st.permutations(range(n)))
+        pairs += list(zip(order[:-1], order[1:]))
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return kind, n, pairs[:, 0], pairs[:, 1]
+
+
+class TestPatchLabels:
+    """Patch ids equal scipy's ``connected_components`` labels, which
+    follow each component's lowest node."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["rotated_box"])
+    def test_patch_ids_match_scipy(self, name):
+        mesh = _parity_mesh(name)
+        feature = {(min(u, v), max(u, v)) for u, v, _ in mesh.feature_edges}
+        smooth = [tuple(e) not in feature for e in mesh.boundary_edges.tolist()]
+        t1, t2 = mesh.boundary_edge_tris[smooth].T
+        count, want = scipy_components(len(mesh.boundary_tris), t1, t2)
+        assert np.array_equal(mesh.boundary_patch_ids, want) and count > 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(triangle_graphs())
+    def test_labels_match_scipy(self, graph):
+        kind, n, a, b = graph
+        count, ids = _components(n, a, b)
+        want = scipy_components(n, a, b)
+        assert count == want[0] and np.array_equal(ids, want[1])
+        if kind == "isolated":
+            assert np.array_equal(ids, np.arange(n))
+        elif kind == "one":
+            assert count == 1
 
 
 class TestSectionReader:

@@ -13,9 +13,9 @@ non-applicable and leaves the field untouched.
 import heapq
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from . import frames as fr
+from ._csr import CSR
 from .errors import NoBoundaryPath, NonApplicable, WedgeMismatch
 from .mesh import row_dots
 from .solver import (
@@ -382,7 +382,7 @@ def _boundary_graph(mesh):
     d = mesh.vertices[u] - mesh.vertices[v]
     w = np.sqrt(row_dots(d, d))
     n = len(mesh.vertices)
-    return csr_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+    return CSR.from_coo(np.r_[w, w], np.r_[u, v], np.r_[v, u], (n, n))
 
 
 def _boundary_dijkstra(graph, sources, limit=np.inf, target=None):

@@ -29,6 +29,10 @@ class CGDiverged(HexFrameError):
     """Conjugate gradient failed to reach the requested tolerance."""
 
 
+class Unconstrained(HexFrameError):
+    """No vertex is Dirichlet or tangency, so the field would be zero."""
+
+
 class AmbiguousAxis(HexFrameError):
     """Composed matching is not a single-axis 90 degree rotation."""
 

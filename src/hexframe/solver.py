@@ -9,10 +9,10 @@ toward the frame manifold.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import frames as fr
-from .errors import CGDiverged, DegenerateTangent
+from ._csr import CSR
+from .errors import CGDiverged, DegenerateTangent, Unconstrained
 from .mesh import row_dots
 
 TANGENCY_RADIUS = np.sqrt(5.0 / 12.0)
@@ -143,11 +143,7 @@ def assemble_stiffness(mesh):
     ke = np.einsum("tif,tjf->tij", grads, grads) * vols[:, None, None]
     rows = np.repeat(t, 4, axis=1).reshape(-1)
     cols = np.tile(t, (1, 4)).reshape(-1)
-    K = sp.coo_matrix(
-        (ke.reshape(-1), (rows, cols)), shape=(len(v), len(v))
-    ).tocsr()
-    K.sum_duplicates()
-    return K
+    return CSR.from_coo(ke.reshape(-1), rows, cols, (len(v), len(v)))
 
 
 class FrameField:
@@ -199,6 +195,9 @@ def solve_initial(mesh, bcs, config=None, K=None):
     is built; its diagonal is K's, as h1 and h2 are unit vectors.
     """
     config = config or SolverConfig()
+    if (bcs.kind == FREE).all():
+        raise Unconstrained("no Dirichlet or tangency vertex among %d: "
+                            "the field would be zero" % len(bcs.kind))
     if K is None:
         K = assemble_stiffness(mesh)
     free = np.flatnonzero(bcs.kind == FREE)
@@ -288,6 +287,41 @@ def _on_circle(H, cs):
     return H[:, 0] + cs[:, :1] * H[:, 1] + cs[:, 1:] * H[:, 2]
 
 
+def _indptr(counts):
+    """CSR row offsets of rows holding ``counts`` entries."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _smoothing_rows(K, kind):
+    """The smoothing weights: the rows of ``W = diag(K) - K``, each over its
+    sum, of the moving vertices (not Dirichlet, with a positive sum), and
+    those vertices.
+
+    W holds K's nonzeros off the diagonal as ``0.0 - K_ij``, and its row
+    sums add in column order.  A moving row holds ``(1 / sum) * w_ij`` in
+    descending column order, the entries and the order of scipy's
+    ``diags(1 / wsum[move]) @ W[move]`` (``csr_matmat``), so each average
+    adds what, and in the order, a scipy product would.
+    """
+    n = K.shape[0]
+    row = np.repeat(np.arange(n), np.diff(K.indptr))
+    keep = (K.indices != row) & (K.data != 0.0)
+    w, cols = 0.0 - K.data[keep], K.indices[keep]
+    ptr = _indptr(np.bincount(row[keep], minlength=n))
+    nonempty = np.flatnonzero(np.diff(ptr))
+    wsum = np.zeros(n)
+    wsum[nonempty] = np.add.reduceat(w, ptr[nonempty])
+    move = np.flatnonzero((kind != DIRICHLET) & (wsum > 0))
+    count = ptr[move + 1] - ptr[move]
+    out = _indptr(count)
+    # entry q of moving row t is entry ptr[move[t] + 1] - 1 - (q - out[t])
+    src = np.repeat(ptr[move + 1] - 1 + out[:-1], count) - np.arange(out[-1])
+    data = np.repeat(1.0 / wsum[move], count) * w[src]
+    return CSR(out, cols[src], data, (len(move), n)), move
+
+
 def _sweep_steps(W, move):
     """The wavefront step of each moving vertex, sweep after sweep.
 
@@ -297,30 +331,38 @@ def _sweep_steps(W, move):
     level scheduling (1989), continued across sweeps.  No two neighbours
     share a step, so a step's updates read what vertex-order sweeps read.
     """
-    lower = sp.tril(W[:, move], k=-1, format="csr")
-    upper = sp.triu(W[:, move], k=1, format="csr")
+    m = len(move)
+    pos = np.full(W.shape[1], -1)
+    pos[move] = np.arange(m)
+    row = np.repeat(np.arange(m), np.diff(W.indptr))
+    col = pos[W.indices]
+    low, high = (col >= 0) & (col < row), col > row
+    lower_row, lower_col = row[low], col[low]
+    lower_ptr = _indptr(np.bincount(lower_row, minlength=m))
     # a row's lower neighbours come before it, so one pass in row order
     # finds every level
-    level = [0] * len(move)
-    cols, ptr = lower.indices.tolist(), lower.indptr.tolist()
-    for i in np.flatnonzero(np.diff(lower.indptr)).tolist():
+    level = [0] * m
+    cols, ptr = lower_col.tolist(), lower_ptr.tolist()
+    for i in np.flatnonzero(np.diff(lower_ptr)).tolist():
         level[i] = max(map(level.__getitem__, cols[ptr[i]:ptr[i + 1]])) + 1
     level = np.array(level, dtype=np.int64)
     # a level's rows depend on lower levels only; in level order each
-    # level's rows are one range of the permuted rows of ``lower``
+    # level's rows are one range of the rows of ``lower`` put in that order
     order = np.argsort(level, kind="stable")
-    permuted = lower[order]
-    ptr = permuted.indptr
+    by_level = lower_col[np.argsort(level[lower_row], kind="stable")]
+    ptr = _indptr(np.diff(lower_ptr)[order])
     bounds = np.cumsum(np.bincount(level))
-    groups = [(order[a:b], permuted.indices[ptr[a]:ptr[b]], ptr[a:b] - ptr[a])
+    groups = [(order[a:b], by_level[ptr[a]:ptr[b]], ptr[a:b] - ptr[a])
               for a, b in zip(bounds[:-1], bounds[1:])]
-    up = np.flatnonzero(np.diff(upper.indptr))
+    upper_col = col[high]
+    upper_ptr = _indptr(np.bincount(row[high], minlength=m))
+    up = np.flatnonzero(np.diff(upper_ptr))
     steps = level + 1
     while True:
         yield steps
         last = steps.copy()
         last[up] = np.maximum(last[up], np.maximum.reduceat(
-            steps[upper.indices], upper.indptr[up]))
+            steps[upper_col], upper_ptr[up]))
         steps = last + 1
         for g, cols, starts in groups:
             steps[g] = np.maximum(last[g], np.maximum.reduceat(
@@ -364,10 +406,7 @@ def smooth_nonlinear(field, config=None, K=None):
     coeffs = field.coeffs.copy()
     lam = config.projection_relaxation
     bcs = field.bcs
-    W = (sp.diags(K.diagonal()) - K).tocsr()
-    wsum = np.asarray(W.sum(axis=1)).ravel()
-    move = np.flatnonzero((bcs.kind != DIRICHLET) & (wsum > 0))
-    W = (sp.diags(1.0 / wsum[move]) @ W[move]).tocsr()
+    W, move = _smoothing_rows(K, bcs.kind)
     tang = bcs.kind[move] == TANGENCY
     H = np.zeros((len(move), 3, 9))
     H[tang] = np.stack(fr.tangency_basis(bcs.normals[move[tang]]), axis=1)
@@ -384,7 +423,7 @@ def smooth_nonlinear(field, config=None, K=None):
         pieces = [(sweep, sweep.rows(step, step + 1)) for sweep in flight]
         rows = np.concatenate([p for _, p in pieces])
         v, tg = move[rows], tang[rows]
-        new = W[rows] @ coeffs
+        new = W.rows(rows) @ coeffs
         h = H[rows[tg]]
         new[tg] = _on_circle(
             h, (h[:, 1:] @ (new[tg] - h[:, 0])[:, :, None])[..., 0])

@@ -6,8 +6,9 @@
 ``solver.smooth_nonlinear`` once ran, kept to check that a batched update
 reads what the vertex-order sweep reads.  ``smooth_levels`` is the sweep
 that ran one dependency level at a time, one projection call per level;
-the cross-sweep wavefront must give its bits.  Only tests import this
-module.
+the cross-sweep wavefront must give its bits.  ``as_scipy`` hands
+hexframe's CSR matrices to these references and to scipy.  Only tests
+import this module.
 """
 
 import numpy as np
@@ -15,6 +16,11 @@ import scipy.sparse as sp
 
 from hexframe import frames as fr
 from hexframe.solver import DIRICHLET, TANGENCY, TANGENCY_RADIUS, _on_circle
+
+
+def as_scipy(A):
+    """A scipy CSR matrix on the arrays of hexframe's CSR matrix ``A``."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
 
 
 def reduced_system(bcs):
@@ -46,7 +52,7 @@ def reduced_system(bcs):
 def smooth_coeffs(field, K, sweeps, lam):
     """Coefficients after ``sweeps`` vertex-order sweeps with relaxation
     ``lam``, and the max coefficient change of the last sweep."""
-    K = K.tocsr()
+    K = as_scipy(K)
     coeffs = field.coeffs.copy()
     n = len(coeffs)
     bcs = field.bcs
@@ -97,6 +103,7 @@ def moving_rows(K, bcs):
     """The normalised neighbour weights (CSR) of a sweep's moving vertices,
     and those vertices: the ones not Dirichlet whose neighbour weights
     ``-K`` have a positive sum."""
+    K = as_scipy(K)
     W = (sp.diags(K.diagonal()) - K).tocsr()
     wsum = np.asarray(W.sum(axis=1)).ravel()
     move = np.flatnonzero((bcs.kind != DIRICHLET) & (wsum > 0))

@@ -380,13 +380,17 @@ def check_imports(*modules):
     return done.returncode, done.stdout.split()
 
 
-def test_cli_loads_no_scipy_beyond_sparse():
-    # scipy.sparse.csgraph cost 11.3 MB of peak RSS and scipy.spatial
-    # 6.2 MB: each more than the benchmark's 5% peak_rss_mb bound
+def test_cli_loads_no_scipy():
+    # scipy.sparse costs 21.7 MB of peak RSS and scipy.spatial 6.2 MB:
+    # each more than the benchmark's 5% peak_rss_mb bound
     assert check_imports() == (0, [])
 
 
 def test_import_guard_sees_scipy_spatial():
-    # scipy.sparse loads no part of scipy.spatial in any scipy version
     code, extra = check_imports("hexframe.cli", "scipy.spatial")
     assert code == 1 and "scipy.spatial" in extra
+
+
+def test_import_guard_sees_scipy_sparse():
+    code, extra = check_imports("hexframe.cli", "scipy.sparse")
+    assert code == 1 and "scipy.sparse" in extra

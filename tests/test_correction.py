@@ -40,6 +40,7 @@ from hexframe.solver import (
     compute_field,
 )
 from hexframe.tracing import Streamline, TracerConfig
+from solver_oracle import as_scipy
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -331,7 +332,8 @@ class TestBoundaryDijkstra:
         sources = sorted(mesh.feature_vertex_set())[::7]
         limit = edges * mesh.mean_edge_length()
         dist, _ = _boundary_dijkstra(graph, sources, limit=limit)
-        want = dijkstra(graph, indices=sources, min_only=True, limit=limit)
+        want = dijkstra(as_scipy(graph), indices=sources, min_only=True,
+                        limit=limit)
         reached = np.flatnonzero(np.isfinite(want))
         assert sorted(dist) == reached.tolist()
         got = np.array([dist[v] for v in reached.tolist()])
@@ -355,7 +357,8 @@ class TestBoundaryDijkstra:
         assert len(calls) == len(rounds)
         for bcs, snapped, rows in calls:
             path = sorted({v for a in snapped for v in a.path})
-            near = dijkstra(_boundary_graph(mesh), indices=path, min_only=True,
+            near = dijkstra(as_scipy(_boundary_graph(mesh)), indices=path,
+                            min_only=True,
                             limit=3.0 * mesh.mean_edge_length())
             want = [v for v in np.flatnonzero(np.isfinite(near)).tolist()
                     if bcs.kind[v] == TANGENCY and rows[v][0] != DIRICHLET]

@@ -10,7 +10,12 @@ import hexframe.solver as solver
 import solver_oracle
 from hexframe.boxgen import generate_box
 from hexframe.correction import CorrectionPlan, apply_plan
-from hexframe.errors import CGDiverged, DegenerateTangent
+from hexframe.errors import (
+    CGDiverged,
+    DegenerateTangent,
+    HexFrameError,
+    Unconstrained,
+)
 from hexframe.mesh import TetMesh
 from hexframe.meshio import read_medit
 from hexframe.singularities import detect_35, extract_graph
@@ -73,7 +78,7 @@ class TestStiffness:
 
     def test_symmetry(self):
         mesh = generate_box(2, 2, 2)
-        K = assemble_stiffness(mesh)
+        K = solver_oracle.as_scipy(assemble_stiffness(mesh))
         assert abs(K - K.T).max() < 1e-12
 
 
@@ -163,7 +168,7 @@ class TestInitialSolve:
         free = offsets[bcs.kind == FREE][:, None] + np.arange(9)
         tang = offsets[bcs.kind == TANGENCY][:, None] + np.arange(2)
         A = A[:, np.concatenate([free.ravel(), tang.ravel()])]
-        K9 = sp.kron(K, sp.identity(9), format="csr")
+        K9 = sp.kron(solver_oracle.as_scipy(K), sp.identity(9), format="csr")
         M = (A.T @ (K9 @ A)).tocsr()
         assert len(rhs) == len(diag) == M.shape[0] == M.shape[1]
 
@@ -194,6 +199,15 @@ class TestInitialSolve:
         field = solve_initial(mesh, bcs)
         assert np.array_equal(field.coeffs, bcs.coeffs)
         assert calls == [] and "cg_iterations" not in field.report
+
+    def test_unconstrained_raises_typed_error(self, monkeypatch):
+        # a mesh built from arrays has no feature curves until
+        # detect_features runs, so every row is free and the field is zero
+        box = generate_box(4, 4, 4, bulge=0.1)
+        calls = captured_cg(monkeypatch)
+        with pytest.raises(Unconstrained, match="no Dirichlet or tangency"):
+            solver.compute_field(TetMesh(box.vertices, box.tets))
+        assert calls == [] and issubclass(Unconstrained, HexFrameError)
 
     def test_cg_failure_raises(self, cube, monkeypatch):
         monkeypatch.setattr(solver, "_cg", lambda matvec, b, diag, maxiter:

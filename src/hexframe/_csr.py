@@ -54,6 +54,13 @@ def _index_dtype(size):
     return np.int32 if size <= np.iinfo(np.int32).max else np.int64
 
 
+def row_offsets(counts, dtype=np.int64):
+    """CSR row offsets of rows holding ``counts`` entries."""
+    out = np.zeros(len(counts) + 1, dtype=dtype)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 class CSR:
     """Compressed sparse row matrix of float64 entries: row i holds
     ``data[indptr[i]:indptr[i + 1]]`` at columns ``indices[...]``."""
@@ -68,7 +75,9 @@ class CSR:
     @classmethod
     def from_coo(cls, data, rows, cols, shape):
         """The entries ``data`` at (``rows``, ``cols``), columns sorted
-        within each row and duplicates summed, as ``coo_matrix.tocsr()``."""
+        within each row and duplicates summed, as ``coo_matrix.tocsr()``.
+        ``indices`` and ``data`` own their nnz entries, so no COO-sized
+        buffer outlives the call."""
         data = np.asarray(data, dtype=float)
         m, n = shape
         nnz = len(data)
@@ -82,7 +91,7 @@ class CSR:
             _k.csr_sort_indices(m, indptr, indices, values)
         _k.csr_sum_duplicates(m, n, indptr, indices, values)
         nnz = indptr[-1]
-        return cls(indptr, indices[:nnz], values[:nnz], shape)
+        return cls(indptr, indices[:nnz].copy(), values[:nnz].copy(), shape)
 
     def __matmul__(self, x):
         """The product with a vector or an (n, k) block."""
@@ -106,8 +115,7 @@ class CSR:
     def rows(self, r):
         """The submatrix of rows ``r``, in that order."""
         r = np.asarray(r, dtype=self.indptr.dtype)
-        indptr = np.zeros(len(r) + 1, dtype=self.indptr.dtype)
-        np.cumsum(self.indptr[r + 1] - self.indptr[r], out=indptr[1:])
+        indptr = row_offsets(self.indptr[r + 1] - self.indptr[r], r.dtype)
         indices = np.empty(indptr[-1], dtype=self.indptr.dtype)
         data = np.empty(indptr[-1])
         _k.csr_row_index(len(r), r, self.indptr, self.indices, self.data,

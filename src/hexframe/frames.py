@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from ._seed_normals import NORMALS
 from .mesh import row_dots
 
 __all__ = [
@@ -130,9 +131,9 @@ def wigner4(R):
 def _build_seed_rotations(count=100):
     # quasi-uniform cover of the rotation group, identity first; with this
     # density the best-scoring seed reliably sits in the Newton basin of the
-    # global maximum, so one ascent from it suffices.  A smaller count draws
-    # a prefix of the same cover.
-    w, x, y, z = np.random.default_rng(2471).standard_normal((count - 1, 4)).T
+    # global maximum, so one ascent from it suffices.  A smaller count (at
+    # most 100) takes a prefix of the same cover.
+    w, x, y, z = np.array(NORMALS[:4 * (count - 1)]).reshape(count - 1, 4).T
     n = np.sqrt(w * w + x * x + y * y + z * z)
     w, x, y, z = w / n, x / n, y / n, z / n
     R = np.array([

@@ -8,6 +8,7 @@ dihedral angle deviates from 180 degrees.
 
 import numpy as np
 
+from ._csr import _index_dtype, row_offsets
 from .errors import (
     DegenerateDihedral,
     DegenerateTangent,
@@ -74,6 +75,19 @@ def row_dots(a, b):
     vectors, so lengths and angles match the single-vector forms bit for bit.
     """
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def index_dtype(n_vertices, n_tets):
+    """The integer type of a mesh's tables: the index type of its stiffness
+    matrix, whose assembly lists 16 entries per tet, so int32 unless a
+    count needs int64."""
+    return _index_dtype(max(n_vertices, 16 * n_tets))
+
+
+def pair_keys(a, b, n):
+    """The keys ``a * n + b`` of id pairs below ``n``, formed in int64 so
+    that no product wraps, whatever the ids' integer type."""
+    return np.asarray(a, dtype=np.int64) * n + b
 
 
 def _unique_rows(keys):
@@ -155,7 +169,7 @@ def _components(n, a, b):
 
 
 class AdjacencyTables:
-    """Face/tet incidence arrays.
+    """Face/tet incidence arrays, in the integer type of ``tets``.
 
     ``faces`` holds each face's sorted vertex triple once, in lexicographic
     order, and ``tet_faces[t, i]`` is the face opposite local vertex i of
@@ -164,7 +178,7 @@ class AdjacencyTables:
     """
 
     def __init__(self, tets):
-        nt = len(tets)
+        nt, idx = len(tets), tets.dtype
         keys = np.sort(tets[:, FACE_VERTICES].reshape(-1, 3), axis=1)
         # incidences grouped by face, each group in (tet, local face) order
         uniq, inverse, counts, incidence = _unique_rows(keys)
@@ -172,17 +186,17 @@ class AdjacencyTables:
             bad = uniq[np.argmax(counts)]
             raise NonManifold("face %s has %d incident tets" % (bad, counts.max()))
         self.faces = uniq
-        self.tet_faces = inverse.reshape(nt, 4)
+        self.tet_faces = inverse.reshape(nt, 4).astype(idx)
         start = np.cumsum(counts) - counts
         pair = counts == 2
-        self.face_tets = -np.ones((len(uniq), 2), dtype=np.int64)
-        self.face_local = -np.ones((len(uniq), 2), dtype=np.int64)
+        self.face_tets = np.full((len(uniq), 2), -1, dtype=idx)
+        self.face_local = np.full((len(uniq), 2), -1, dtype=idx)
         self.face_tets[:, 0], self.face_local[:, 0] = np.divmod(incidence[start], 4)
         self.face_tets[pair, 1], self.face_local[pair, 1] = np.divmod(
             incidence[start[pair] + 1], 4
         )
         self.interior_mask = pair
-        self.boundary_face_ids = np.nonzero(~pair)[0]
+        self.boundary_face_ids = np.flatnonzero(~pair).astype(idx)
 
     def face_id(self, tri):
         """Row of ``faces`` holding the triangle ``tri``; None when absent."""
@@ -192,17 +206,24 @@ class AdjacencyTables:
 
 class TetMesh:
     """Tetrahedral mesh with boundary patches (ids in ``boundary_patch_ids``),
-    feature curves and corners."""
+    feature curves and corners.
+
+    Every integer table holds ``index_dtype(len(vertices), len(tets))``:
+    int32 unless the mesh is too large for it.
+    """
 
     def __init__(self, vertices, tets, feature_edges=None, corners=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.tets = np.ascontiguousarray(tets, dtype=np.int64)
-        if self.tets.size == 0:
+        tets = np.asarray(tets, dtype=np.int64)
+        if tets.size == 0:
             raise DegenerateTet("mesh has no tets")
-        outside = (self.tets < 0) | (self.tets >= len(self.vertices))
+        # checked before narrowing, so no index can wrap into range
+        outside = (tets < 0) | (tets >= len(self.vertices))
         if outside.any():
             raise IndexOutOfRange("tet vertex index %d outside [0, %d)"
-                                  % (self.tets[outside][0], len(self.vertices)))
+                                  % (tets[outside][0], len(self.vertices)))
+        idx = index_dtype(len(self.vertices), len(tets))
+        self.tets = np.array(tets, dtype=idx, order="C")
         self._fix_orientation()
         # scales of the tracer's default step and length budget; the
         # vertices do not move after construction
@@ -231,8 +252,8 @@ class TetMesh:
         self.corners = []
         # the (patch id, unit normal) table of _build_patches and each
         # vertex's sum of its normals, empty and zero until then
-        self.vertex_patch_ptr = np.zeros(len(self.vertices) + 1, dtype=np.int64)
-        self.vertex_patch_ids = np.zeros(0, dtype=np.int64)
+        self.vertex_patch_ptr = np.zeros(len(self.vertices) + 1, dtype=idx)
+        self.vertex_patch_ids = np.zeros(0, dtype=idx)
         self.vertex_patch_normals = np.zeros((0, 3))
         self.vertex_normal_sums = np.zeros((len(self.vertices), 3))
 
@@ -278,7 +299,7 @@ class TetMesh:
         triangles in ascending order, vertex ``v``'s from
         ``vertex_tri_ptr[v]`` to ``vertex_tri_ptr[v + 1]``.
         """
-        adj = self.adjacency
+        adj, idx = self.adjacency, self.tets.dtype
         fids = adj.boundary_face_ids
         local = adj.face_local[fids, 0]
         tet = self.tets[adj.face_tets[fids, 0]]
@@ -292,13 +313,13 @@ class TetMesh:
         self.boundary_tris = tris
         n = self._boundary_cross()
         self.boundary_normals = n / np.linalg.norm(n, axis=1)[:, None]
-        self.boundary_patch_ids = np.zeros(len(tris), dtype=np.int64)
+        self.boundary_patch_ids = np.zeros(len(tris), dtype=idx)
         self.boundary_vertices = np.unique(tris)
         # a triangle holds a vertex once, so a stable sort of the corners
         # groups them by vertex in ascending triangle order
-        self.vertex_tris = np.argsort(tris.ravel(), kind="stable") // 3
-        self.vertex_tri_ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(tris.ravel(), minlength=len(p)))])
+        self.vertex_tris = (np.argsort(tris.ravel(), kind="stable") // 3).astype(idx)
+        self.vertex_tri_ptr = row_offsets(
+            np.bincount(tris.ravel(), minlength=len(p)), idx)
         # half-edges (a, b), (b, c), (c, a) of every triangle, in triangle order
         half = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
         edges, _, counts, order = _unique_rows(np.sort(half, axis=1))
@@ -308,14 +329,14 @@ class TetMesh:
                                % (tuple(edges[k].tolist()), counts[k]))
         pairs = order.reshape(-1, 2)
         self.boundary_edges = edges
-        self.boundary_edge_tris = pairs // 3
+        self.boundary_edge_tris = (pairs // 3).astype(idx)
         self.boundary_half_edges = half[pairs[:, 0]]
 
     def _edge_rows(self, keys):
         """Rows of ``boundary_edges`` holding the sorted vertex pairs ``keys``."""
-        scale = np.array([len(self.vertices), 1])
-        codes = self.boundary_edges @ scale
-        want = np.asarray(keys, dtype=np.int64).reshape(-1, 2) @ scale
+        n = len(self.vertices)
+        codes = pair_keys(*self.boundary_edges.T, n)
+        want = pair_keys(*np.asarray(keys, dtype=np.int64).reshape(-1, 2).T, n)
         rows = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
         missing = codes[rows] != want
         if missing.any():
@@ -416,15 +437,15 @@ class TetMesh:
         of ``vertex_patch_ids`` and ``vertex_patch_normals``;
         ``vertex_normal_sums[v]`` is their sum, added in that order.
         """
-        tris = self.boundary_tris
+        tris, idx = self.boundary_tris, self.tets.dtype
         smooth = np.ones(len(self.boundary_edges), dtype=bool)
         smooth[feature_rows] = False
-        n_patches, self.boundary_patch_ids = _components(
-            len(tris), *self.boundary_edge_tris[smooth].T)
+        n_patches, ids = _components(len(tris), *self.boundary_edge_tris[smooth].T)
+        self.boundary_patch_ids = ids.astype(idx)
         areas = 0.5 * np.linalg.norm(self._boundary_cross(), axis=1)
         # one accumulator per (vertex, patch) row
         rows, slot = np.unique(
-            tris.ravel() * n_patches + np.repeat(self.boundary_patch_ids, 3),
+            pair_keys(tris.ravel(), np.repeat(ids, 3), n_patches),
             return_inverse=True,
         )
         acc = np.zeros((len(rows), 3))
@@ -432,10 +453,11 @@ class TetMesh:
                   np.repeat(areas[:, None] * self.boundary_normals, 3, axis=0))
         length = np.sqrt(row_dots(acc, acc))
         keep = length > 0
-        vertex, self.vertex_patch_ids = np.divmod(rows[keep], n_patches)
+        vertex, ids = np.divmod(rows[keep], n_patches)
+        self.vertex_patch_ids = ids.astype(idx)
         self.vertex_patch_normals = acc[keep] / length[keep, None]
-        self.vertex_patch_ptr = np.searchsorted(
-            vertex, np.arange(len(self.vertices) + 1))
+        self.vertex_patch_ptr = row_offsets(
+            np.bincount(vertex, minlength=len(self.vertices)), idx)
         self.vertex_normal_sums = np.zeros((len(self.vertices), 3))
         np.add.at(self.vertex_normal_sums, vertex, self.vertex_patch_normals)
 

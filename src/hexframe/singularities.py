@@ -14,7 +14,7 @@ import numpy as np
 
 from . import frames as fr
 from .errors import AmbiguousAxis
-from .mesh import walk_chains
+from .mesh import pair_keys, walk_chains
 
 QUALITY_CUTOFF = 0.5
 
@@ -100,9 +100,8 @@ def _holonomy(frames, tris):
     gathered and composed.
     """
     n = len(frames)
-    tris = np.asarray(tris, dtype=np.int64)
     # one key tail * n + head per edge, the rows' three edges in order
-    keys, inverse = np.unique(tris * n + np.roll(tris, -1, axis=1),
+    keys, inverse = np.unique(pair_keys(tris, np.roll(tris, -1, axis=1), n),
                               return_inverse=True)
     g = np.empty(len(keys), dtype=np.intp)
     for s in range(0, len(keys), _FACE_CHUNK):
@@ -295,11 +294,11 @@ def surface_cross_indices(field):
     # cancel pairwise across the closed surface
     th = _cross_angles(frames[np.repeat(tris[:, 0], 3)], u, w)
     nv = len(p)
-    key = vtx * nv + a
+    key, want = pair_keys(vtx, a, nv), pair_keys(vtx, b, nv)
     order = np.argsort(key, kind="stable")
-    pos = np.minimum(np.searchsorted(key, vtx * nv + b, sorter=order), len(key) - 1)
+    pos = np.minimum(np.searchsorted(key, want, sorter=order), len(key) - 1)
     succ = order[pos]
-    closed = key[succ] == vtx * nv + b
+    closed = key[succ] == want
     # wrap each link as seen from its lower-numbered triangle, so that an
     # exact quarter-turn tie cancels between the two fans an edge links
     sign = np.where(np.arange(len(vtx)) // 3 < succ // 3, 1.0, -1.0)

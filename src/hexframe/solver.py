@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames as fr
-from ._csr import CSR
+from ._csr import CSR, row_offsets
 from .errors import CGDiverged, DegenerateTangent, Unconstrained
 from .mesh import row_dots
 
@@ -127,7 +127,20 @@ def build_boundary_conditions(mesh):
 
 
 def assemble_stiffness(mesh):
-    """P1 FEM stiffness matrix of the scalar Laplacian (SPD, zero row sums)."""
+    """P1 FEM stiffness matrix of the scalar Laplacian (SPD, zero row sums).
+
+    The entries' rows and columns are listed in the tets' integer type, and
+    the element matrices' temporaries are freed before the CSR conversion.
+    """
+    t, n = mesh.tets, len(mesh.vertices)
+    ke = _element_stiffness(mesh)
+    return CSR.from_coo(ke.reshape(-1), np.repeat(t, 4, axis=1).reshape(-1),
+                        np.tile(t, (1, 4)).reshape(-1), (n, n))
+
+
+def _element_stiffness(mesh):
+    """The (t, 4, 4) P1 stiffness matrices of the tets, computed in place
+    where a step allows it."""
     v = mesh.vertices
     t = mesh.tets
     vols = mesh.tet_volumes()
@@ -135,15 +148,16 @@ def assemble_stiffness(mesh):
     e2 = v[t[:, 2]] - v[t[:, 0]]
     e3 = v[t[:, 3]] - v[t[:, 0]]
     # gradients of the four barycentric basis functions
-    n0 = np.cross(v[t[:, 3]] - v[t[:, 1]], v[t[:, 2]] - v[t[:, 1]])
-    n1 = np.cross(e2, e3)
-    n2 = np.cross(e3, e1)
-    n3 = np.cross(e1, e2)
-    grads = np.stack([n0, n1, n2, n3], axis=1) / (6.0 * vols)[:, None, None]
-    ke = np.einsum("tif,tjf->tij", grads, grads) * vols[:, None, None]
-    rows = np.repeat(t, 4, axis=1).reshape(-1)
-    cols = np.tile(t, (1, 4)).reshape(-1)
-    return CSR.from_coo(ke.reshape(-1), rows, cols, (len(v), len(v)))
+    grads = np.empty((len(t), 4, 3))
+    grads[:, 0] = np.cross(v[t[:, 3]] - v[t[:, 1]], v[t[:, 2]] - v[t[:, 1]])
+    grads[:, 1] = np.cross(e2, e3)
+    grads[:, 2] = np.cross(e3, e1)
+    grads[:, 3] = np.cross(e1, e2)
+    del e1, e2, e3
+    grads /= (6.0 * vols)[:, None, None]
+    ke = np.einsum("tif,tjf->tij", grads, grads)
+    ke *= vols[:, None, None]
+    return ke
 
 
 class FrameField:
@@ -287,13 +301,6 @@ def _on_circle(H, cs):
     return H[:, 0] + cs[:, :1] * H[:, 1] + cs[:, 1:] * H[:, 2]
 
 
-def _indptr(counts):
-    """CSR row offsets of rows holding ``counts`` entries."""
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
-
-
 def _smoothing_rows(K, kind):
     """The smoothing weights: the rows of ``W = diag(K) - K``, each over its
     sum, of the moving vertices (not Dirichlet, with a positive sum), and
@@ -309,13 +316,13 @@ def _smoothing_rows(K, kind):
     row = np.repeat(np.arange(n), np.diff(K.indptr))
     keep = (K.indices != row) & (K.data != 0.0)
     w, cols = 0.0 - K.data[keep], K.indices[keep]
-    ptr = _indptr(np.bincount(row[keep], minlength=n))
+    ptr = row_offsets(np.bincount(row[keep], minlength=n))
     nonempty = np.flatnonzero(np.diff(ptr))
     wsum = np.zeros(n)
     wsum[nonempty] = np.add.reduceat(w, ptr[nonempty])
     move = np.flatnonzero((kind != DIRICHLET) & (wsum > 0))
     count = ptr[move + 1] - ptr[move]
-    out = _indptr(count)
+    out = row_offsets(count)
     # entry q of moving row t is entry ptr[move[t] + 1] - 1 - (q - out[t])
     src = np.repeat(ptr[move + 1] - 1 + out[:-1], count) - np.arange(out[-1])
     data = np.repeat(1.0 / wsum[move], count) * w[src]
@@ -338,7 +345,7 @@ def _sweep_steps(W, move):
     col = pos[W.indices]
     low, high = (col >= 0) & (col < row), col > row
     lower_row, lower_col = row[low], col[low]
-    lower_ptr = _indptr(np.bincount(lower_row, minlength=m))
+    lower_ptr = row_offsets(np.bincount(lower_row, minlength=m))
     # a row's lower neighbours come before it, so one pass in row order
     # finds every level
     level = [0] * m
@@ -350,12 +357,12 @@ def _sweep_steps(W, move):
     # level's rows are one range of the rows of ``lower`` put in that order
     order = np.argsort(level, kind="stable")
     by_level = lower_col[np.argsort(level[lower_row], kind="stable")]
-    ptr = _indptr(np.diff(lower_ptr)[order])
+    ptr = row_offsets(np.diff(lower_ptr)[order])
     bounds = np.cumsum(np.bincount(level))
     groups = [(order[a:b], by_level[ptr[a]:ptr[b]], ptr[a:b] - ptr[a])
               for a, b in zip(bounds[:-1], bounds[1:])]
     upper_col = col[high]
-    upper_ptr = _indptr(np.bincount(row[high], minlength=m))
+    upper_ptr = row_offsets(np.bincount(row[high], minlength=m))
     up = np.flatnonzero(np.diff(upper_ptr))
     steps = level + 1
     while True:

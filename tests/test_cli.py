@@ -380,9 +380,10 @@ def check_imports(*modules):
     return done.returncode, done.stdout.split()
 
 
-def test_cli_loads_no_scipy():
-    # scipy.sparse costs 21.7 MB of peak RSS and scipy.spatial 6.2 MB:
-    # each more than the benchmark's 5% peak_rss_mb bound
+def test_cli_loads_no_scipy_and_no_numpy_random():
+    # scipy.sparse costs 21.7 MB of peak RSS, scipy.spatial 6.2 MB and
+    # numpy.random 6.1 MB: each more than the benchmark's 5% peak_rss_mb
+    # bound
     assert check_imports() == (0, [])
 
 
@@ -394,3 +395,15 @@ def test_import_guard_sees_scipy_spatial():
 def test_import_guard_sees_scipy_sparse():
     code, extra = check_imports("hexframe.cli", "scipy.sparse")
     assert code == 1 and "scipy.sparse" in extra
+
+
+def test_import_guard_sees_numpy_random():
+    code, extra = check_imports("hexframe.cli", "numpy.random")
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, check=True).stdout.strip()
+    if bare == "True":
+        # numpy 1.x loads numpy.random itself, so it is not hexframe's
+        assert (code, extra) == (0, [])
+    else:
+        assert code == 1 and "numpy.random" in extra

@@ -65,6 +65,13 @@ class TestStiffness:
         _, K, want = stiffness
         assert_same(K, want)
 
+    def test_arrays_own_their_entries(self, stiffness):
+        # no view keeps the COO-sized buffers of the assembly alive
+        _, K, _ = stiffness
+        for a in (K.indices, K.data):
+            assert a.base is None and a.flags.owndata
+            assert len(a) == K.indptr[-1]
+
     def test_products_match_scipy(self, stiffness):
         _, K, want = stiffness
         rng = np.random.default_rng(11)

@@ -5,6 +5,7 @@ import pytest
 
 import hexframe.frames as fr
 from hexframe import solver
+from hexframe._seed_normals import NORMALS
 from hexframe.boxgen import generate_box
 from hexframe.mesh import TetMesh
 import sh_oracle
@@ -139,6 +140,12 @@ class TestMomentMap:
         assert np.array_equal(fr._build_seed_rotations(100)[:20],
                               fr._build_seed_rotations(20))
         assert np.array_equal(fr._SEED_ROTATIONS, fr._build_seed_rotations(100))
+
+    def test_seed_normals_are_the_generator_draws(self):
+        # the fixed table stands in for numpy.random, which hexframe does
+        # not load
+        want = np.random.default_rng(2471).standard_normal((99, 4))
+        assert np.array(NORMALS).tobytes() == want.tobytes()
 
     def test_stack_with_one_bad_row_raises(self):
         rng = np.random.default_rng(47)

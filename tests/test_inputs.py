@@ -143,6 +143,15 @@ class TestMeditErrors:
             read_medit(path)
         assert main(["graph", "--mesh", path, "--out", str(tmp_path)]) == 3
 
+    def test_index_wrapping_in_int32(self, tmp_path):
+        # the file's 1-based 2**32 + 2 is 0-based 2**32 + 1, which int32
+        # would read as 1
+        text = SINGLE_TET.replace("1 2 3 4 1", "1 2 3 %d 1" % (2 ** 32 + 2))
+        path = _write(tmp_path / "m.mesh", text)
+        with pytest.raises(IndexOutOfRange, match="index 4294967297 outside"):
+            read_medit(path)
+        assert main(["graph", "--mesh", path, "--out", str(tmp_path)]) == 3
+
     def test_count_beyond_file(self, tmp_path):
         # 10^15 vertices would ask numpy for 21 PiB before reading one
         text = SINGLE_TET.replace("Vertices\n4", "Vertices\n%d" % 10 ** 15)
@@ -166,8 +175,10 @@ class TestMeshErrors:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateTet, match="no tets"):
                 TetMesh(v, np.empty((0, 4), dtype=np.int64))
-            for bad in (len(v), -1):
-                tets = t.copy()
+            # 2**32 + 1 wraps to 1 in int32, so it must be caught before
+            # the tables narrow to int32
+            for bad in (len(v), -1, 2 ** 32 + 1):
+                tets = t.astype(np.int64)
                 tets[5, 2] = bad
                 with pytest.raises(IndexOutOfRange, match="index %d" % bad):
                     TetMesh(v, tets)

@@ -17,10 +17,12 @@ from hexframe.mesh import (
     _components,
     _unique_rows,
     classify_feature_valence,
+    index_dtype,
+    pair_keys,
     walk_chains,
 )
 from hexframe.meshio import read_medit, write_medit
-from hexframe.solver import build_boundary_conditions
+from hexframe.solver import assemble_stiffness, build_boundary_conditions
 
 
 SINGLE_TET = TetMesh(
@@ -401,3 +403,61 @@ class TestSectionReader:
         keys = np.concatenate([base, base[rng.integers(0, 500, size=700)],
                                -base[:50], [[2 ** 62, -2 ** 62, 0]] * 3])
         self._check_unique_rows(keys[rng.permutation(len(keys))])
+
+
+def integer_tables(mesh):
+    """Name and array of each integer table of ``mesh`` and its adjacency."""
+    return {name: a for owner in (mesh, mesh.adjacency)
+            for name, a in vars(owner).items()
+            if isinstance(a, np.ndarray) and a.dtype.kind in "iu"}
+
+
+class TestIndexTables:
+    TABLES = {"tets", "faces", "tet_faces", "face_tets", "face_local",
+              "boundary_face_ids", "boundary_tris", "boundary_patch_ids",
+              "boundary_vertices", "vertex_tris", "vertex_tri_ptr",
+              "boundary_edges", "boundary_edge_tris", "boundary_half_edges",
+              "vertex_patch_ptr", "vertex_patch_ids"}
+
+    @pytest.mark.parametrize("name", ["notch", "box", "box_undetected"])
+    def test_one_index_dtype(self, name):
+        if name == "notch":
+            mesh = read_medit(os.path.join(FIXTURES, "notch.mesh"))
+        else:
+            mesh = generate_box(3, 4, 2, bulge=0.2)
+            if name == "box":
+                mesh.detect_features(30.0)
+        tables = integer_tables(mesh)
+        assert set(tables) == self.TABLES
+        assert index_dtype(len(mesh.vertices), len(mesh.tets)) == np.int32
+        for table, a in tables.items():
+            assert a.dtype == np.int32, table
+        K = assemble_stiffness(mesh)
+        assert K.indptr.dtype == K.indices.dtype == np.int32
+
+    def test_index_dtype_widens_with_the_stiffness_entries(self):
+        # the stiffness assembly lists 16 entries per tet
+        limit = np.iinfo(np.int32).max
+        assert index_dtype(4, limit // 16) == np.int32
+        assert index_dtype(4, limit // 16 + 1) == np.int64
+        assert index_dtype(limit + 1, 1) == np.int64
+
+    def test_caller_tets_are_not_modified(self):
+        box = generate_box(2, 2, 2)
+        tets = box.tets[:, [0, 2, 1, 3]].astype(np.int64)
+        before = tets.copy()
+        mesh = TetMesh(box.vertices, tets)
+        assert np.array_equal(tets, before)
+        assert (mesh.tet_volumes() > 0).all()
+
+
+def test_pair_keys_are_formed_in_int64():
+    # above 46,341 a square of ids overflows int32
+    n = 2 ** 31 - 1
+    a = np.array([46341, 50000, n - 1, 0], dtype=np.int32)
+    b = np.array([46340, n - 1, n - 2, 7], dtype=np.int32)
+    assert (a * np.int32(n)).dtype == np.int32
+    keys = pair_keys(a, b, n)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [int(x) * n + int(y) for x, y in zip(a, b)]
+    assert np.array_equal(np.divmod(keys, n), (a, b))

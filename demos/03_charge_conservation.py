@@ -21,9 +21,7 @@ HERE = os.path.dirname(__file__)
 
 def load(name):
     if name == "cube":
-        mesh = generate_box(6, 6, 6)
-        mesh.detect_features(30.0)
-        return mesh
+        return generate_box(6, 6, 6)
     return read_medit(os.path.join(HERE, "..", "fixtures", name + ".mesh"))
 
 

@@ -18,7 +18,6 @@ from hexframe.tracing import TracerConfig, trace
 HERE = os.path.dirname(__file__)
 
 mesh = generate_box(6, 6, 6)
-mesh.detect_features(30.0)
 field = compute_field(mesh)
 
 config = TracerConfig(step_size=0.02)

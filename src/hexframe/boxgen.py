@@ -21,7 +21,7 @@ def generate_box(nx, ny, nz, size=(1.0, 1.0, 1.0), bulge=0.0):
 
     ``bulge`` adds a smooth vertical deformation z' = z*(1 + b*sin(pi x/Lx)
     *sin(pi y/Ly)) for curved-top tests; 0 keeps the box exact.  The 12 box
-    edges are tagged as feature curves.
+    edges are tagged as feature curves and its 8 corners as corners.
     """
     if min(nx, ny, nz) < 2:
         raise ValueError("need at least 2 cells per axis")

@@ -1,9 +1,9 @@
 """Tetrahedral mesh container, adjacency, and CAD feature detection.
 
-The mesh owns the domain: vertices, positively oriented tets, an outward
-oriented watertight boundary triangulation grouped into smooth patches,
-and feature curves (hard edges) chained from boundary edges whose interior
-dihedral angle deviates from 180 degrees.
+The constructor builds the whole domain: vertices, positively oriented tets,
+an outward oriented watertight boundary triangulation grouped into smooth
+patches, and feature curves (hard edges) chained from boundary edges whose
+interior dihedral angle deviates from 180 degrees.
 """
 
 import numpy as np
@@ -96,7 +96,8 @@ def _unique_rows(keys):
     sort's order, which is ``np.argsort(inverse, kind="stable")``."""
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
-    first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
@@ -208,11 +209,15 @@ class TetMesh:
     """Tetrahedral mesh with boundary patches (ids in ``boundary_patch_ids``),
     feature curves and corners.
 
-    Every integer table holds ``index_dtype(len(vertices), len(tets))``:
-    int32 unless the mesh is too large for it.
+    The constructor detects the features at ``feature_angle`` degrees, the
+    tags ``feature_edges`` (u, v, curve id) and ``corners`` taking
+    precedence, so a mesh can be solved as soon as it exists.  Every
+    integer table holds ``index_dtype(len(vertices), len(tets))``: int32
+    unless the mesh is too large for it.
     """
 
-    def __init__(self, vertices, tets, feature_edges=None, corners=None):
+    def __init__(self, vertices, tets, feature_edges=None, corners=None,
+                 feature_angle=FEATURE_ANGLE_DEFAULT):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         tets = np.asarray(tets, dtype=np.int64)
         if tets.size == 0:
@@ -247,15 +252,8 @@ class TetMesh:
         if outside:
             raise IndexOutOfRange("tagged vertex index %d outside [0, %d)"
                                   % (outside[0], len(self.vertices)))
-        self.feature_edges = []   # list of (u, v, curve_id), filled by detect_features
-        self.feature_curves = []
-        self.corners = []
-        # the (patch id, unit normal) table of _build_patches and each
-        # vertex's sum of its normals, empty and zero until then
-        self.vertex_patch_ptr = np.zeros(len(self.vertices) + 1, dtype=idx)
-        self.vertex_patch_ids = np.zeros(0, dtype=idx)
-        self.vertex_patch_normals = np.zeros((0, 3))
-        self.vertex_normal_sums = np.zeros((len(self.vertices), 3))
+        self.feature_angle = None  # nothing detected yet
+        self.detect_features(feature_angle)
 
     # -- geometry -----------------------------------------------------------
 
@@ -313,7 +311,6 @@ class TetMesh:
         self.boundary_tris = tris
         n = self._boundary_cross()
         self.boundary_normals = n / np.linalg.norm(n, axis=1)[:, None]
-        self.boundary_patch_ids = np.zeros(len(tris), dtype=idx)
         self.boundary_vertices = np.unique(tris)
         # a triangle holds a vertex once, so a stable sort of the corners
         # groups them by vertex in ascending triangle order
@@ -372,13 +369,17 @@ class TetMesh:
     def detect_features(self, angle_threshold=FEATURE_ANGLE_DEFAULT):
         """Detect feature edges, chain curves, group the surface into patches.
 
-        Input-file feature tags take precedence over dihedral detection.
-        A curve runs between corners: the tagged corners, the vertices on
-        one or on three or more feature edges, and the vertices at which the
-        tag or the valence bin changes.  Populates ``feature_edges``, ``feature_curves``,
-        ``corners``, ``boundary_patch_ids`` and the vertex patch-normal
-        table; idempotent for a fixed threshold.
+        The constructor runs this; call it again to re-detect at another
+        threshold (at the current ``feature_angle`` it returns at once, as
+        vertices and tags never change).  Tags take precedence over dihedral
+        detection.  A curve runs between corners: the tagged corners, the
+        vertices on one or on three or more feature edges, and the vertices
+        at which the tag or the valence bin changes.  Sets ``feature_edges``,
+        ``feature_curves``, ``corners``, ``boundary_patch_ids``, the vertex
+        patch-normal table and ``feature_angle``.
         """
+        if angle_threshold == self.feature_angle:
+            return self.feature_curves
         d = self.boundary_edge_dihedrals()
         tags = np.asarray(self.tagged_feature_edges, dtype=np.int64).reshape(-1, 3)
         # a row's group is its tag, or else its valence bin (0 below 45 degrees)
@@ -397,14 +398,15 @@ class TetMesh:
         corner = np.zeros(nv, dtype=bool)
         corner[self.tagged_corners] = True
         corner |= (degree > 0) & ((degree != 2) | (lo != hi))
-        self.corners = np.flatnonzero(corner).tolist()
         self.feature_curves = [
             self._make_curve(cid, nodes, d[rows[links]], closed)
             for cid, (nodes, links, closed) in enumerate(walk_chains(ends, corner))]
+        self.corners = np.flatnonzero(corner).tolist()
         self.feature_edges = [
             (u, v, c.curve_id) for c in self.feature_curves for u, v in c.edges()
         ]
         self._build_patches(rows)
+        self.feature_angle = angle_threshold
         return self.feature_curves
 
     def _make_curve(self, cid, verts, dihedrals, closed):

@@ -49,7 +49,8 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
     """Parse an ASCII MEDIT ``.mesh`` file into a TetMesh.
 
     ``Edges``/``Corners`` sections become pre-tagged feature curves and
-    corners; feature detection runs afterwards (tags take precedence).
+    corners, and the mesh detects its features at ``feature_angle`` when
+    it is built (tags take precedence).
     Each section converts as one block.  Integers must fit in int64, and a
     section's count may not exceed the tokens left in the file.
     """
@@ -127,14 +128,13 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
     outside = (corners < 1) | (corners > nv)
     if outside.any():
         raise IndexOutOfRange("corner vertex index %d out of range" % corners[outside][0])
-    mesh = TetMesh(blocks["vertices"][-1], tets - 1, corners=(corners[:, 0] - 1).tolist(),
-                   feature_edges=(edges - [1, 1, 0]).tolist())
-    mesh.detect_features(feature_angle)
-    return mesh
+    return TetMesh(blocks["vertices"][-1], tets - 1, corners=(corners[:, 0] - 1).tolist(),
+                   feature_edges=(edges - [1, 1, 0]).tolist(),
+                   feature_angle=feature_angle)
 
 
 def write_medit(mesh, path):
-    """Write a TetMesh (with tagged features) as ASCII MEDIT."""
+    """Write a TetMesh as ASCII MEDIT, its detected features as the tags."""
     with open(path, "w") as fh:
         fh.write("MeshVersionFormatted 2\nDimension 3\n")
         fh.write("Vertices\n%d\n" % len(mesh.vertices))
@@ -146,15 +146,13 @@ def write_medit(mesh, path):
         fh.write("Triangles\n%d\n" % len(mesh.boundary_tris))
         for tri, pid in zip(mesh.boundary_tris, mesh.boundary_patch_ids):
             fh.write("%d %d %d %d\n" % (tri[0] + 1, tri[1] + 1, tri[2] + 1, pid + 1))
-        feats = mesh.feature_edges or mesh.tagged_feature_edges
-        if feats:
-            fh.write("Edges\n%d\n" % len(feats))
-            for u, v, cid in feats:
+        if mesh.feature_edges:
+            fh.write("Edges\n%d\n" % len(mesh.feature_edges))
+            for u, v, cid in mesh.feature_edges:
                 fh.write("%d %d %d\n" % (u + 1, v + 1, cid + 1))
-        corners = mesh.corners or mesh.tagged_corners
-        if corners:
-            fh.write("Corners\n%d\n" % len(corners))
-            for c in corners:
+        if mesh.corners:
+            fh.write("Corners\n%d\n" % len(mesh.corners))
+            for c in mesh.corners:
                 fh.write("%d\n" % (c + 1))
         fh.write("End\n")
 

@@ -436,6 +436,5 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
     for c in corners:
         if not 0 <= c < len(vertices):
             raise IndexOutOfRange("corner vertex index %d out of range" % (c + 1))
-    mesh = TetMesh(vertices, tets - 1, feature_edges=edges, corners=corners)
-    mesh.detect_features(feature_angle)
-    return mesh
+    return TetMesh(vertices, tets - 1, feature_edges=edges, corners=corners,
+                   feature_angle=feature_angle)

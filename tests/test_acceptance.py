@@ -94,7 +94,6 @@ class TestFrameAlgebra:
 class TestCubeField:
     def test_constant_field_and_empty_graph(self):
         mesh = generate_box(6, 6, 6)
-        mesh.detect_features(30.0)
         field = compute_field(mesh)
         dev = np.max(np.abs(field.coeffs - fr.REFERENCE_COEFFS))
         assert dev < 1e-7
@@ -243,7 +242,6 @@ class _RotatingField:
 class TestStreamlines:
     def test_constant_field_straightness(self):
         mesh = generate_box(6, 6, 6)
-        mesh.detect_features(30.0)
         field = compute_field(mesh)
         line = trace(field, np.array([0.05, 0.37, 0.44]),
                      np.array([1.0, 0.0, 0.0]), TracerConfig(step_size=0.02))

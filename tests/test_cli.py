@@ -24,7 +24,6 @@ from hexframe.solver import BoundaryConditionSet, FrameField
 def cube_path(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("mesh") / "cube.mesh")
     mesh = generate_box(3, 3, 3)
-    mesh.detect_features(30.0)
     write_medit(mesh, path)
     return path
 
@@ -216,7 +215,6 @@ class TestTrace:
     def test_zero_field_ends_in_singular_region(self, tmp_path, capsys):
         # interior rows of norm 0 interpolate to a zero vector at the seed
         mesh = generate_box(4, 4, 4)
-        mesh.detect_features(30.0)
         coeffs = np.tile(fr.REFERENCE_COEFFS, (len(mesh.vertices), 1))
         interior = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_vertices)
         coeffs[interior] = 0.0
@@ -246,7 +244,6 @@ class TestReport:
         # zeroed interior rows project with quality 0, so every interior
         # face on one of them is a hot face
         mesh = generate_box(4, 4, 4)
-        mesh.detect_features(30.0)
         coeffs = np.tile(fr.REFERENCE_COEFFS, (len(mesh.vertices), 1))
         interior = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_vertices)
         coeffs[interior[::5]] = 0.0

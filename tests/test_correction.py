@@ -171,7 +171,6 @@ class TestNodeTube:
         # a 3-5 chain between two junctions whose ends trace to two straight
         # vertical columns along interior grid lines, of index 1/4 and -1/4
         mesh = generate_box(8, 8, 4, size=(2.0, 2.0, 1.0))
-        mesh.detect_features(30.0)
         # the solved field turned 0.3 rad about z, so the winding offset is
         # neither 0 nor an eighth turn
         turned = fr.coeffs_from_rotation(fr.axis_angle_rotation([0.0, 0.0, 0.3]))
@@ -396,7 +395,6 @@ class TestSnapTargets:
 
     def test_junctions_carry_snapping_along_open_chains(self):
         mesh = generate_box(4, 4, 4)
-        mesh.detect_features(30.0)
         J1, J2 = 101, 102
         p1, p2 = (0.3, 0.2, 0.45), (0.7, 0.3, 0.55)
 
@@ -464,7 +462,6 @@ class TestSnappedBoundaryConditions:
 
     def test_straight_path_gets_45_degree_frames(self):
         mesh = generate_box(6, 6, 3)
-        mesh.detect_features(30.0)
         # interior straight line on the top face, tangent +x, normal +z
         row = top_face_row(mesh, 0.1, 0.9)
         assert len(row) >= 3
@@ -480,7 +477,6 @@ class TestSnappedBoundaryConditions:
 
     def test_release_radius_confines_freeing(self):
         mesh = generate_box(8, 8, 3)
-        mesh.detect_features(30.0)
         row = top_face_row(mesh, 0.2, 0.8)
         r = 3 * mesh.mean_edge_length()
         ref = build_boundary_conditions(mesh)
@@ -516,7 +512,6 @@ class TestApplyPlan:
 
     def test_snap_rows_written_onto_field_bcs(self):
         mesh = generate_box(6, 6, 3)
-        mesh.detect_features(30.0)
         bcs = build_boundary_conditions(mesh)
         # an extra Dirichlet row away from the path, on the bottom face
         extra = next(v for v in map(int, mesh.boundary_vertices)
@@ -545,7 +540,6 @@ class TestApplyPlan:
     def test_resolve_runs_under_the_field_config(self):
         # the default 50-sweep budget would take this field to 19 sweeps
         mesh = generate_box(4, 4, 4, bulge=0.3)
-        mesh.detect_features(30.0)
         field = compute_field(mesh, SolverConfig(smoothing_sweeps=2))
         out = apply_plan(mesh, field, CorrectionPlan("snap"))
         assert out.config is field.config
@@ -553,7 +547,6 @@ class TestApplyPlan:
 
     def test_snap_until_clean_identity_without_35(self):
         mesh = generate_box(4, 4, 4)
-        mesh.detect_features(30.0)
         field = constant_field(mesh, build_boundary_conditions(mesh))
         plan, out = snap_until_clean(mesh, field)
         assert plan.snapped == []

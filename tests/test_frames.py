@@ -413,7 +413,6 @@ def rotated_box_field(seed):
     mesh = TetMesh(box.vertices @ R.T, box.tets,
                    feature_edges=box.tagged_feature_edges,
                    corners=box.tagged_corners)
-    mesh.detect_features(30.0)
     return solver.solve_initial(mesh, solver.build_boundary_conditions(mesh)).coeffs
 
 

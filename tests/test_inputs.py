@@ -54,7 +54,6 @@ def box_files(tmp_path_factory):
     """MEDIT text and 3-sweep field.txt of generate_box(2, 2, 2)."""
     root = tmp_path_factory.mktemp("box")
     mesh = generate_box(2, 2, 2)
-    mesh.detect_features(30.0)
     mesh_path = str(root / "box.mesh")
     write_medit(mesh, mesh_path)
     mesh = read_medit(mesh_path)
@@ -188,9 +187,8 @@ class TestMeshErrors:
                         TetMesh(v, t, **tags)
             # a tagged feature edge must lie on the boundary
             centre = int(np.argmin(np.linalg.norm(v - 0.5, axis=1)))
-            mesh = TetMesh(v, t, feature_edges=[(0, centre, 0)])
             with pytest.raises(IndexOutOfRange, match="not a boundary edge"):
-                mesh.detect_features(30.0)
+                TetMesh(v, t, feature_edges=[(0, centre, 0)])
 
 
 class TestFieldErrors:
@@ -228,7 +226,6 @@ class TestFieldErrors:
 
     def test_round_trip_keeps_near_zero_rows_unprojected(self, tmp_path):
         mesh = generate_box(3, 3, 3)
-        mesh.detect_features(30.0)
         coeffs = np.tile(fr.REFERENCE_COEFFS, (len(mesh.vertices), 1))
         v = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary_vertices)[0]
         coeffs[v] *= 1e-10
@@ -248,7 +245,6 @@ class TestFieldErrors:
     def test_field_bytes_match_per_value_writer(self, tmp_path):
         # reference: the writer that formatted and joined each value alone
         mesh = generate_box(3, 3, 3)
-        mesh.detect_features(30.0)
         rng = np.random.default_rng(7)
         coeffs = rng.normal(size=(len(mesh.vertices), 9))
         coeffs *= 10.0 ** rng.integers(-20, 20, size=coeffs.shape)

@@ -120,7 +120,6 @@ class TestBoxFeatures:
     def test_cube_counts(self):
         mesh = generate_box(2, 2, 2)
         assert len(mesh.tets) == 48
-        mesh.detect_features(30.0)
         assert len(mesh.feature_curves) == 12
         assert len(mesh.corners) == 8
         assert len(np.unique(mesh.boundary_patch_ids)) == 6
@@ -135,18 +134,39 @@ class TestBoxFeatures:
 
     def test_patch_area_sums(self):
         mesh = generate_box(3, 3, 3, size=(2.0, 1.0, 1.5))
-        mesh.detect_features(30.0)
         total = mesh.boundary_area()
         expected = 2 * (2 * 1 + 2 * 1.5 + 1 * 1.5)
         assert abs(total - expected) < 1e-9 * expected
 
-    def test_detect_idempotent(self):
-        mesh = generate_box(3, 3, 3)
+    def test_untagged_box_detects_its_edges(self):
+        box = generate_box(3, 3, 3)
+        mesh = TetMesh(box.vertices, box.tets)
+        assert len(mesh.feature_curves) == 12 and len(mesh.corners) == 8
+        # the box edges' 90 degrees lie within 95 degrees of flat
+        mesh = TetMesh(box.vertices, box.tets, feature_angle=95.0)
+        assert mesh.feature_curves == [] and mesh.corners == []
+        assert len(np.unique(mesh.boundary_patch_ids)) == 1
+
+    def test_redetection_restores_the_built_state(self):
+        box = generate_box(3, 3, 3, bulge=0.2)
+        built = TetMesh(box.vertices, box.tets)
+        mesh = TetMesh(box.vertices, box.tets)
+        mesh.detect_features(95.0)
+        assert mesh.feature_angle == 95.0 and mesh.feature_curves == []
+        assert built.feature_curves
         mesh.detect_features(30.0)
-        first = [(c.curve_id, tuple(c.vertices)) for c in mesh.feature_curves]
-        mesh.detect_features(30.0)
-        second = [(c.curve_id, tuple(c.vertices)) for c in mesh.feature_curves]
-        assert first == second
+        assert mesh.feature_angle == 30.0
+        assert mesh.corners == built.corners and mesh.feature_edges == built.feature_edges
+        for got, want in zip(mesh.feature_curves, built.feature_curves, strict=True):
+            assert (got.curve_id, got.vertices, got.closed, got.dihedral_angle) == (
+                want.curve_id, want.vertices, want.closed, want.dihedral_angle)
+            assert np.array_equal(got.tangents, want.tangents)
+        for name in ("boundary_patch_ids", "vertex_patch_ptr", "vertex_patch_ids",
+                     "vertex_patch_normals", "vertex_normal_sums"):
+            assert np.array_equal(getattr(mesh, name), getattr(built, name)), name
+        # at an unchanged threshold nothing is detected again
+        curves = mesh.feature_curves
+        assert mesh.detect_features(30.0) is curves
 
     def test_bulge_zero_identity(self):
         a = generate_box(3, 3, 3, bulge=0.0)
@@ -180,7 +200,6 @@ class TestMedit:
 
     def test_edges_section_preserved(self, tmp_path):
         mesh = generate_box(2, 2, 2)
-        mesh.detect_features(30.0)
         path = tmp_path / "box.mesh"
         write_medit(mesh, path)
         back = read_medit(path)
@@ -204,10 +223,8 @@ FIXTURE_NAMES = ["notch", "arc_box", "groove_box", "halfsphere_box", "curved_arc
 def _rotated_box():
     box = generate_box(12, 12, 12, bulge=0.3)
     R = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
-    mesh = TetMesh(box.vertices @ R.T, box.tets,
+    return TetMesh(box.vertices @ R.T, box.tets,
                    feature_edges=box.tagged_feature_edges, corners=box.tagged_corners)
-    mesh.detect_features(30.0)
-    return mesh
 
 
 def _looped_box():
@@ -220,7 +237,6 @@ def _looped_box():
     mesh = TetMesh(box.vertices, box.tets,
                    feature_edges=box.tagged_feature_edges + loop,
                    corners=box.tagged_corners + [a])
-    mesh.detect_features(30.0)
     assert [curve.vertices.count(a) for curve in mesh.feature_curves].count(2) == 1
     return mesh
 
@@ -419,14 +435,12 @@ class TestIndexTables:
               "boundary_edges", "boundary_edge_tris", "boundary_half_edges",
               "vertex_patch_ptr", "vertex_patch_ids"}
 
-    @pytest.mark.parametrize("name", ["notch", "box", "box_undetected"])
+    @pytest.mark.parametrize("name", ["notch", "box"])
     def test_one_index_dtype(self, name):
         if name == "notch":
             mesh = read_medit(os.path.join(FIXTURES, "notch.mesh"))
         else:
             mesh = generate_box(3, 4, 2, bulge=0.2)
-            if name == "box":
-                mesh.detect_features(30.0)
         tables = integer_tables(mesh)
         assert set(tables) == self.TABLES
         assert index_dtype(len(mesh.vertices), len(mesh.tets)) == np.int32

@@ -37,9 +37,7 @@ def analytic_quarter_field(mesh, sign=1.0, center=(0.5, 0.5)):
 
 @pytest.fixture(scope="module")
 def box():
-    mesh = generate_box(5, 5, 3)
-    mesh.detect_features(30.0)
-    return mesh
+    return generate_box(5, 5, 3)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +150,6 @@ def quarter_pairs(per_tri):
 class TestSurfaceCrossIndices:
     def test_cube_constant_field(self):
         mesh = generate_box(3, 3, 3)
-        mesh.detect_features(30.0)
         coeffs = np.tile(fr.REFERENCE_COEFFS, (len(mesh.vertices), 1))
         field = FrameField(mesh, coeffs, BoundaryConditionSet(len(mesh.vertices)))
         per_tri, per_vertex, total = surface_cross_indices(field)
@@ -213,7 +210,6 @@ def rotated_box_field():
     mesh = TetMesh(box.vertices @ R.T, box.tets,
                    feature_edges=box.tagged_feature_edges,
                    corners=box.tagged_corners)
-    mesh.detect_features(30.0)
     return compute_field(mesh, SolverConfig(smoothing_sweeps=5))
 
 

@@ -18,7 +18,7 @@ from hexframe.errors import (
 )
 from hexframe.mesh import TetMesh
 from hexframe.meshio import read_medit
-from hexframe.singularities import detect_35, extract_graph
+from hexframe.singularities import detect_35, extract_graph, surface_cross_indices
 from hexframe.solver import (
     DIRICHLET,
     FREE,
@@ -35,9 +35,7 @@ from hexframe.solver import (
 
 
 def bulged_box():
-    mesh = generate_box(4, 4, 4, bulge=0.3)
-    mesh.detect_features(30.0)
-    return mesh
+    return generate_box(4, 4, 4, bulge=0.3)
 
 
 def captured_cg(monkeypatch):
@@ -56,9 +54,7 @@ def captured_cg(monkeypatch):
 
 @pytest.fixture(scope="module")
 def cube():
-    mesh = generate_box(3, 3, 3)
-    mesh.detect_features(30.0)
-    return mesh
+    return generate_box(3, 3, 3)
 
 
 class TestStiffness:
@@ -201,13 +197,23 @@ class TestInitialSolve:
         assert calls == [] and "cg_iterations" not in field.report
 
     def test_unconstrained_raises_typed_error(self, monkeypatch):
-        # a mesh built from arrays has no feature curves until
-        # detect_features runs, so every row is free and the field is zero
-        box = generate_box(4, 4, 4, bulge=0.1)
+        # with every row free the field would be zero
+        mesh = bulged_box()
+        bcs = build_boundary_conditions(mesh)
+        bcs.kind[:] = FREE
         calls = captured_cg(monkeypatch)
         with pytest.raises(Unconstrained, match="no Dirichlet or tangency"):
-            solver.compute_field(TetMesh(box.vertices, box.tets))
+            solve_initial(mesh, bcs)
         assert calls == [] and issubclass(Unconstrained, HexFrameError)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("bulge", [0.0, 0.1, 0.2])
+    def test_generated_box_solves_as_built(self, n, bulge):
+        # the mesh detects the tagged box edges when it is built
+        field = solver.compute_field(generate_box(n, n, n, bulge=bulge),
+                                     SolverConfig(smoothing_sweeps=5))
+        assert np.isfinite(field.coeffs).all()
+        assert surface_cross_indices(field)[2] == 2
 
     def test_cg_failure_raises(self, cube, monkeypatch):
         monkeypatch.setattr(solver, "_cg", lambda matvec, b, diag, maxiter:
@@ -283,18 +289,15 @@ def fixture_mesh(name):
     """A fixture or, for "box", a 4^3 box or, for "rotated_box", the bulged
     6^3 box in general position of the singularity tests."""
     if name == "box":
-        mesh = generate_box(4, 4, 4)
-    elif name == "rotated_box":
+        return generate_box(4, 4, 4)
+    if name == "rotated_box":
         box = generate_box(6, 6, 6, bulge=0.3)
         R = fr.axis_angle_rotation(np.array([0.3, -0.7, 1.1]))
-        mesh = TetMesh(box.vertices @ R.T, box.tets,
+        return TetMesh(box.vertices @ R.T, box.tets,
                        feature_edges=box.tagged_feature_edges,
                        corners=box.tagged_corners)
-    else:
-        return read_medit(os.path.join(os.path.dirname(__file__), "..",
-                                       "fixtures", name + ".mesh"))
-    mesh.detect_features(30.0)
-    return mesh
+    return read_medit(os.path.join(os.path.dirname(__file__), "..",
+                                   "fixtures", name + ".mesh"))
 
 
 def cg_field(name):
@@ -503,7 +506,6 @@ class TestInternalConstraints:
 
     def test_forced_singular_line_locality(self):
         mesh = generate_box(4, 4, 4)
-        mesh.detect_features(30.0)
         boundary = set(mesh.boundary_vertices)
         line = [
             v

@@ -36,9 +36,7 @@ def rot_z(a):
 
 @pytest.fixture(scope="module")
 def box():
-    mesh = generate_box(4, 4, 4)
-    mesh.detect_features(30.0)
-    return mesh
+    return generate_box(4, 4, 4)
 
 
 @pytest.fixture(scope="module")

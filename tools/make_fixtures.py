@@ -166,12 +166,11 @@ def _arc(center, radius, a0, a1, n):
                             center[1] + radius * np.sin(ang)])
 
 
-def _tag_all_features(mesh, extra_edges=()):
-    """Re-tag every detected feature curve so the file ships with Edges."""
-    mesh.detect_features(30.0)
-    mesh.tagged_feature_edges = list(mesh.feature_edges) + list(extra_edges)
-    mesh.tagged_corners = list(mesh.corners)
-    mesh.detect_features(30.0)
+def _tag_all_features(mesh):
+    """The mesh with every detected feature curve and corner tagged, so the
+    file ships with Edges."""
+    return TetMesh(mesh.vertices, mesh.tets, feature_edges=mesh.feature_edges,
+                   corners=mesh.corners)
 
 
 def make_arc_box(bulge=0.0, spacing=0.11, levels=8):
@@ -196,9 +195,7 @@ def make_arc_box(bulge=0.0, spacing=0.11, levels=8):
         (int(node_id[a, top]), int(node_id[b, top]), 100)
         for a, b in zip(arc_ids, arc_ids[1:])
     ]
-    mesh = TetMesh(verts, tets, feature_edges=arc_edges)
-    _tag_all_features(mesh, extra_edges=arc_edges)
-    return mesh
+    return _tag_all_features(TetMesh(verts, tets, feature_edges=arc_edges))
 
 
 def make_notch(spacing=0.11, levels=8, floor=0.6):
@@ -231,9 +228,7 @@ def make_notch(spacing=0.11, levels=8, floor=0.6):
     inside = dist < r_top - 1e-9
     columns[inside] = np.minimum(columns[inside], floor)
     verts, tets, node_id = extrude_columns(pts, tris, columns)
-    mesh = TetMesh(verts, tets)
-    _tag_all_features(mesh)
-    return mesh
+    return _tag_all_features(TetMesh(verts, tets))
 
 
 def make_groove(spacing=0.1, levels=8, floor=0.6):
@@ -262,9 +257,7 @@ def make_groove(spacing=0.1, levels=8, floor=0.6):
     trench = (dist > radii[0] + 1e-9) & (dist < radii[3] - 1e-9)
     columns[trench] = np.minimum(columns[trench], floor)
     verts, tets, node_id = extrude_columns(pts, tris, columns)
-    mesh = TetMesh(verts, tets)
-    _tag_all_features(mesh)
-    return mesh
+    return _tag_all_features(TetMesh(verts, tets))
 
 
 def make_halfsphere_box(spacing=0.11, box_levels=5, dome_levels=4):
@@ -287,9 +280,7 @@ def make_halfsphere_box(spacing=0.11, box_levels=5, dome_levels=4):
         [np.tile(box_z, (len(pts), 1)),
          0.5 + frac[None, :] * cap[:, None]], axis=1)
     verts, tets, _ = extrude_columns(pts, tris, columns)
-    mesh = TetMesh(verts, tets)
-    _tag_all_features(mesh)
-    return mesh
+    return _tag_all_features(TetMesh(verts, tets))
 
 
 BUILDERS = {

@@ -24,10 +24,10 @@ from .correction import (
 )
 from .errors import CGDiverged, HexFrameError, IoError, NonApplicable
 from .mesh import FEATURE_ANGLE_DEFAULT
-from .meshio import read_field, read_medit, write_field, write_vtk_graph
+from .meshio import _read, read_field, read_medit, write_field, write_vtk_graph
 from .singularities import detect_35, extract_graph
 from .solver import SolverConfig, compute_field
-from .tracing import TracerConfig, trace
+from .tracing import trace
 
 EXIT_OK = 0
 EXIT_NOT_APPLICABLE = 2
@@ -50,10 +50,6 @@ def _build_parser():
                                      "an angle in [0, 180]"),
                        help="feature detection dihedral threshold (degrees; "
                             "180: tagged features only)")
-        p.add_argument("--lambda", dest="relaxation",
-                       default=SolverConfig.projection_relaxation,
-                       type=_checked(float, np.isfinite, "a finite number"),
-                       help="projection relaxation of the smoothing sweeps")
         p.add_argument("--sweeps", default=SolverConfig.smoothing_sweeps,
                        type=_checked(int, lambda n: n >= 0, "a count >= 0"),
                        help="maximum nonlinear smoothing sweeps")
@@ -69,15 +65,11 @@ def _build_parser():
     p = common(sub.add_parser("correct", help="apply a correction strategy"))
     p.add_argument("--strategy", required=True,
                    choices=["extrude-curve", "extrude-node", "snap"])
-    p.add_argument("--step", type=_step_size, default=0.0,
-                   help="streamline step size (0: half mean edge length)")
 
     p = common(sub.add_parser("trace", help="trace one streamline"))
     p.add_argument("--seed", required=True, help="seed point x,y,z")
     p.add_argument("--dir", required=True, dest="direction",
                    help="initial direction dx,dy,dz")
-    p.add_argument("--step", type=_step_size, default=0.0,
-                   help="streamline step size (0: half mean edge length)")
 
     p = sub.add_parser("report", help="print the report of a previous run")
     p.add_argument("--out", default=".", help="artifact directory")
@@ -95,9 +87,6 @@ def _checked(cast, ok, what):
     return parse
 
 
-_step_size = _checked(float, lambda h: 0.0 <= h < np.inf, "a finite step >= 0")
-
-
 def _parse_triple(text, flag):
     try:
         triple = np.array([float(x) for x in text.split(",")])
@@ -113,9 +102,11 @@ class SystemExit2(Exception):
 
 
 def _write_report(path, pairs):
-    with open(path, "w") as fh:
-        for key, value in pairs:
-            fh.write("%s: %s\n" % (key, value))
+    try:
+        with open(path, "w") as fh:
+            fh.writelines("%s: %s\n" % pair for pair in pairs)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
 
 
 def _graph_counts(graph):
@@ -178,8 +169,7 @@ def _load_or_solve(args, log):
     t0 = time.time()
     mesh = read_medit(args.mesh, feature_angle=args.angle_threshold)
     log("read: %.2fs" % (time.time() - t0))
-    config = SolverConfig(smoothing_sweeps=args.sweeps,
-                          projection_relaxation=args.relaxation)
+    config = SolverConfig(smoothing_sweeps=args.sweeps)
     if args.field:
         field = read_field(args.field, mesh)
         log("field: read from %s" % args.field)
@@ -247,14 +237,12 @@ def _cmd_correct(args, log):
     mesh, field, config = _load_or_solve(args, log)
     graph = extract_graph(field)
     before = len(detect_35(graph))
-    tracer = TracerConfig(step_size=args.step)
     try:
         if args.strategy == "extrude-curve":
-            plan = extrude_feature_curves(mesh, field, tracer_config=tracer)
+            plan = extrude_feature_curves(mesh, field)
             corrected = apply_plan(mesh, field, plan, config)
         elif args.strategy == "extrude-node":
-            plan = extrude_singular_nodes(mesh, field, graph,
-                                          tracer_config=tracer)
+            plan = extrude_singular_nodes(mesh, field, graph)
             corrected = apply_plan(mesh, field, plan, config)
         else:
             plan, corrected = snap_until_clean(mesh, field, graph, config)
@@ -286,7 +274,7 @@ def _cmd_trace(args, log):
     if not direction.any():
         raise SystemExit2("--dir must not be zero")
     mesh, field, _ = _load_or_solve(args, log)
-    streamline = trace(field, seed, direction, TracerConfig(step_size=args.step))
+    streamline = trace(field, seed, direction)
     _make_out_dir(args.out)
     write_vtk_graph([streamline], os.path.join(args.out, "trace.vtk"))
     _write_report(os.path.join(args.out, "report.txt"), [
@@ -303,8 +291,7 @@ def _cmd_report(args, log):
     path = os.path.join(args.out, "report.txt")
     if not os.path.exists(path):
         raise SystemExit2("no report.txt under %s" % args.out)
-    with open(path) as fh:
-        sys.stdout.write(fh.read())
+    sys.stdout.write(_read(path))
     return EXIT_OK
 
 

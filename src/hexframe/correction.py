@@ -28,7 +28,7 @@ from .solver import (
     solve_initial,
 )
 from .singularities import extract_graph, detect_35, stable_direction
-from .tracing import TracerConfig, trace_lines
+from .tracing import trace_lines
 
 WEDGE_MARGIN = np.radians(15.0)
 SHEAR_MERGE_ANGLE = np.radians(10.0)
@@ -166,9 +166,9 @@ def _take(plan, sl, **where):
     return sl
 
 
-def _trace_all(plan, field, seeds, directions, config):
+def _trace_all(plan, field, seeds, directions):
     """The streamlines of all ``seeds`` from one lockstep batch."""
-    lines, batches = trace_lines(field, seeds, directions, config)
+    lines, batches = trace_lines(field, seeds, directions)
     plan.diagnostics["trace_batches"] = batches
     return lines
 
@@ -194,7 +194,7 @@ def _sheet_rows(field, surface, sl, t):
     return w[keep], u[keep], pin[keep]
 
 
-def extrude_feature_curves(mesh, field, tracer_config=None):
+def extrude_feature_curves(mesh, field):
     """Plan sheets swept from concave feature curves into the volume.
 
     One streamline per (curve vertex, interior direction); every streamline
@@ -203,7 +203,6 @@ def extrude_feature_curves(mesh, field, tracer_config=None):
     pinned to (surface normal, tangency line).
     """
     plan = CorrectionPlan("extrude-curve")
-    tracer_config = tracer_config or TracerConfig()
     edge = mesh.mean_edge_length()
     # terminal vertices sitting on other feature geometry do not see a
     # curve's wedge; they are junctions, not samples
@@ -226,7 +225,7 @@ def extrude_feature_curves(mesh, field, tracer_config=None):
                 visits.append((int(v), t))
                 seeds.append(mesh.vertices[v] + 1e-3 * edge * d)
                 directions.append(d)
-    lines = iter(_trace_all(plan, field, seeds, directions, tracer_config))
+    lines = iter(_trace_all(plan, field, seeds, directions))
     surface = np.zeros(len(mesh.vertices), dtype=bool)
     surface[mesh.boundary_vertices] = True
     pinned = set()
@@ -253,10 +252,9 @@ def extrude_feature_curves(mesh, field, tracer_config=None):
     return plan
 
 
-def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
+def extrude_singular_nodes(mesh, field, graph):
     """Plan replacement singular curves traced from 3-5 chain endpoints."""
     plan = CorrectionPlan("extrude-node")
-    tracer_config = tracer_config or TracerConfig()
     columns = []
     plan.diagnostics["columns"] = columns
     edge = mesh.mean_edge_length()
@@ -278,7 +276,7 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
             ends.append((chain.chain_id, end, valence))
             seeds.append(seed)
             directions.append(v0)
-    lines = _trace_all(plan, field, seeds, directions, tracer_config)
+    lines = _trace_all(plan, field, seeds, directions)
     for (chain_id, end, valence), sl in zip(ends, lines):
         sl = _take(plan, sl, chain=chain_id, end=end)
         if sl is None:

@@ -458,7 +458,7 @@ def project_to_octahedral(Q, warm_start=None):
 
     Maximizes the inner product with exact-frame vectors by Newton-accelerated
     ascent in the Lie algebra.  Each row ascends once from its best start:
-    its warm start (one rotation for all rows, or one per row) where that
+    its warm start (one rotation per row, (3, 3) or (n, 3, 3)) where that
     scores at least as well as the best of a fixed 100-rotation seed cover,
     else that best seed.  An ascent ends at a peak once the gradient norm is
     below 1e-7, with one last Newton step.  Only a row whose ascent does not
@@ -478,10 +478,7 @@ def project_to_octahedral(Q, warm_start=None):
     warm = None
     if warm_start is not None:
         warm = np.asarray(warm_start, dtype=float)
-        shape = Q.shape[:-1] + (3, 3)
-        if warm.shape == (3, 3):
-            warm = np.broadcast_to(warm, shape)
-        if warm.shape != shape:
+        if warm.shape != Q.shape[:-1] + (3, 3):
             raise ValueError("warm_start of shape %s for vectors of shape %s"
                              % (warm.shape, Q.shape))
         warm = np.ascontiguousarray(warm).reshape(-1, 3, 3)
@@ -491,6 +488,20 @@ def project_to_octahedral(Q, warm_start=None):
         part = slice(s, s + _CHUNK)
         R[part], C[part] = _project(rows[part], None if warm is None else warm[part])
     return R.reshape(Q.shape[:-1] + (3, 3)), C.reshape(Q.shape)
+
+
+def project_rows(c, warm_start=None):
+    """Frames (n, 3, 3) and alignment qualities (n,) of the rows (n, 9) of
+    ``c``, each warm started from its row of ``warm_start``, if given; a row
+    of norm at most 1e-9, or not finite, keeps the identity frame, quality 0."""
+    nc = np.sqrt(row_dots(c, c))
+    live = (nc > 1e-9) & (nc < np.inf)
+    R = np.tile(np.eye(3), (len(c), 1, 1))
+    q = np.zeros(len(c))
+    R[live], pc = project_to_octahedral(
+        c[live], warm_start=None if warm_start is None else warm_start[live])
+    q[live] = row_dots(c[live] / nc[live, None], pc)
+    return R, q
 
 
 def closest_direction(v, R):

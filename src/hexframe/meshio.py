@@ -184,7 +184,8 @@ def _write_vtk_polylines(path, polylines, cell_scalars):
 
 
 def write_vtk_graph(obj, path):
-    """Write a singularity graph or a list of streamlines as legacy VTK.
+    """Write ``obj``, a singularity graph or a list of streamlines, as
+    legacy VTK.
 
     One polyline per chain/streamline with cell scalars ``valence``
     (10*start + end) and ``is_35``.
@@ -202,8 +203,7 @@ def write_vtk_graph(obj, path):
             is35.append(1 if ch.is_35 else 0)
         _write_vtk_polylines(path, polylines, [("valence", valence), ("is_35", is35)])
     else:
-        streamlines = obj if isinstance(obj, (list, tuple)) else [obj]
-        polylines = [np.asarray(s.points) for s in streamlines]
+        polylines = [np.asarray(s.points) for s in obj]
         _write_vtk_polylines(
             path,
             polylines,
@@ -213,8 +213,7 @@ def write_vtk_graph(obj, path):
 
 def read_vtk_polylines(path):
     """Parse back our own VTK output: (polylines, {name: values})."""
-    with open(path) as fh:
-        tokens = fh.read().split()
+    tokens = _read(path).split()
     at, cells = tokens.index("LINES"), tokens.index("CELL_DATA")
     points = np.array(tokens[tokens.index("POINTS") + 3:at],
                       dtype=object).astype(float).reshape(-1, 3)

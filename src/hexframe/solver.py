@@ -182,13 +182,7 @@ class FrameField:
         whose coefficients have norm at most 1e-9, or not finite, keeps the
         identity frame and quality 0."""
         if self._frames is None:
-            c = self.coeffs
-            nc = np.sqrt(row_dots(c, c))
-            live = (nc > 1e-9) & (nc < np.inf)
-            self._frames = np.tile(np.eye(3), (len(c), 1, 1))
-            self._quality = np.zeros(len(c))
-            self._frames[live], pc = fr.project_to_octahedral(c[live])
-            self._quality[live] = row_dots(c[live] / nc[live, None], pc)
+            self._frames, self._quality = fr.project_rows(self.coeffs)
         return self._frames, self._quality
 
     def energy(self, K=None):

@@ -118,22 +118,14 @@ def _frames_at(field, tets, points):
     in their tets ``tets`` (n,): the nine coefficients interpolated
     linearly over the tet, then one stacked projection, warm started from
     the frame of the vertex of largest weight.  Where the interpolated
-    coefficients have norm at most 1e-9, as in ``vertex_frames``: the
-    identity frame with quality 0."""
-    mesh = field.mesh
-    lam = np.clip(_barycentric(mesh, tets, points), 0.0, 1.0)
-    vids = mesh.tets[tets]
-    c = (lam[:, None, :] @ field.coeffs[vids])[:, 0]
-    nc = np.sqrt(row_dots(c, c))
-    R = np.tile(np.eye(3), (len(c), 1, 1))
-    q = np.zeros(len(c))
-    on = ~(nc <= 1e-9)
-    if on.any():
-        frames, _ = field.vertex_frames()
-        warm = frames[vids[on, np.argmax(lam[on], axis=1)]]
-        R[on], pc = fr.project_to_octahedral(c[on], warm_start=warm)
-        q[on] = row_dots(c[on] / nc[on, None], pc)
-    return R, q
+    coefficients have norm at most 1e-9, or are not finite, as in
+    ``vertex_frames``: the identity frame with quality 0."""
+    lam = np.clip(_barycentric(field.mesh, tets, points), 0.0, 1.0)
+    vids = field.mesh.tets[tets]
+    with np.errstate(invalid="ignore"):  # 0 * inf: a NaN row, not projected
+        c = (lam[:, None, :] @ field.coeffs[vids])[:, 0]
+    nearest = np.take_along_axis(vids, np.argmax(lam, axis=1)[:, None], 1)[:, 0]
+    return fr.project_rows(c, warm_start=field.vertex_frames()[0][nearest])
 
 
 class _MeshSampler:

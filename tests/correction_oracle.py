@@ -29,7 +29,6 @@ from hexframe.correction import (
 from hexframe.errors import WedgeMismatch
 from hexframe.singularities import detect_35, stable_direction
 from hexframe.solver import DIRICHLET, TANGENCY
-from hexframe.tracing import TracerConfig
 
 
 def _patch_side_directions(mesh, v, t):
@@ -92,10 +91,9 @@ def extrusion_directions(curve, field, i):
     return [dirs[k] for k in order]
 
 
-def extrude_feature_curves(mesh, field, tracer_config=None):
+def extrude_feature_curves(mesh, field):
     """The extrude-curve plan, one streamline point at a time."""
     plan = CorrectionPlan("extrude-curve")
-    tracer_config = tracer_config or TracerConfig()
     sheet_boundary = {}
     boundary = set(mesh.boundary_vertices)
     edge = mesh.mean_edge_length()
@@ -117,7 +115,7 @@ def extrude_feature_curves(mesh, field, tracer_config=None):
                 visits.append((int(v), t))
                 seeds.append(p + 1e-3 * edge * d)
                 directions.append(d)
-    lines = iter(_trace_all(plan, field, seeds, directions, tracer_config))
+    lines = iter(_trace_all(plan, field, seeds, directions))
     for visit in visits:
         if isinstance(visit, dict):
             plan.fail("wedge_mismatch", **visit)
@@ -152,10 +150,9 @@ def extrude_feature_curves(mesh, field, tracer_config=None):
     return plan
 
 
-def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
+def extrude_singular_nodes(mesh, field, graph):
     """The extrude-node plan, one tube row at a time."""
     plan = CorrectionPlan("extrude-node")
-    tracer_config = tracer_config or TracerConfig()
     columns = []
     plan.diagnostics["columns"] = columns
     edge = mesh.mean_edge_length()
@@ -177,7 +174,7 @@ def extrude_singular_nodes(mesh, field, graph, tracer_config=None):
             ends.append((chain.chain_id, end, valence))
             seeds.append(seed)
             directions.append(v0)
-    lines = _trace_all(plan, field, seeds, directions, tracer_config)
+    lines = _trace_all(plan, field, seeds, directions)
     for (chain_id, end, valence), sl in zip(ends, lines):
         sl = _take(plan, sl, chain=chain_id, end=end)
         if sl is None:

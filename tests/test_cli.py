@@ -49,23 +49,26 @@ class TestUsage:
 
     @pytest.mark.parametrize("flag, value", [
         ("--dir", "0,0,0"), ("--dir", "nan,0,0"), ("--seed", "nan,0.5,0.5"),
-        ("--seed", "0.5,inf,0.5"), ("--step", "nan"), ("--step", "inf"),
-        ("--step", "-0.1")])
+        ("--seed", "0.5,inf,0.5")])
     def test_bad_trace_value_exits_64(self, cube_path, tmp_path, flag, value):
-        values = {"--seed": "0.5,0.5,0.5", "--dir": "1,0,0", "--step": "0"}
+        values = {"--seed": "0.5,0.5,0.5", "--dir": "1,0,0"}
         values[flag] = value
         argv = ["trace", "--mesh", cube_path, "--out", str(tmp_path),
                 "--sweeps", "3"] + ["%s=%s" % kv for kv in values.items()]
         assert run(argv) == 64
         assert not (tmp_path / "report.txt").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_bad_correct_step_exits_64(self, cube_path, tmp_path, value):
-        assert run(["correct", "--mesh", cube_path, "--out", str(tmp_path),
-                    "--strategy", "extrude-curve", "--step=" + value]) == 64
+    @pytest.mark.parametrize("extra", [
+        ["solve", "--lambda", "0.5"],
+        ["correct", "--strategy", "extrude-curve", "--step", "0.1"],
+        ["trace", "--seed", "0.5,0.5,0.5", "--dir", "1,0,0", "--step", "0.1"]])
+    def test_removed_option_exits_64(self, cube_path, tmp_path, extra):
+        # the relaxation and the streamline step are set from Python only
+        argv = extra[:1] + ["--mesh", cube_path, "--out", str(tmp_path)] + extra[1:]
+        assert run(argv) == 64
+        assert not (tmp_path / "report.txt").exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--lambda", "nan"), ("--lambda", "inf"), ("--lambda", "-inf"),
         ("--sweeps", "-3"), ("--sweeps", "2.5"),
         ("--angle-threshold", "nan"), ("--angle-threshold", "inf"),
         ("--angle-threshold", "-5"), ("--angle-threshold", "181")])
@@ -136,7 +139,6 @@ class TestSolve:
         args = _build_parser().parse_args(["solve", "--mesh", "m.mesh"])
         assert args.sweeps == SolverConfig().smoothing_sweeps == 50
         assert args.angle_threshold == FEATURE_ANGLE_DEFAULT == 30.0
-        assert args.relaxation == SolverConfig().projection_relaxation == 0.95
 
     def test_vtk_polylines_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -172,6 +174,17 @@ class TestSolve:
         assert run(args) == 3
         assert "cannot create --out" in capsys.readouterr().err
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["solve", "report"])
+    def test_report_is_a_directory_exits_3(self, cube_path, tmp_path, capsys,
+                                           command):
+        (tmp_path / "report.txt").mkdir()
+        args = ["report", "--out", str(tmp_path)] if command == "report" else \
+            ["solve", "--mesh", cube_path, "--out", str(tmp_path), "--sweeps", "1"]
+        assert run(args) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "report.txt" in err[0]
 
     def test_reuse_field_artifact(self, cube_path, tmp_path):
         out1 = str(tmp_path / "a")

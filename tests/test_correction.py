@@ -39,7 +39,7 @@ from hexframe.solver import (
     build_boundary_conditions,
     compute_field,
 )
-from hexframe.tracing import Streamline, TracerConfig
+from hexframe.tracing import Streamline, TracerConfig, trace_lines
 from solver_oracle import as_scipy
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -152,10 +152,12 @@ class TestExtrusionRows:
 
 
 class TestLimitCycleDetection:
-    def test_max_length_marks_plan_non_applicable(self, arc_box):
+    def test_max_length_marks_plan_non_applicable(self, arc_box, monkeypatch):
         field = constant_field(arc_box, build_boundary_conditions(arc_box))
         cfg = TracerConfig(step_size=0.05, max_length=0.12)
-        plan = extrude_feature_curves(arc_box, field, tracer_config=cfg)
+        monkeypatch.setattr(hexframe.correction, "trace_lines",
+                            lambda f, s, d: trace_lines(f, s, d, cfg))
+        plan = extrude_feature_curves(arc_box, field)
         assert not plan.applicable
         failures = plan.diagnostics["failures"]
         assert "limit_cycle" in {f["reason"] for f in failures}
@@ -180,7 +182,7 @@ class TestNodeTube:
         z = np.linspace(0.0, 1.0, 5)
         up = np.tile([0.0, 0.0, 1.0], (len(z), 1))
 
-        def columns(field, seeds, directions, config):
+        def columns(field, seeds, directions):
             assert len(seeds) == 2
             return [Streamline(np.column_stack([np.full_like(z, x), np.full_like(z, y), z]),
                                up, "ExitedBoundary", 1.0) for x, y in centres], 1

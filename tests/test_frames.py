@@ -286,16 +286,7 @@ class TestProjection:
         with pytest.raises(ValueError, match="non-finite"):
             fr.project_to_octahedral(Q[1])
 
-    def test_one_warm_rotation_serves_a_stack(self):
-        rng = np.random.default_rng(31)
-        Q = rng.normal(size=(20, 9))
-        warm = random_rotation(rng)
-        R, C = fr.project_to_octahedral(Q, warm_start=warm)
-        want_R, want_C = fr.project_to_octahedral(
-            Q, warm_start=np.tile(warm, (20, 1, 1)))
-        assert np.array_equal(R, want_R) and np.array_equal(C, want_C)
-
-    @pytest.mark.parametrize("warm_shape", [(19, 3, 3), (1, 3, 3), (20, 9)])
+    @pytest.mark.parametrize("warm_shape", [(19, 3, 3), (1, 3, 3), (20, 9), (3, 3)])
     def test_mismatched_warm_start_rejected(self, warm_shape):
         Q = np.tile(fr.REFERENCE_COEFFS, (20, 1))
         with pytest.raises(ValueError) as err:

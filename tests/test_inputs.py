@@ -22,7 +22,13 @@ from hexframe.errors import (
     ParseError,
 )
 from hexframe.mesh import TetMesh
-from hexframe.meshio import read_field, read_medit, write_field, write_medit
+from hexframe.meshio import (
+    read_field,
+    read_medit,
+    read_vtk_polylines,
+    write_field,
+    write_medit,
+)
 from hexframe.singularities import extract_graph
 from hexframe.solver import (
     FrameField,
@@ -74,6 +80,10 @@ class TestMeditErrors:
             read_medit(str(tmp_path / "none.mesh"))
         assert main(["graph", "--mesh", str(tmp_path / "none.mesh"),
                      "--out", str(tmp_path)]) == 3
+
+    def test_missing_vtk_file(self, tmp_path):
+        with pytest.raises(IoError):
+            read_vtk_polylines(str(tmp_path / "none.vtk"))
 
     def test_negative_vertex_count(self, tmp_path):
         text = SINGLE_TET.replace("Vertices\n4", "Vertices\n-1")

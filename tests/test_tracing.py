@@ -149,9 +149,11 @@ class TestInterpolation:
             Ro, qo, _ = tracing_oracle._frame_in_tet(field, int(tets[k]), p[k])
             assert Ro.tobytes() == R[k].tobytes() and qo == q[k]
 
-    def test_zero_norm_rows_get_identity(self, box):
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_zero_norm_or_non_finite_rows_get_identity(self, box, bad):
+        # the rule of vertex_frames
         coeffs = np.tile(fr.REFERENCE_COEFFS, (len(box.vertices), 1))
-        coeffs[box.vertices[:, 0] > 0.6] = 0.0
+        coeffs[box.vertices[:, 0] > 0.6] = bad
         field = FrameField(box, coeffs, BoundaryConditionSet(len(box.vertices)))
         p = np.array([[0.9, 0.5, 0.5], [0.1, 0.5, 0.5]])
         R, q = _frames_at(field, locate(box, p), p)

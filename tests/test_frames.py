@@ -286,6 +286,22 @@ class TestProjection:
         with pytest.raises(ValueError, match="non-finite"):
             fr.project_to_octahedral(Q[1])
 
+    @pytest.mark.parametrize("bad", [0.0, 1e-10, np.nan, np.inf])
+    def test_project_rows_gives_dead_rows_the_identity(self, bad):
+        rng = np.random.default_rng(37)
+        c = rng.normal(size=(6, 9))
+        warm = np.stack([random_rotation(rng) for _ in range(6)])
+        dead, live = [1, 4], [0, 2, 3, 5]
+        c[dead] = bad  # 1e-10 rows have norm 3e-10, under the 1e-9 cut
+        R, q = fr.project_rows(c, warm_start=warm)
+        want_R, want_C = fr.project_to_octahedral(c[live], warm_start=warm[live])
+        unit = c[live] / np.linalg.norm(c[live], axis=1)[:, None]
+        assert np.array_equal(R[live], want_R)
+        np.testing.assert_allclose(q[live], np.sum(unit * want_C, axis=1),
+                                   rtol=1e-12)
+        assert np.array_equal(R[dead], np.tile(np.eye(3), (2, 1, 1)))
+        assert np.array_equal(q[dead], [0.0, 0.0])
+
     @pytest.mark.parametrize("warm_shape", [(19, 3, 3), (1, 3, 3), (20, 9), (3, 3)])
     def test_mismatched_warm_start_rejected(self, warm_shape):
         Q = np.tile(fr.REFERENCE_COEFFS, (20, 1))

@@ -90,18 +90,54 @@ def pair_keys(a, b, n):
     return np.asarray(a, dtype=np.int64) * n + b
 
 
-def _unique_rows(keys):
+def _sort_rows(cols):
+    """The stable sort order of the rows whose columns are the integer
+    arrays ``cols``, and which rows of the sorted order differ from the row
+    before them.
+
+    Each run of columns whose value ranges (from the lower of 0 and the
+    column minimum) multiply to below 2**63 packs into one int64 key; a
+    column of a wider range is a key of its own.  One stable argsort per
+    key, the last key first, sorts the rows.
+    """
+    packed, total = [], 0
+    for col in cols:
+        col = col.astype(np.int64)
+        a, b = int(col.min(initial=0)), int(col.max(initial=0))
+        width = b - a + 1
+        if width < 2 ** 63:
+            col -= a
+        if packed and total * width < 2 ** 63:
+            packed[-1] *= width
+            packed[-1] += col
+            total *= width
+        else:
+            packed.append(col)
+            total = width
+    order = np.argsort(packed[-1], kind="stable")
+    for key in packed[-2::-1]:
+        order = order[np.argsort(key[order], kind="stable")]
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for key in packed:
+        key = key[order]
+        first[1:] |= key[1:] != key[:-1]
+    return order, first
+
+
+def _unique_rows(cols):
     """``np.unique(keys, axis=0, return_inverse=True, return_counts=True)``
-    of an (n, k) integer array from one stable ``np.lexsort``, plus that
-    sort's order, which is ``np.argsort(inverse, kind="stable")``."""
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    of the (n, k) integer array ``keys`` whose columns are the arrays
+    ``cols`` (``keys.T`` will do), from ``_sort_rows``, plus the order of
+    that sort, which is ``np.argsort(inverse, kind="stable")``."""
+    order, first = _sort_rows(cols)
+    rank = np.cumsum(first)
+    rank -= 1
     inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
+    inverse[order] = rank
     starts = np.flatnonzero(first)
-    return ranked[starts], inverse, np.diff(np.r_[starts, len(keys)]), order
+    uniq = np.stack([col[order[starts]] for col in cols], axis=1)
+    return uniq, inverse, np.diff(np.r_[starts, len(order)]), order
 
 
 def walk_chains(links, terminal):
@@ -180,9 +216,14 @@ class AdjacencyTables:
 
     def __init__(self, tets):
         nt, idx = len(tets), tets.dtype
-        keys = np.sort(tets[:, FACE_VERTICES].reshape(-1, 3), axis=1)
+        # the vertex columns of the faces in (tet, local face) order, each
+        # face's vertices put in ascending order by three compare-exchanges
+        a, b, c = (tets[:, k].ravel() for k in np.transpose(FACE_VERTICES))
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        b, c = np.minimum(b, c), np.maximum(b, c)
+        a, b = np.minimum(a, b), np.maximum(a, b)
         # incidences grouped by face, each group in (tet, local face) order
-        uniq, inverse, counts, incidence = _unique_rows(keys)
+        uniq, inverse, counts, incidence = _unique_rows((a, b, c))
         if counts.max() > 2:
             bad = uniq[np.argmax(counts)]
             raise NonManifold("face %s has %d incident tets" % (bad, counts.max()))
@@ -233,9 +274,11 @@ class TetMesh:
         # scales of the tracer's default step and length budget; the
         # vertices do not move after construction
         v, t = self.vertices, self.tets
+        at = v[t.T]  # at[i]: the tets' local vertex i
         self._mean_edge_length = sum(
-            np.linalg.norm(v[t[:, a]] - v[t[:, b]], axis=1).sum()
+            np.linalg.norm(at[a] - at[b], axis=1).sum()
             for a, b in TET_EDGES) / (6 * len(t))
+        del at
         self._bounding_box_diagonal = float(np.linalg.norm(v.max(0) - v.min(0)))
         self.adjacency = AdjacencyTables(self.tets)
         self._extract_boundary()
@@ -319,7 +362,8 @@ class TetMesh:
             np.bincount(tris.ravel(), minlength=len(p)), idx)
         # half-edges (a, b), (b, c), (c, a) of every triangle, in triangle order
         half = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
-        edges, _, counts, order = _unique_rows(np.sort(half, axis=1))
+        u, w = half.T
+        edges, _, counts, order = _unique_rows((np.minimum(u, w), np.maximum(u, w)))
         if (counts != 2).any():
             k = int(np.argmax(counts != 2))
             raise OpenBoundary("boundary edge %s has %d incident triangles"
@@ -388,7 +432,7 @@ class TetMesh:
         hit = self._edge_rows(np.sort(tags[:, :2], axis=1).tolist())
         group[hit], tagged[hit] = tags[:, 2], True
         rows = np.flatnonzero(tagged | (np.abs(d - 180.0) > angle_threshold))
-        group = _unique_rows(np.c_[tagged, group][rows])[1]
+        group = _unique_rows((tagged[rows], group[rows]))[1]
         ends = self.boundary_edges[rows]
         nv = len(self.vertices)
         degree = np.bincount(ends.ravel(), minlength=nv)

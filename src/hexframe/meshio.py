@@ -45,6 +45,35 @@ def _token_error(tok, what, dtype):
     return None
 
 
+# bytes.translate tables: 0 for the ASCII characters str.split() splits
+# at, 1 for any other byte; and for the integer pass, 0 for the whitespace
+# numpy skips between numbers, 1 for a digit, 2 for a sign, 3 for any other
+_TOKEN_BYTES = bytes(int(not (c < 128 and chr(c).isspace())) for c in range(256))
+_INT_BYTES = bytes(0 if c in b" \t\n\v\f\r" else 1 if c in b"0123456789"
+                   else 2 if c in b"+-" else 3 for c in range(256))
+
+
+def _parse_ints(chunk, count):
+    """The ``count`` integers of the ASCII bytes ``chunk`` in one C-level
+    pass, or None unless each of its tokens is an optional sign and decimal
+    digits, with a value strictly between -10**18 and 10**18.
+
+    numpy clamps an integer that overflows, so a value that large is left
+    to Python's ``int()``.
+    """
+    if not count:
+        return np.zeros(0, dtype=np.int64)
+    c = np.frombuffer((b" " + chunk + b" ").translate(_INT_BYTES), dtype=np.uint8)
+    sign = np.flatnonzero(c == 2)
+    # a sign starts its token and a digit follows it
+    if (c == 3).any() or c[sign - 1].any() or (c[sign + 1] != 1).any():
+        return None
+    values = np.fromstring(chunk, dtype=np.int64, sep=" ")
+    if len(values) != count or values.min() <= -10 ** 18 or values.max() >= 10 ** 18:
+        return None
+    return values
+
+
 def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
     """Parse an ASCII MEDIT ``.mesh`` file into a TetMesh.
 
@@ -53,21 +82,47 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
     it is built (tags take precedence).
     Each section converts as one block.  Integers must fit in int64, and a
     section's count may not exceed the tokens left in the file.
+
+    Token boundaries come from one whitespace mask over the file, so the
+    numbers are never split into Python strings to find the section
+    keywords.  An integer block (a count, ``Dimension``, ``Tetrahedra``,
+    ``Triangles``, ``Edges``, ``Corners``) is parsed in one C-level pass
+    when its tokens are ASCII decimal integers, each an optional sign and
+    digits below 10**18 in magnitude, separated by spaces, tabs, newlines,
+    vertical tabs, form feeds or carriage returns.  Any other block (one
+    with an underscore, a Unicode digit or another separator, a larger
+    integer, a non-numeric token, one cut short by the end of the file),
+    and every ``Vertices`` block, is converted by Python's ``int()`` and
+    ``float()``, which also finds the first bad token for the error.
     """
     text = re.sub("#[^\n]*", "", _read(path))
-    tokens = text.split()
+    # one ASCII byte per character, so offsets in text and data agree
+    data = (text if text.isascii()
+            else re.sub(r"\s", " ", text)).encode("ascii", "replace")
+    solid = np.frombuffer(b"\0" + data.translate(_TOKEN_BYTES), dtype=bool)
+    # the start of each token, then the end of the text
+    bounds = np.append(np.flatnonzero(solid[1:] > solid[:-1]), len(data))
+    ntok = len(bounds) - 1
     pos = 0
+
+    def span(k, m):
+        """Offsets of the text of tokens k to k + m - 1, fewer at the end."""
+        return bounds[min(k, ntok)], bounds[min(k + m, ntok)]
 
     def line(k):
         """Line of token k, counted only for an error message."""
-        counts = np.cumsum([len(row.split()) for row in text.split("\n")])
-        return int(np.searchsorted(counts, k, side="right")) + 1
+        return text.count("\n", 0, bounds[k]) + 1
 
     def read(n, names, dtype=np.int64, checked=1):
         """The first ``checked`` columns of the next n rows of tokens."""
         nonlocal pos
         width = len(names)
-        cells = tokens[pos:pos + n * width]
+        lo, hi = span(pos, n * width)
+        values = None if dtype is float else _parse_ints(data[lo:hi], n * width)
+        if values is not None:
+            pos += n * width
+            return values.reshape(n, width)[:, :checked]
+        cells = text[lo:hi].split()
         try:
             # object cells convert by Python's int() and float()
             values = np.array(cells, dtype=object).reshape(
@@ -86,8 +141,9 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
                          % names[len(cells) % width])
 
     blocks = {key: [] for key in _SECTIONS}
-    while pos < len(tokens):
-        kw = tokens[pos]
+    while pos < ntok:
+        lo, hi = span(pos, 1)
+        kw = text[lo:hi].split()[0]
         key = kw.lower()
         pos += 1
         if key == "meshversionformatted":
@@ -104,9 +160,9 @@ def read_medit(path, feature_angle=FEATURE_ANGLE_DEFAULT):
             if n < 0:
                 raise ParseError("line %d: negative %s %d" % (line(pos - 1), what, n))
             # every entry takes at least one token
-            if n > len(tokens) - pos:
+            if n > ntok - pos:
                 raise ParseError("line %d: %s %d exceeds the %d tokens left"
-                                 % (line(pos - 1), what, n, len(tokens) - pos))
+                                 % (line(pos - 1), what, n, ntok - pos))
             blocks[key].append(read(n, names, dtype, checked))
         elif key == "end":
             break

@@ -13,7 +13,7 @@ import numpy as np
 from . import frames as fr
 from ._csr import CSR, row_offsets
 from .errors import CGDiverged, DegenerateTangent, Unconstrained
-from .mesh import row_dots
+from .mesh import pair_keys, row_dots
 
 TANGENCY_RADIUS = np.sqrt(5.0 / 12.0)
 # relative CG residual; CG stops after 10 iterations per unknown
@@ -73,22 +73,34 @@ def dirichlet_bc_on_curve(curve, mesh):
     valence-2 curve, its first patch normal on any other.  Returns
     {vertex: 9-vector}; a vertex the curve lists twice keeps its last frame.
     """
-    t = curve.tangents
+    verts, coeffs, _ = _curve_frames(mesh, [curve])
+    return dict(zip(verts.tolist(), coeffs))
+
+
+def _curve_frames(mesh, curves):
+    """The frames ``dirichlet_bc_on_curve`` gives the vertices of
+    ``curves``, one row per listed vertex in curve order: the vertices, their
+    9 coefficients and the index of each row's curve in ``curves``.  A
+    vertex on no patch has no row."""
+    verts = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [np.asarray(c.vertices, dtype=np.int64) for c in curves])
+    t = np.concatenate([np.zeros((0, 3))] + [c.tangents for c in curves])
+    curve = np.repeat(np.arange(len(curves)), [len(c.vertices) for c in curves])
     tn = np.sqrt(row_dots(t, t))
     # a NaN tangent fails the test too
     short = ~(tn >= 1e-9)
     if short.any():
-        raise DegenerateTangent("curve %d vertex %d" % (
-            curve.curve_id, curve.vertices[int(np.argmax(short))]))
-    verts = np.asarray(curve.vertices, dtype=np.int64)
+        k = int(np.argmax(short))
+        raise DegenerateTangent("curve %d vertex %d" % (curves[curve[k]].curve_id,
+                                                         verts[k]))
     ptr = mesh.vertex_patch_ptr
     count = ptr[verts + 1] - ptr[verts]
     keep = count > 0
-    verts, t, count = verts[keep], t[keep] / tn[keep, None], count[keep]
-    if curve.target_valence == 2:
-        n = mesh.vertex_normal_sums[verts] / count[:, None]
-    else:
-        n = mesh.vertex_patch_normals[ptr[verts]]
+    verts, count, curve = verts[keep], count[keep], curve[keep]
+    t = t[keep] / tn[keep, None]
+    mean = np.array([c.target_valence == 2 for c in curves], dtype=bool)[curve]
+    n = np.where(mean[:, None], mesh.vertex_normal_sums[verts] / count[:, None],
+                 mesh.vertex_patch_normals[ptr[verts]])
     a2 = n - row_dots(n, t)[:, None] * t
     # where the tangent is parallel to the normal, any orthogonal axis
     e = np.eye(3)[np.argmin(np.abs(t), axis=1)]
@@ -96,30 +108,38 @@ def dirichlet_bc_on_curve(curve, mesh):
                   e - row_dots(e, t)[:, None] * t, a2)
     a2 /= np.sqrt(row_dots(a2, a2))[:, None]
     R = np.stack([a2, np.cross(t, a2), t], axis=2)
-    return dict(zip(verts.tolist(), fr.frame_coeffs(R)))
+    return verts, fr.frame_coeffs(R), curve
 
 
 def build_boundary_conditions(mesh):
     """Standard BC set: Dirichlet on feature curves and corners, tangency
     on smooth-patch vertices.  A corner takes the projected mean of its
     curves' frames; every vertex on two curves is a corner."""
-    bcs = BoundaryConditionSet(len(mesh.vertices))
-    corner_set = set(mesh.corners)
-    corner_acc = {}
-    for curve in mesh.feature_curves:
-        for v, c in dirichlet_bc_on_curve(curve, mesh).items():
-            if v in corner_set:
-                corner_acc.setdefault(v, []).append(c)
-            else:
-                bcs.set_dirichlet(v, c)
-    corners = list(corner_acc)
-    avgs = np.reshape([np.mean(v, axis=0) for v in corner_acc.values()], (-1, 9))
-    bcs.kind[corners] = DIRICHLET
-    bcs.coeffs[corners] = fr.project_to_octahedral(avgs)[1]
+    nv = len(mesh.vertices)
+    bcs = BoundaryConditionSet(nv)
+    corner = np.zeros(nv, dtype=bool)
+    corner[mesh.corners] = True
+    verts, coeffs, curve = _curve_frames(mesh, mesh.feature_curves)
+    # each vertex's last row, and at a corner each curve's last row: a curve
+    # keeps the last frame of a vertex it lists twice, and elsewhere a later
+    # curve's frame replaces an earlier one
+    at = corner[verts]
+    key = pair_keys(np.where(at, curve + 1, 0), verts, nv)
+    _, back = np.unique(key[::-1], return_index=True)
+    rows = np.sort(len(key) - 1 - back)
+    verts, coeffs, at = verts[rows], coeffs[rows], at[rows]
+    bcs.kind[verts] = DIRICHLET
+    bcs.coeffs[verts[~at]] = coeffs[~at]
+    # a corner's frames added one after the other in curve order, as
+    # np.mean adds them
+    corners, slot, count = np.unique(verts[at], return_inverse=True,
+                                     return_counts=True)
+    total = np.zeros((len(corners), 9))
+    np.add.at(total, slot, coeffs[at])
+    bcs.coeffs[corners] = fr.project_to_octahedral(total / count[:, None])[1]
     # the other boundary vertices are tangent to their last patch's normal
     ptr = mesh.vertex_patch_ptr
-    tang = (ptr[1:] > ptr[:-1]) & (bcs.kind != DIRICHLET)
-    tang[list(mesh.feature_vertex_set() | corner_set)] = False
+    tang = (ptr[1:] > ptr[:-1]) & (bcs.kind != DIRICHLET) & ~corner
     n = mesh.vertex_patch_normals[ptr[1:][tang] - 1]
     bcs.kind[tang] = TANGENCY
     bcs.normals[tang] = n / np.sqrt(row_dots(n, n))[:, None]

@@ -1,5 +1,8 @@
-"""References for the initial solve and the pipelined smoother.
+"""References for the boundary conditions, the initial solve and the
+pipelined smoother.
 
+``build_boundary_conditions`` is the curve-at-a-time loop that
+``solver.build_boundary_conditions`` once ran, a dict of frames per curve.
 ``reduced_system`` is the affine map from CG unknowns to coefficients that
 ``solver.solve_initial`` once assembled, one vertex at a time.
 ``smooth_coeffs`` is the per-vertex Gauss-Seidel loop that
@@ -15,12 +18,46 @@ import numpy as np
 import scipy.sparse as sp
 
 from hexframe import frames as fr
-from hexframe.solver import DIRICHLET, TANGENCY, TANGENCY_RADIUS, _on_circle
+from hexframe.mesh import row_dots
+from hexframe.solver import (
+    DIRICHLET,
+    TANGENCY,
+    TANGENCY_RADIUS,
+    BoundaryConditionSet,
+    _on_circle,
+    dirichlet_bc_on_curve,
+)
 
 
 def as_scipy(A):
     """A scipy CSR matrix on the arrays of hexframe's CSR matrix ``A``."""
     return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def build_boundary_conditions(mesh):
+    """The standard boundary conditions, one curve at a time: each curve's
+    frames in curve order, a corner's averaged and projected."""
+    bcs = BoundaryConditionSet(len(mesh.vertices))
+    corner_set = set(mesh.corners)
+    corner_acc = {}
+    for curve in mesh.feature_curves:
+        for v, c in dirichlet_bc_on_curve(curve, mesh).items():
+            if v in corner_set:
+                corner_acc.setdefault(v, []).append(c)
+            else:
+                bcs.set_dirichlet(v, c)
+    corners = list(corner_acc)
+    avgs = np.reshape([np.mean(v, axis=0) for v in corner_acc.values()], (-1, 9))
+    bcs.kind[corners] = DIRICHLET
+    bcs.coeffs[corners] = fr.project_to_octahedral(avgs)[1]
+    # the other boundary vertices are tangent to their last patch's normal
+    ptr = mesh.vertex_patch_ptr
+    tang = (ptr[1:] > ptr[:-1]) & (bcs.kind != DIRICHLET)
+    tang[list(mesh.feature_vertex_set() | corner_set)] = False
+    n = mesh.vertex_patch_normals[ptr[1:][tang] - 1]
+    bcs.kind[tang] = TANGENCY
+    bcs.normals[tang] = n / np.sqrt(row_dots(n, n))[:, None]
+    return bcs
 
 
 def reduced_system(bcs):

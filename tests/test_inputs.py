@@ -349,6 +349,49 @@ SINGLE_TET_VARIANTS = [
     "MeshVersionFormatted",
     "Dimension 3 Tetrahedra 1 1 2 3 4 1",
     "",
+    # signs and zero padding
+    SINGLE_TET.replace("1 2 3 4 1", "+1 002 +03 0004 -001"),
+    SINGLE_TET.replace("Tetrahedra\n1", "Tetrahedra\n+0001"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4 +-1"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4 - 1"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4-1 1"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4 1+"),
+    # Python's wider numerals
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4 1_0"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 \u0664 1"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 \uff12 3 4 1"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4 1__0"),
+    # the int64 limits in Triangles, Edges and Corners
+    *(SINGLE_TET_TEMPLATE.format(extra="Triangles\n1\n1 2 3 %d\n" % ref)
+      for ref in (2 ** 63 - 1, -2 ** 63 + 1, -2 ** 63, 2 ** 63)),
+    *(SINGLE_TET_TEMPLATE.format(extra="Edges\n1\n1 2 %d\n" % ref)
+      for ref in (2 ** 63 - 1, -2 ** 63 + 1, -2 ** 63, 2 ** 63)),
+    SINGLE_TET_TEMPLATE.format(extra="Edges\n1\n%d 2 3\n" % (2 ** 63 - 1)),
+    SINGLE_TET_TEMPLATE.format(extra="Edges\n1\n1 %d 3\n" % -2 ** 63),
+    *(SINGLE_TET_TEMPLATE.format(extra="Corners\n2\n1\n%d\n" % v)
+      for v in (2 ** 63 - 1, -2 ** 63 + 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1)),
+    SINGLE_TET_TEMPLATE.format(extra="Corners\n1\n%s1\n" % ("0" * 30)),
+    SINGLE_TET_TEMPLATE.format(extra="Corners\n1\n999999999999999999\n"),
+    SINGLE_TET_TEMPLATE.format(extra="Corners\n1\n1000000000000000000\n"),
+    # separators: tabs, form feeds, vertical tabs, and those numpy does not skip
+    SINGLE_TET.replace(" ", "\t"),
+    SINGLE_TET.replace("1 2 3 4 1", "1\f2\f3\f4\f1\f"),
+    SINGLE_TET.replace("1 2 3 4 1\n", "1\v2 3\f\t4 1\n\f"),
+    SINGLE_TET.replace("1 2 3 4 1", "1\x1c2\x1d3\x1e4\x1f1"),
+    SINGLE_TET.replace("1 2 3 4 1", "1\u20002\xa03\u30004\x851"),
+    SINGLE_TET.replace("0 1 0 0", "0\u20281 0 0").replace("1 2 3 4 1", "1 2 3 4 x"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4 \xe9"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4 1\x00"),
+    # non-finite numbers in Tetrahedra
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 nan 1"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 inf 4 1"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 3 4 -inf"),
+    # keywords with their counts on the same line, comments inside a row
+    SINGLE_TET.replace("Tetrahedra\n1\n", "Tetrahedra 1\n"),
+    SINGLE_TET.replace("Tetrahedra\n1\n", "Tetrahedra 1 "),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 # two\n3 4 1"),
+    SINGLE_TET.replace("1 2 3 4 1", "1 2 #\u00e9\n3 4 x"),
+    SINGLE_TET_TEMPLATE.format(extra="Edges 1 1 # a\n2 3 Corners 1 2\n"),
 ]
 
 

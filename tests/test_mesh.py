@@ -259,7 +259,7 @@ class TestOracleParity:
         faces, tet_faces, face_tets, face_local = oracle.adjacency(mesh.tets)
         for got, want in ((adj.faces, faces), (adj.tet_faces, tet_faces),
                           (adj.face_tets, face_tets), (adj.face_local, face_local)):
-            assert np.array_equal(got, want)
+            assert got.dtype == mesh.tets.dtype and np.array_equal(got, want)
         tris = oracle.boundary_tris(p, mesh.tets, face_tets, face_local)
         assert np.array_equal(mesh.boundary_tris, tris)
         assert np.array_equal(mesh.boundary_vertices, np.unique(tris))
@@ -397,7 +397,7 @@ class TestSectionReader:
 
     @staticmethod
     def _check_unique_rows(keys):
-        rows, inverse, counts, order = _unique_rows(keys)
+        rows, inverse, counts, order = _unique_rows(keys.T)
         want = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
         for got, ref in zip((rows, inverse, counts), want):
             assert got.dtype == ref.dtype
@@ -419,6 +419,32 @@ class TestSectionReader:
         keys = np.concatenate([base, base[rng.integers(0, 500, size=700)],
                                -base[:50], [[2 ** 62, -2 ** 62, 0]] * 3])
         self._check_unique_rows(keys[rng.permutation(len(keys))])
+
+    def test_unique_rows_at_the_integer_limits(self):
+        # int32 faces near 2**31 pack into two keys, not three; a tag id
+        # column spanning all of int64 is a key of its own
+        rng = np.random.default_rng(12)
+        top = np.iinfo(np.int32).max - rng.integers(0, 4, size=(300, 3))
+        self._check_unique_rows(np.sort(top, axis=1).astype(np.int32))
+        small = rng.integers(0, 4, size=(300, 3))
+        self._check_unique_rows(np.sort(np.where(small < 2, small, top), axis=1))
+        info = np.iinfo(np.int64)
+        ends = np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max])
+        for keys in (np.c_[rng.integers(0, 2, 400), rng.choice(ends, 400)],
+                     np.c_[rng.choice(ends, 400), rng.integers(0, 3, 400)],
+                     rng.choice(ends, size=(400, 3)),
+                     rng.integers(-5, 5, size=(400, 3)),
+                     np.zeros((0, 2), dtype=np.int64)):
+            self._check_unique_rows(keys)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_round_trip(self, name, tmp_path):
+        # a fixture read and written again is the same file, byte for byte
+        path = os.path.join(FIXTURES, name + ".mesh")
+        out = str(tmp_path / "out.mesh")
+        write_medit(read_medit(path), out)
+        with open(path, "rb") as want, open(out, "rb") as got:
+            assert got.read() == want.read()
 
 
 def integer_tables(mesh):

@@ -34,6 +34,10 @@ from hexframe.solver import (
 )
 
 
+FIXTURES = ["notch", "groove_box", "arc_box", "curved_arc_box", "halfsphere_box"]
+FIXTURES_AND_BOXES = FIXTURES + [(n, b) for n in (4, 6, 8) for b in (0.0, 0.1, 0.2)]
+
+
 def bulged_box():
     return generate_box(4, 4, 4, bulge=0.3)
 
@@ -110,6 +114,35 @@ class TestCurveBCs:
         broken.tangents[1] = bad
         with pytest.raises(DegenerateTangent, match="vertex %d" % curve.vertices[1]):
             dirichlet_bc_on_curve(broken, cube)
+
+
+class TestStandardBoundaryConditions:
+    """The whole-array boundary conditions give the bytes of the loop over
+    curves in ``solver_oracle``."""
+
+    @pytest.mark.parametrize("name", FIXTURES_AND_BOXES, ids=str)
+    def test_matches_curve_loop(self, name):
+        if name in FIXTURES:
+            mesh = fixture_mesh(name)
+        else:
+            n, bulge = name
+            mesh = generate_box(n, n, n, bulge=bulge)
+        got = build_boundary_conditions(mesh)
+        want = solver_oracle.build_boundary_conditions(mesh)
+        for field in ("kind", "coeffs", "normals"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    def test_corner_mean_adds_in_curve_order(self):
+        # three curves meet at each box corner; with their tangents tilted
+        # apart, the sum of their frames depends on the order of addition
+        mesh = generate_box(3, 3, 3)
+        rng = np.random.default_rng(2)
+        for curve in mesh.feature_curves:
+            curve.tangents = curve.tangents + 0.1 * rng.normal(size=curve.tangents.shape)
+        got = build_boundary_conditions(mesh)
+        want = solver_oracle.build_boundary_conditions(mesh)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 class TestInitialSolve:
@@ -282,7 +315,6 @@ def graph_counters(field):
             len(graph.junction_tets))
 
 
-FIXTURES = ["notch", "groove_box", "arc_box", "curved_arc_box", "halfsphere_box"]
 
 
 def fixture_mesh(name):

@@ -533,11 +533,16 @@ def octa_matching(Ra, Rb):
     """Group element index ``g`` minimizing the angle between Ra*g and Rb.
 
     Also takes stacks of rotations of shape (..., 3, 3) and then returns an
-    index array.  Deterministic tie-break by element order.
+    index array.  The 24 traces trace(G_k^T Ra^T Rb) of every pair come
+    from one product of the flattened group with the pairs' flattened
+    Ra^T Rb, a (24, pairs) array; ties within 1e-10 of a pair's largest
+    trace go to the lowest element index.  A caller bounds the transient
+    arrays by matching in chunks, as the singularity classification does.
     """
     M = np.swapaxes(np.asarray(Ra), -1, -2) @ np.asarray(Rb)
-    traces = np.einsum("kij,...ij->...k", OCTA_GROUP, M)
-    g = np.argmax(traces > traces.max(axis=-1, keepdims=True) - 1e-10, axis=-1)
+    traces = OCTA_GROUP.reshape(24, 9) @ M.reshape(-1, 9).T
+    g = np.argmax(traces > traces.max(axis=0) - 1e-10, axis=0)
+    g = g.reshape(M.shape[:-2])
     return int(g) if g.ndim == 0 else g
 
 

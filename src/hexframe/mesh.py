@@ -311,16 +311,11 @@ class TetMesh:
             self.tets[neg] = self.tets[neg][:, [0, 2, 1, 3]]
 
     def tet_volumes(self):
-        v = self.vertices
-        t = self.tets
-        return (
-            np.einsum(
-                "ij,ij->i",
-                np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]),
-                v[t[:, 3]] - v[t[:, 0]],
-            )
-            / 6.0
-        )
+        """Signed volumes of the tets, (e1 x e2) . e3 / 6 with e_k the edge
+        from local vertex 0 to local vertex k."""
+        p = self.vertices[self.tets.T]  # p[i]: the tets' local vertex i
+        p[1:] -= p[0]  # now the edges e_k
+        return np.einsum("ij,ij->i", np.cross(p[1], p[2]), p[3]) / 6.0
 
     def mean_edge_length(self):
         return self._mean_edge_length

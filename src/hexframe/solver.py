@@ -161,19 +161,22 @@ def assemble_stiffness(mesh):
 def _element_stiffness(mesh):
     """The (t, 4, 4) P1 stiffness matrices of the tets, computed in place
     where a step allows it."""
-    v = mesh.vertices
-    t = mesh.tets
-    vols = mesh.tet_volumes()
-    e1 = v[t[:, 1]] - v[t[:, 0]]
-    e2 = v[t[:, 2]] - v[t[:, 0]]
-    e3 = v[t[:, 3]] - v[t[:, 0]]
+    p = mesh.vertices[mesh.tets.T]  # p[i]: the tets' local vertex i
+    # the first gradient comes before grads exists, so the corners, grads
+    # and this cross's temporaries are never all alive at once
+    g0 = np.cross(p[3] - p[1], p[2] - p[1])
+    p[1:] -= p[0]  # now the edges from local vertex 0
+    e1, e2, e3 = p[1:]
     # gradients of the four barycentric basis functions
-    grads = np.empty((len(t), 4, 3))
-    grads[:, 0] = np.cross(v[t[:, 3]] - v[t[:, 1]], v[t[:, 2]] - v[t[:, 1]])
+    grads = np.empty((len(mesh.tets), 4, 3))
+    grads[:, 0] = g0
+    del g0
     grads[:, 1] = np.cross(e2, e3)
     grads[:, 2] = np.cross(e3, e1)
     grads[:, 3] = np.cross(e1, e2)
-    del e1, e2, e3
+    # the signed volumes as mesh.tet_volumes computes them
+    vols = np.einsum("ij,ij->i", grads[:, 3], e3) / 6.0
+    del p, e1, e2, e3
     grads /= (6.0 * vols)[:, None, None]
     ke = np.einsum("tif,tjf->tij", grads, grads)
     ke *= vols[:, None, None]

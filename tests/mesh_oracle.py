@@ -4,7 +4,8 @@ Each function is the per-tet, per-face or per-edge loop that ``TetMesh``,
 ``boxgen.generate_box`` and ``solver.build_boundary_conditions`` once ran,
 the vertex-at-a-time feature-curve walk that ``TetMesh.detect_features``
 once ran, or the token-at-a-time reader that ``meshio.read_medit`` once was.
-Only tests import this module.
+``tet_volumes`` gathers a tet corner for each edge it forms, as
+``TetMesh.tet_volumes`` once did.  Only tests import this module.
 """
 
 import math
@@ -289,6 +290,14 @@ def boundary_conditions(mesh, vertex_normals):
 
 
 _CUBE_TETS = [(0, 1, 3, 7), (0, 3, 2, 7), (0, 2, 6, 7), (0, 6, 4, 7), (0, 4, 5, 7), (0, 5, 1, 7)]
+
+
+def tet_volumes(vertices, tets):
+    """Signed tet volumes, each edge from its own pair of corner gathers."""
+    v, t = vertices, tets
+    return np.einsum("ij,ij->i",
+                     np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]),
+                     v[t[:, 3]] - v[t[:, 0]]) / 6.0
 
 
 def generate_box(nx, ny, nz, size=(1.0, 1.0, 1.0), bulge=0.0):

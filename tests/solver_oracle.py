@@ -10,13 +10,15 @@ pipelined smoother.
 reads what the vertex-order sweep reads.  ``smooth_levels`` is the sweep
 that ran one dependency level at a time, one projection call per level;
 the cross-sweep wavefront must give its bits.  ``as_scipy`` hands
-hexframe's CSR matrices to these references and to scipy.  Only tests
-import this module.
+hexframe's CSR matrices to these references and to scipy.
+``element_stiffness`` builds the P1 element matrices from a corner gather
+per edge and the reference volumes.  Only tests import this module.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+import mesh_oracle
 from hexframe import frames as fr
 from hexframe.mesh import row_dots
 from hexframe.solver import (
@@ -32,6 +34,24 @@ from hexframe.solver import (
 def as_scipy(A):
     """A scipy CSR matrix on the arrays of hexframe's CSR matrix ``A``."""
     return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def element_stiffness(mesh):
+    """The (t, 4, 4) P1 stiffness matrices of the tets."""
+    v, t = mesh.vertices, mesh.tets
+    vols = mesh_oracle.tet_volumes(v, t)
+    e1 = v[t[:, 1]] - v[t[:, 0]]
+    e2 = v[t[:, 2]] - v[t[:, 0]]
+    e3 = v[t[:, 3]] - v[t[:, 0]]
+    grads = np.empty((len(t), 4, 3))
+    grads[:, 0] = np.cross(v[t[:, 3]] - v[t[:, 1]], v[t[:, 2]] - v[t[:, 1]])
+    grads[:, 1] = np.cross(e2, e3)
+    grads[:, 2] = np.cross(e3, e1)
+    grads[:, 3] = np.cross(e1, e2)
+    grads /= (6.0 * vols)[:, None, None]
+    ke = np.einsum("tif,tjf->tij", grads, grads)
+    ke *= vols[:, None, None]
+    return ke
 
 
 def build_boundary_conditions(mesh):

@@ -9,6 +9,7 @@ from hexframe._seed_normals import NORMALS
 from hexframe.boxgen import generate_box
 from hexframe.mesh import TetMesh
 import sh_oracle
+import singularity_oracle
 from sh_oracle import coeffs_oracle, random_rotation, wigner4_oracle
 
 FIELDS = os.path.join(os.path.dirname(__file__), "..", "bench", "data",
@@ -571,6 +572,49 @@ class TestMatching:
             g = fr.octa_matching(Ra, Rb)
             h = fr.octa_matching(Rb, Ra)
             assert fr.octa_compose(g, h) == 0
+
+    # turns halfway between two group elements: 45 degrees about an axis,
+    # 60 degrees about a body diagonal
+    TIE_TURNS = [fr.axis_angle_rotation(w) for w in (
+        [np.pi / 4, 0, 0], [0, np.pi / 4, 0], [0, 0, np.pi / 4],
+        [0, 0, -np.pi / 4],
+        np.pi / 3 * np.array([1, 1, 1]) / np.sqrt(3),
+        np.pi / 3 * np.array([1, -1, 1]) / np.sqrt(3),
+        -np.pi / 3 * np.array([-1, 1, 1]) / np.sqrt(3))]
+
+    @pytest.mark.parametrize("turn", range(len(TIE_TURNS)))
+    def test_exact_tie_picks_lowest_index(self, turn):
+        """Ra and Ra @ G @ T, T halfway between two elements, match the
+        lowest index within 1e-10 of the largest trace, as the reference
+        does."""
+        rng = np.random.default_rng(30 + turn)
+        Ra = random_rotation(rng)
+        Rb = Ra @ fr.OCTA_GROUP[5 + 2 * turn] @ self.TIE_TURNS[turn]
+        traces = np.array([np.trace(G.T @ Ra.T @ Rb) for G in fr.OCTA_GROUP])
+        tied = np.flatnonzero(traces > traces.max() - 1e-10)
+        assert len(tied) >= 2
+        g = fr.octa_matching(Ra, Rb)
+        assert type(g) is int
+        assert g == tied[0] == singularity_oracle.matching(Ra, Rb)
+
+    def test_ties_in_a_stack_match_each_pair(self):
+        """In a 1,000-pair stack of random pairs and exact ties, every row
+        is its own pair's matching and the reference's."""
+        rng = np.random.default_rng(31)
+        Ra = np.stack([random_rotation(rng) for _ in range(1000)])
+        Rb = np.stack([random_rotation(rng) for _ in range(1000)])
+        tie = np.arange(1000) % 2 == 0
+        T = np.stack([self.TIE_TURNS[k % len(self.TIE_TURNS)] for k in range(500)])
+        Rb[tie] = Ra[tie] @ fr.OCTA_GROUP[np.arange(500) % 24] @ T
+        g = fr.octa_matching(Ra, Rb)
+        assert g.shape == (1000,)
+        assert g.tolist() == [fr.octa_matching(a, b) for a, b in zip(Ra, Rb)]
+        assert g.tolist() == [singularity_oracle.matching(a, b) for a, b in zip(Ra, Rb)]
+        # the tied pairs pick many elements, not just the identity
+        assert len(set(g[tie].tolist())) > 12
+        # a stack keeps its leading shape
+        grid = fr.octa_matching(Ra.reshape(10, 100, 3, 3), Rb.reshape(10, 100, 3, 3))
+        assert grid.shape == (10, 100) and grid.ravel().tolist() == g.tolist()
 
 
 class TestTangencyBasis:

@@ -8,6 +8,7 @@ import hexframe.frames as fr
 import hexframe.singularities as sing
 import singularity_oracle as oracle
 from hexframe.boxgen import generate_box
+from hexframe.correction import snap_until_clean
 from hexframe.mesh import TetMesh
 from hexframe.meshio import read_medit
 from hexframe.singularities import (
@@ -16,7 +17,15 @@ from hexframe.singularities import (
     stable_direction,
     surface_cross_indices,
 )
-from hexframe.solver import BoundaryConditionSet, FrameField, SolverConfig, compute_field
+from hexframe.solver import (
+    DIRICHLET,
+    FREE,
+    TANGENCY,
+    BoundaryConditionSet,
+    FrameField,
+    SolverConfig,
+    compute_field,
+)
 
 
 def rot_z(a):
@@ -241,6 +250,15 @@ def groove_box_field():
     return five_sweep_field("groove_box")
 
 
+@pytest.fixture(scope="module")
+def notch_snapped_field(notch_field):
+    """The 5-sweep notch field snapped until clean.  Its snapped path holds
+    Dirichlet frames turned 45 degrees about the path, the one place the
+    pipeline builds frames halfway between two group elements of a
+    neighbour's frame, where a matching tie could flip."""
+    return snap_until_clean(notch_field.mesh, notch_field)[1]
+
+
 def _graph_summary(graph):
     faces = sorted((int(fid), f.group_elem, f.index)
                    for fid, f in graph.singular_faces.items())
@@ -252,7 +270,8 @@ def _graph_summary(graph):
 
 @pytest.mark.parametrize("name", ["valence3_field", "valence5_field",
                                   "rotated_box_field", "rotated_box_hot_field",
-                                  "notch_field", "groove_box_field"])
+                                  "notch_field", "groove_box_field",
+                                  "notch_snapped_field"])
 class TestPerFaceParity:
     """The whole-array classification equals the per-face reference loops."""
 
@@ -276,12 +295,17 @@ class TestPerFaceParity:
 
 
 def test_parity_fields_exercise_classification(rotated_box_field, rotated_box_hot_field,
-                                               notch_field, groove_box_field):
+                                               notch_field, groove_box_field,
+                                               notch_snapped_field):
     graph = extract_graph(rotated_box_field)
     assert detect_35(graph)
     assert any(d[0] == "hot_face" for d in extract_graph(rotated_box_hot_field).defects)
     assert detect_35(extract_graph(notch_field))
     assert detect_35(extract_graph(groove_box_field))
+    # snapping rewrote Dirichlet rows along its path and released tangency
+    before, after = notch_field.bcs, notch_snapped_field.bcs
+    assert (before.coeffs != after.coeffs).any(axis=1)[after.kind == DIRICHLET].any()
+    assert ((before.kind == TANGENCY) & (after.kind == FREE)).any()
 
 
 def test_holonomy_matches_each_directed_edge_once(rotated_box_field, monkeypatch):
